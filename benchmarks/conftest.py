@@ -68,13 +68,10 @@ def bench_executor() -> str:
     boxes where pool overhead cannot pay for itself.
     """
     executor = os.environ.get("REPRO_BENCH_EXECUTOR", "")
-    if executor in ("serial", "process", "fleet"):
+    if executor in ("serial", "process"):
         return executor
     if executor:
-        raise ValueError(
-            "REPRO_BENCH_EXECUTOR must be 'serial', 'process', or 'fleet', "
-            f"got {executor!r}"
-        )
+        raise ValueError(f"REPRO_BENCH_EXECUTOR must be 'serial' or 'process', got {executor!r}")
     return "process" if (os.cpu_count() or 1) > 1 else "serial"
 
 

@@ -12,7 +12,7 @@ Two paired-window benchmarks for the ``numpy-flat`` execution layer:
   memory-bound streaming benchmark) replayed through a recursive
   hierarchy on the adaptive ``numpy-flat`` stack (column-native data
   ORAM, list-backed position maps) with position-map path-op coalescing
-  enabled, against the seed chain replay consuming the same stream.  The
+  enabled (a capacity-1 PosMap Lookaside Buffer), against the seed chain replay consuming the same stream.  The
   record carries the measured coalesced-ops rate: sequential SPEC streams
   resolve through the same position-map blocks for long runs, so most
   position-map path operations collapse into the op that read the block.
@@ -192,7 +192,7 @@ def test_chain_coalescing_spec_replay_vs_seed(benchmark):
         spec = OramSpec(
             protocol="hierarchical",
             storage="numpy-flat",
-            coalesce_position_ops=True,
+            plb_entries_per_level=1,
             columnar_min_slots=1 << 16,
         )
         engine = build_oram(spec, hierarchy, seed=7)
@@ -237,7 +237,7 @@ def test_chain_coalescing_spec_replay_vs_seed(benchmark):
         "baseline": "seed chain replay consuming the same libquantum stream",
         "engine_path": (
             "access_many fused chain with position-map path-op coalescing "
-            "(coalesce_position_ops=True)"
+            "(plb_entries_per_level=1)"
         ),
         "workload": "spec-like libquantum (sequential streaming)",
         "accesses_per_window": measured,

@@ -7,8 +7,8 @@ configurations:
 
 * ``plb0`` — the uncoalesced baseline chain (every access walks every
   position-map level physically);
-* ``plb1`` — a capacity-1 PLB, which reproduces the pre-PLB single-op
-  suffix memo (``coalesce_position_ops``) bit for bit;
+* ``plb1`` — a capacity-1 PLB, the single-op suffix memo that coalesces
+  consecutive accesses through the same position-map block;
 * ``plb8`` — an 8-entries-per-level PLB, the paper-scale on-chip budget.
 
 All three replay identical derived-seed streams window for window

@@ -338,9 +338,7 @@ def figure12_super_block_axis(benchmarks: list[str], num_memory_ops: int = 5_000
 
     Every (benchmark, mode) replay is an independent runner experiment
     (``executor="process"`` is bit-identical to serial), so the whole axis
-    parallelises like the Figure 12 grid it extends.  ``executor="fleet"``
-    is accepted too: trace replays carry no fleet adapter, so they ride the
-    fleet runner's process fallback unchanged.
+    parallelises like the Figure 12 grid it extends.
     """
     from repro.analysis.sweep import SUPER_BLOCK_MODES
 
@@ -485,8 +483,6 @@ def figure12_plb_axis(benchmarks: list[str], num_memory_ops: int = 5_000,
     Every (benchmark, capacity) replay is an independent runner
     experiment (``executor="process"`` is bit-identical to serial), so
     the whole axis parallelises like the Figure 12 grid it extends.
-    ``executor="fleet"`` is accepted too: trace replays carry no fleet
-    adapter, so they ride the fleet runner's process fallback unchanged.
     """
     from repro.analysis.sweep import PLB_CAPACITIES
 
@@ -537,9 +533,8 @@ def run_oram_trace_replay_sharded(benchmark: str, configuration: Figure12Config,
     """One long ORAM-level trace replay sharded into runner windows.
 
     Splits the replay into independently seeded windows executed through
-    the experiment runner (bit-identical between ``executor="serial"``,
-    ``"process"``, and ``"fleet"``, which falls back to the pool for these
-    adapter-less replay points) and merges the counters.
+    the experiment runner (bit-identical between ``executor="serial"``
+    and ``"process"``) and merges the counters.
     """
     plan = WindowPlan.split(
         key=("spec-replay-shard", benchmark, configuration.name),
@@ -582,7 +577,7 @@ def figure12_slowdowns(benchmarks: list[str], num_memory_ops: int = 20_000,
     Every (benchmark, configuration) replay — including each benchmark's
     DRAM baseline — is an independent trace simulation dispatched through
     the experiment runner, so the whole Figure 12 grid parallelises under
-    any executor (``"fleet"`` included — replays take its fallback path).
+    either executor.
     """
     if configurations is None:
         configurations = figure12_configurations(functional_scale=functional_scale, seed=seed)

@@ -11,11 +11,6 @@ Every sweep builds its grid as :class:`~repro.runner.ExperimentSpec` points
 and executes them through :class:`~repro.runner.ExperimentRunner`, so any
 grid can run serially or on a process pool (``executor="process"``) with
 bit-identical results — each point seeds its own ``random.Random``.
-``executor="fleet"`` additionally batches shape-compatible points into one
-stacked column tensor (:mod:`repro.core.numpy_fleet`): the fleet adapters
-at the bottom of this module re-express the measurement loops as chunked
-*programs* the batched engine drives, still bit-identical per point, with
-unsupported points falling back to the pool automatically.
 """
 
 from __future__ import annotations
@@ -24,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from repro.backends import OramSpec, build_oram, full_scale_spec, storage_backends
+from repro.backends import OramSpec, build_oram, full_scale_spec
 from repro.core.config import ORAMConfig
 from repro.core.overhead import measured_access_overhead, theoretical_access_overhead
 from repro.core.stats import AccessStats
@@ -32,14 +27,11 @@ from repro.errors import ReproError
 from repro.runner import (
     ExperimentRunner,
     ExperimentSpec,
-    FleetPlan,
     ProgressCallback,
     WindowPlan,
     derive_seed,
-    register_fleet_adapter,
     run_windows,
 )
-from repro.runner.fleet import FLEET_MAX_LEVELS
 
 #: The scenario the design-space sweeps run on: a single fast-path ORAM with
 #: background eviction (a generous livelock cap so aborts fire first).
@@ -591,9 +583,7 @@ def sweep_plb_capacities(
 
     Points come back in ``(trace_kind, compressed, capacity)`` grid order,
     computed through the experiment runner — ``executor="process"`` is
-    bit-identical to serial, and ``executor="fleet"`` rides the transparent
-    process fallback (hierarchical specs are not fleet-eligible), so all
-    three executors agree.
+    bit-identical to serial.
     """
     specs = [
         ExperimentSpec(
@@ -617,217 +607,6 @@ def sweep_plb_capacities(
         executor=executor, max_workers=max_workers, progress=progress
     )
     return runner.run_values(specs)
-
-
-# ----------------------------------------------------------------------
-# Fleet adapters: the measurement loops as batched-engine programs
-# ----------------------------------------------------------------------
-# The fleet executor (repro.runner.fleet) asks these planners whether a
-# grid point can ride in a stacked-tensor batch.  A plan re-expresses the
-# corresponding serial measurement as (build, program, finalize): the
-# program generator yields exactly the address chunks the serial loop
-# feeds access_many and keeps the between-chunk logic (abort checks,
-# stats.reset()) in exactly the serial order, so the fleet run of a point
-# is bit-identical to its serial run.  Planners return None to decline —
-# the point then falls back to the serial/process executor.
-
-
-def _fleet_supported(oram_spec: OramSpec, config: object) -> bool:
-    """Whether one (spec, config) sweep point can join a fleet batch."""
-    return (
-        oram_spec.fleet_eligible
-        and "numpy-flat" in storage_backends()
-        and isinstance(config, ORAMConfig)
-        and config.super_block_size == 1
-        and config.levels <= FLEET_MAX_LEVELS
-    )
-
-
-def _fleet_build(oram_spec: OramSpec, config: ORAMConfig, seed: int):
-    """Build a sweep point's ORAM on the stackable column storage.
-
-    The serial path may leave small trees on the list-backed ``"flat"``
-    stack (see :func:`~repro.backends.full_scale_spec`); the fleet needs
-    the columns, so it always routes onto ``numpy-flat`` — a substitution
-    the differential storage suites pin as bit-identical.  The RNG is
-    seeded exactly as the serial driver seeds it.
-    """
-    return build_oram(
-        oram_spec.with_updates(storage="numpy-flat", columnar_min_slots=0),
-        config,
-        rng=random.Random(seed),
-    )
-
-
-def _dummy_ratio_program(
-    oram,
-    config: ORAMConfig,
-    num_accesses: int,
-    abort_dummy_factor: float,
-    prefill: bool,
-    seed: int,
-):
-    """:func:`measure_dummy_ratio_window`'s loop as a fleet program.
-
-    Statement for statement the serial window: prefill chunks, the reset
-    *after* the prefill loop (it runs even when prefill aborts), derived
-    trace RNG drawn chunk by chunk, abort checks at chunk granularity, and
-    the livelock ``ReproError`` folded into the abort reason — the engine
-    throws it in at the yield, where the serial ``access_many`` call would
-    have raised it.
-    """
-    trace_rng = random.Random(derive_seed(seed, ("sweep-trace", config.name or "")))
-    working_set = config.working_set_blocks
-    abort_reason: str | None = None
-    try:
-        if prefill:
-            done = 0
-            while done < working_set and abort_reason is None:
-                chunk_end = min(done + ABORT_CHECK_CHUNK, working_set)
-                yield list(range(done + 1, chunk_end + 1))
-                done = chunk_end
-                abort_reason = _dummy_abort_reason(
-                    oram.stats, done, abort_dummy_factor, "prefill"
-                )
-            oram.stats.reset()
-        if abort_reason is None:
-            randrange = trace_rng.randrange
-            done = 0
-            while done < num_accesses and abort_reason is None:
-                chunk = min(ABORT_CHECK_CHUNK, num_accesses - done)
-                yield [randrange(1, working_set + 1) for _ in range(chunk)]
-                done += chunk
-                abort_reason = _dummy_abort_reason(
-                    oram.stats, done, abort_dummy_factor, "measurement"
-                )
-    except ReproError as exc:
-        abort_reason = f"eviction livelock: {exc}"
-    return abort_reason
-
-
-def _dummy_ratio_plan(spec: ExperimentSpec, window: bool) -> FleetPlan | None:
-    kwargs = dict(spec.kwargs)
-    config = kwargs.get("config")
-    num_accesses = kwargs.get("num_accesses")
-    oram_spec = kwargs.get("spec", SWEEP_SPEC)
-    abort_dummy_factor = kwargs.get("abort_dummy_factor", 30.0)
-    prefill = kwargs.get("prefill", True)
-    seed = spec.seed if spec.seed is not None else kwargs.get("seed", 0)
-    if num_accesses is None or not _fleet_supported(oram_spec, config):
-        return None
-
-    def build():
-        return _fleet_build(oram_spec, config, seed)
-
-    def program(oram):
-        return _dummy_ratio_program(
-            oram, config, num_accesses, abort_dummy_factor, prefill, seed
-        )
-
-    def finalize(oram, abort_reason):
-        if window:
-            return oram.stats, abort_reason
-        return _sweep_point(config, oram.stats, abort_reason)
-
-    return FleetPlan(
-        shape=(config.levels, config.z),
-        build=build,
-        program=program,
-        finalize=finalize,
-    )
-
-
-@register_fleet_adapter(measure_dummy_ratio)
-def _plan_measure_dummy_ratio(spec: ExperimentSpec) -> FleetPlan | None:
-    return _dummy_ratio_plan(spec, window=False)
-
-
-@register_fleet_adapter(measure_dummy_ratio_window)
-def _plan_measure_dummy_ratio_window(spec: ExperimentSpec) -> FleetPlan | None:
-    return _dummy_ratio_plan(spec, window=True)
-
-
-def _super_block_program(
-    oram, working_set: int, num_accesses: int, trace_kind: str,
-    access_bytes: int, seed: int,
-):
-    """:func:`measure_super_block_mode`'s replay as a fleet program.
-
-    The trace is generated lazily at the first pump (same derived seed and
-    address folding as the serial driver) and replayed as one chunk, the
-    fleet analogue of the single fused ``access_many`` call.  A livelock
-    ``ReproError`` is *not* caught — serial execution lets it escape into
-    the result envelope, and so does the program.
-    """
-    from repro.workloads.synthetic import synthetic_trace
-
-    trace = synthetic_trace(
-        trace_kind,
-        num_accesses,
-        working_set * access_bytes,
-        seed=derive_seed(seed, ("super-block-sweep", trace_kind)),
-    )
-    yield [
-        (record.address // access_bytes) % working_set + 1 for record in trace
-    ]
-    return None
-
-
-@register_fleet_adapter(measure_super_block_mode)
-def _plan_measure_super_block_mode(spec: ExperimentSpec) -> FleetPlan | None:
-    kwargs = dict(spec.kwargs)
-    config = kwargs.get("config")
-    mode = kwargs.get("mode")
-    num_accesses = kwargs.get("num_accesses")
-    trace_kind = kwargs.get("trace_kind", "hotspot")
-    group_size = kwargs.get("group_size", 4)
-    window = kwargs.get("window", 512)
-    merge_threshold = kwargs.get("merge_threshold", 2)
-    split_threshold = kwargs.get("split_threshold", 4)
-    oram_spec = kwargs.get("spec", SWEEP_SPEC)
-    access_bytes = kwargs.get("access_bytes", 8)
-    seed = spec.seed if spec.seed is not None else kwargs.get("seed", 0)
-    # Only the ungrouped baseline batches: static grouping gives the ORAM
-    # multi-member groups (the column fast path declines them) and the
-    # dynamic mapper needs the per-access machinery, so both run serially.
-    if mode != "off" or num_accesses is None or not isinstance(config, ORAMConfig):
-        return None
-    mode_spec, mode_config = super_block_variant(
-        oram_spec, config, mode,
-        group_size=group_size, window=window,
-        merge_threshold=merge_threshold, split_threshold=split_threshold,
-    )
-    if not _fleet_supported(mode_spec, mode_config):
-        return None
-    working_set = mode_config.working_set_blocks
-
-    def build():
-        return _fleet_build(mode_spec, mode_config, seed)
-
-    def program(oram):
-        return _super_block_program(
-            oram, working_set, num_accesses, trace_kind, access_bytes, seed
-        )
-
-    def finalize(oram, abort_reason):
-        stats = oram.stats
-        return SuperBlockPoint(
-            trace_kind=trace_kind,
-            mode=mode,
-            group_size=group_size,
-            accesses=stats.real_accesses,
-            dummy_ratio=stats.dummy_ratio,
-            merges=stats.super_block_merges,
-            splits=stats.super_block_splits,
-            hits=stats.super_block_hits,
-        )
-
-    return FleetPlan(
-        shape=(mode_config.levels, mode_config.z),
-        build=build,
-        program=program,
-        finalize=finalize,
-    )
 
 
 def sweep_stash_size(

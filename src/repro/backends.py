@@ -29,7 +29,6 @@ import itertools
 import os
 import random
 import tempfile
-import warnings
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Union
 
@@ -109,24 +108,14 @@ class OramSpec:
         in the spec so pool workers derive identical ciphers).
     create_on_miss / record_path_trace / livelock_limit:
         Forwarded to the protocol object.
-    coalesce_position_ops:
-        **Deprecated** — use ``plb_entries_per_level=1``, which reproduces
-        coalescing bit for bit (pinned in ``tests/test_plb.py`` and
-        ``tests/test_api.py``); setting this flag emits a
-        ``DeprecationWarning``.  Hierarchical protocol only: let
-        ``access_many`` serve consecutive accesses resolving through the
-        same position-map block from one fused path op (see
-        :class:`~repro.core.hierarchical.HierarchicalPathORAM`).  A pure
-        throughput lever for trace replays — logical results are
-        unchanged, the physical op sequence is not, so analyses of the
-        physical access pattern should leave it off.
     plb_entries_per_level:
         Hierarchical protocol only: capacity (position-map blocks per
         chain level) of the PosMap Lookaside Buffer, the Freecursive-style
-        generalisation of ``coalesce_position_ops`` to a real multi-entry
-        LRU label cache (see :class:`~repro.core.plb.PosMapLookaside`).
-        Serves the looped ``access`` path and ``access_many`` alike; 0
-        disables it.  Unlike coalescing it composes with
+        multi-entry LRU label cache (see
+        :class:`~repro.core.plb.PosMapLookaside`).  Serves the looped
+        ``access`` path and ``access_many`` alike; 0 disables it, and
+        capacity 1 coalesces consecutive accesses through the same
+        position-map block into one fused path op.  It composes with
         ``dynamic_super_blocks`` — the chain's cached labels are kept
         coherent with cohort moves through explicit invalidation hooks.
     compressed_position_map:
@@ -178,7 +167,6 @@ class OramSpec:
     create_on_miss: bool = True
     record_path_trace: bool = False
     livelock_limit: int = 100_000
-    coalesce_position_ops: bool = False
     plb_entries_per_level: int = 0
     compressed_position_map: bool = False
     columnar_min_slots: int = 0
@@ -216,20 +204,6 @@ class OramSpec:
                 "the recursive construction materialises missing blocks "
                 "(position-map blocks must exist); create_on_miss=False is "
                 "only meaningful for the flat protocol"
-            )
-        if self.protocol == "flat" and self.coalesce_position_ops:
-            raise ConfigurationError(
-                "coalesce_position_ops batches position-map path ops; the "
-                "flat protocol has no position-map chain (use "
-                "protocol='hierarchical')"
-            )
-        if self.coalesce_position_ops:
-            warnings.warn(
-                "OramSpec(coalesce_position_ops=True) is deprecated; use "
-                "plb_entries_per_level=1 — the capacity-1 PosMap Lookaside "
-                "Buffer reproduces coalescing bit for bit",
-                DeprecationWarning,
-                stacklevel=3,
             )
         if self.plb_entries_per_level < 0:
             raise ConfigurationError("plb_entries_per_level must be >= 0")
@@ -271,13 +245,6 @@ class OramSpec:
                     "dynamic super-block merging does not compose with the "
                     "insecure remap eviction scheme"
                 )
-            if self.coalesce_position_ops:
-                raise ConfigurationError(
-                    "coalesce_position_ops requires the fused chain walk, "
-                    "which needs single-member data groups; it cannot engage "
-                    "alongside dynamic_super_blocks (it would be a silent "
-                    "no-op)"
-                )
             # Knob validation happens eagerly so a bad spec fails at
             # construction, not inside a pool worker.
             DynamicSuperBlockMapper(
@@ -290,28 +257,6 @@ class OramSpec:
     def with_updates(self, **kwargs: Any) -> "OramSpec":
         """Copy of this spec with the given fields replaced."""
         return replace(self, **kwargs)
-
-    @property
-    def fleet_eligible(self) -> bool:
-        """Whether the fleet executor may batch ORAMs of this spec.
-
-        The batched tensor engine (:mod:`repro.core.numpy_fleet`) drives a
-        single flat Path ORAM on plain (unencrypted) columns; it mirrors
-        the column engine's single-member fast path, so dynamic super-block
-        grouping and path-trace recording — both of which need the scalar
-        per-access machinery — disqualify a spec.  ``"flat"`` storage
-        counts as eligible because the fleet adapters re-route it onto the
-        bit-identical ``numpy-flat`` columns (the same substitution
-        :func:`full_scale_spec` performs).  Eligibility is necessary, not
-        sufficient: the adapter additionally checks the configuration
-        (tree shape limits, single-member groups) per point.
-        """
-        return (
-            self.protocol == "flat"
-            and self.storage in ("flat", "numpy-flat")
-            and not self.dynamic_super_blocks
-            and not self.record_path_trace
-        )
 
 
 # ----------------------------------------------------------------------
@@ -555,7 +500,6 @@ def build_oram(
         storage_factory=storage_factory(spec),
         record_path_trace=spec.record_path_trace,
         livelock_limit=spec.livelock_limit,
-        coalesce_position_ops=spec.coalesce_position_ops,
         plb_entries_per_level=spec.plb_entries_per_level,
         data_super_block_mapper=_super_block_mapper(spec, config.data_oram),
     )

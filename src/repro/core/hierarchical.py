@@ -24,7 +24,6 @@ rounds are indistinguishable from real accesses.
 from __future__ import annotations
 
 import random
-import warnings
 from typing import Any, Callable
 
 from repro.core.background_eviction import NoEviction
@@ -74,37 +73,23 @@ class HierarchicalPathORAM:
         Forwarded to each underlying :class:`PathORAM`.
     livelock_limit:
         Safety cap on dummy rounds per eviction trigger.
-    coalesce_position_ops:
-        **Deprecated** — pass ``plb_entries_per_level=1`` instead, which
-        reproduces coalescing bit for bit; setting this flag emits a
-        ``DeprecationWarning``.
-        When True, chain accesses that resolve through the most recently
-        operated position-map block at a level are served from that block
-        directly instead of issuing one path op per level per access.
-        Results (found blocks, payloads, the position-map chain's
-        consistency) are unchanged; the *physical* access sequence
-        shrinks, so per-ORAM ``stats.path_reads`` drop and
-        ``stats.coalesced_ops`` counts the ops saved.  Off by default
-        because the physical trace differs from the per-access protocol
-        (the differential suites pin that shape).  Since the PLB landed
-        this flag is sugar for a capacity-1 lookaside buffer (see below).
     plb_entries_per_level:
         Capacity, in position-map blocks per chain level, of the PosMap
         Lookaside Buffer (:class:`~repro.core.plb.PosMapLookaside`, the
-        Freecursive-style generalisation of ``coalesce_position_ops``).
+        Freecursive-style label cache).
         Every physical position-map path op installs its block's live
         label list; a later access whose chain passes through a cached
         block is served at that level — and every level above is skipped
         entirely — with no extra RNG draws (fresh leaves are drawn up
         front either way, so the stream matches the PLB-off run).  ``0``
-        (the default) disables the buffer unless ``coalesce_position_ops``
-        requests its capacity-1 degenerate form, which reproduces the
-        PR 4 single-op memo bit for bit.  The buffer engages only when
-        every position-map ORAM runs a fused (in-place label mutation)
-        path op — on generic list/encrypted stacks it stays inert, like
-        coalescing always has.  Hits count ``stats.plb_hits`` (on the ORAM
-        that served the hit) and ``stats.coalesced_ops`` (on every skipped
-        level); physical ops behind a lookup count ``stats.plb_misses``.
+        (the default) disables the buffer; capacity 1 is the degenerate
+        single-op memo that coalesces consecutive accesses through the
+        same position-map block.  The buffer engages only when every
+        position-map ORAM runs a fused (in-place label mutation) path op
+        — on generic list/encrypted stacks it stays inert.  Hits count
+        ``stats.plb_hits`` (on the ORAM that served the hit) and
+        ``stats.coalesced_ops`` (on every skipped level); physical ops
+        behind a lookup count ``stats.plb_misses``.
     """
 
     def __init__(
@@ -114,20 +99,11 @@ class HierarchicalPathORAM:
         storage_factory: StorageFactory | None = None,
         record_path_trace: bool = False,
         livelock_limit: int = 100_000,
-        coalesce_position_ops: bool = False,
         plb_entries_per_level: int = 0,
         data_super_block_mapper: SuperBlockMapper | None = None,
     ) -> None:
         if plb_entries_per_level < 0:
             raise ConfigurationError("plb_entries_per_level must be >= 0")
-        if coalesce_position_ops:
-            warnings.warn(
-                "coalesce_position_ops is deprecated; use "
-                "plb_entries_per_level=1 — the capacity-1 PosMap Lookaside "
-                "Buffer reproduces coalescing bit for bit",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         self._hierarchy = hierarchy
         self._rng = rng if rng is not None else random.Random()
         self._configs = hierarchy.oram_configs
@@ -191,18 +167,14 @@ class HierarchicalPathORAM:
         self._data_group_of = self._orams[0].super_block_mapper.group_of
         self._onchip_leaves = self._onchip_position_map.leaves
         self._pending_data_leaf = 0
-        self._coalesce = coalesce_position_ops
-        # PosMap Lookaside Buffer: coalesce_position_ops is its capacity-1
-        # degenerate form, so the two knobs share one engine.  The buffer
-        # only engages when every position-map level has a fused path op
-        # (in-place label mutation keeps cached references live); on
-        # generic stacks it stays allocated-but-inert, mirroring how
-        # coalescing has always silently no-opped there.
+        # PosMap Lookaside Buffer.  It only engages when every
+        # position-map level has a fused path op (in-place label mutation
+        # keeps cached references live); on generic stacks it stays
+        # allocated-but-inert.
         self._plb_entries = plb_entries_per_level
-        capacity = max(plb_entries_per_level, 1 if coalesce_position_ops else 0)
         self._plb: PosMapLookaside | None = (
-            PosMapLookaside(len(self._configs), capacity)
-            if capacity and len(self._configs) > 1
+            PosMapLookaside(len(self._configs), plb_entries_per_level)
+            if plb_entries_per_level and len(self._configs) > 1
             else None
         )
         self._plb_active = self._plb is not None and all(
@@ -316,18 +288,12 @@ class HierarchicalPathORAM:
         return self._onchip_position_map
 
     @property
-    def coalesce_position_ops(self) -> bool:
-        """Whether :meth:`access_many` coalesces position-map path ops."""
-        return self._coalesce
-
-    @property
     def plb(self) -> PosMapLookaside | None:
         """The PosMap Lookaside Buffer (None when disabled).
 
-        Allocated whenever ``plb_entries_per_level`` or the legacy
-        ``coalesce_position_ops`` knob requests capacity; *served* only
-        when every position-map level runs a fused path op (see
-        :attr:`plb_active`).
+        Allocated whenever ``plb_entries_per_level`` requests capacity;
+        *served* only when every position-map level runs a fused path op
+        (see :attr:`plb_active`).
         """
         return self._plb
 
@@ -338,8 +304,7 @@ class HierarchicalPathORAM:
 
     @property
     def plb_entries_per_level(self) -> int:
-        """The requested PLB capacity (0 = legacy/off; the effective
-        capacity of :attr:`plb` also counts ``coalesce_position_ops``)."""
+        """The requested PLB capacity (0 = off)."""
         return self._plb_entries
 
     # ------------------------------------------------------------------
@@ -394,8 +359,8 @@ class HierarchicalPathORAM:
         sizes directly — the dummy-round machinery is only entered when a
         stash is actually over its threshold.
 
-        With the PosMap Lookaside Buffer (``plb_entries_per_level``, or
-        its capacity-1 ``coalesce_position_ops`` form) the loop
+        With the PosMap Lookaside Buffer (``plb_entries_per_level``) the
+        loop
         additionally skips every position-map path operation whose block
         is still in the per-level label cache: the access that physically
         read the block in shares its fused path op with every later access

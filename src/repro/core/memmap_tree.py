@@ -793,12 +793,6 @@ class MemmapTreeStorage(NumpyFlatTreeStorage):
         self.note_path_write(leaf)
         super().write_path_levels(leaf, level_buckets)
 
-    def adopt_columns(self, addresses, leaves, counts) -> None:
-        raise ConfigurationError(
-            "memmap-flat columns are homed in a durable file and cannot be "
-            "re-homed into a fleet tensor"
-        )
-
     # ------------------------------------------------------------------
     # Crash hook (fault injection / chaos testing)
     # ------------------------------------------------------------------

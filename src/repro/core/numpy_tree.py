@@ -259,44 +259,6 @@ class NumpyFlatTreeStorage(TreeStorage):
         return self._occupancy
 
     # ------------------------------------------------------------------
-    # Fleet stacking hook
-    # ------------------------------------------------------------------
-    def adopt_columns(
-        self, addresses: np.ndarray, leaves: np.ndarray, counts: np.ndarray
-    ) -> None:
-        """Re-home the numeric columns into externally owned arrays.
-
-        The fleet engine (:mod:`repro.core.numpy_fleet`) stacks many
-        storages' columns as rows of one ``(n_experiments, slots)`` tensor
-        so whole grids of path operations run as batched gathers/scatters.
-        The provided arrays (typically views of such a tensor) receive a
-        copy of the current column contents and become authoritative: every
-        later read or write through this storage — including the scalar
-        :class:`~repro.core.numpy_engine.ColumnEngine` fallback — operates
-        on the shared tensor.  Shapes and dtypes must match the columns
-        exactly; the payload column stays per-instance (it is an object
-        column the batched ops never touch).
-        """
-        if (
-            addresses.shape != self._addresses.shape
-            or leaves.shape != self._leaves.shape
-            or counts.shape != self._counts.shape
-            or addresses.dtype != np.int64
-            or leaves.dtype != np.int64
-            or counts.dtype != np.int64
-        ):
-            raise ConfigurationError(
-                "adopt_columns needs int64 arrays matching the storage's "
-                f"column shapes {self._addresses.shape}/{self._counts.shape}"
-            )
-        addresses[:] = self._addresses
-        leaves[:] = self._leaves
-        counts[:] = self._counts
-        self._addresses = addresses
-        self._leaves = leaves
-        self._counts = counts
-
-    # ------------------------------------------------------------------
     # Introspection used by tests
     # ------------------------------------------------------------------
     def column_nbytes(self) -> int:

@@ -1,13 +1,13 @@
 """PosMap Lookaside Buffer: a bounded per-level label cache for the chain.
 
-PR 4's ``coalesce_position_ops`` memoised the *single last* physical op per
-chain level, which pays off on sequential streams (the next access usually
-lands in the same position-map block) but saves ~0 on pointer-chasing
-workloads whose hot set spans a handful of PM blocks.  Freecursive ORAM
-(Fletcher et al., ASPLOS 2015) — the source paper group's successor design —
-generalises the idea into a small PosMap Lookaside Buffer: a cache of recent
-position-map *blocks* per recursion level, hit ⇒ the whole suffix of the
-recursive walk above that level is skipped.
+Memoising only the *single last* physical op per chain level pays off on
+sequential streams (the next access usually lands in the same position-map
+block) but saves ~0 on pointer-chasing workloads whose hot set spans a
+handful of PM blocks.  Freecursive ORAM (Fletcher et al., ASPLOS 2015) —
+the source paper group's successor design — generalises the idea into a
+small PosMap Lookaside Buffer: a cache of recent position-map *blocks* per
+recursion level, hit ⇒ the whole suffix of the recursive walk above that
+level is skipped.
 
 :class:`PosMapLookaside` is that cache.  One insertion-ordered dict per chain
 level maps a PM block address to the block's **live label list** — the same
@@ -19,8 +19,8 @@ for it stored one level up stays accurate and every level above is untouched.
 
 Determinism: plain dicts, MRU via delete-and-reinsert, eviction of the
 oldest entry (``next(iter(d))``) — no clocks, no hashing randomness beyond
-int keys (which hash to themselves).  A capacity of 1 reproduces the PR 4
-memo bit-for-bit; the legacy ``coalesce_position_ops`` flag now maps to it.
+int keys (which hash to themselves).  A capacity of 1 is that single-op
+memo: it coalesces consecutive accesses through the same position-map block.
 
 The cache trusts its caller to invalidate: :class:`~repro.core.hierarchical.
 HierarchicalPathORAM` routes every ``access_position_block`` result and every

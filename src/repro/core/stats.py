@@ -26,14 +26,14 @@ class AccessStats:
     blocks_written: int = 0
     #: Logical accesses served without a physical path operation because the
     #: position-map chain coalesced them into an earlier path op on the same
-    #: block (see HierarchicalPathORAM's ``coalesce_position_ops``).
+    #: block (see HierarchicalPathORAM's ``plb_entries_per_level``).
     coalesced_ops: int = 0
     #: PosMap Lookaside Buffer outcomes (see :class:`~repro.core.plb.
     #: PosMapLookaside`): a hit means this ORAM's path op for a recursive
     #: position-map lookup was served from the cached label list (the op —
     #: and every op above it in the chain — was skipped); a miss means the
-    #: lookup fell through to a physical path op.  The PR 4 single-entry
-    #: memo counts here too (it is the capacity-1 PLB).
+    #: lookup fell through to a physical path op.  A capacity-1 PLB (the
+    #: single-entry memo) counts here the same way.
     plb_hits: int = 0
     plb_misses: int = 0
     #: Dynamic super-block events (see

@@ -21,7 +21,6 @@ Typical use::
 """
 
 from repro.runner.checkpoint import CheckpointManager
-from repro.runner.fleet import FleetPlan, register_fleet_adapter, run_fleet
 from repro.runner.runner import (
     DETERMINISTIC_ERROR_TYPES,
     TRANSIENT_ERROR_TYPES,
@@ -39,7 +38,6 @@ __all__ = [
     "ExperimentRunner",
     "ExperimentSpec",
     "ExperimentResult",
-    "FleetPlan",
     "ProgressCallback",
     "RetryPolicy",
     "RunnerError",
@@ -47,8 +45,6 @@ __all__ = [
     "WindowPlan",
     "derive_seed",
     "merge_counters",
-    "register_fleet_adapter",
-    "run_fleet",
     "run_windows",
     "window_specs",
 ]

@@ -30,7 +30,7 @@ import os
 import pickle
 from typing import Any
 
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, ConfigurationError
 from repro.runner.spec import ExperimentResult
 
 CHECKPOINT_FORMAT = "repro-checkpoint"
@@ -72,9 +72,9 @@ class CheckpointManager:
         keep_generations: int | None = None,
     ) -> None:
         if every < 1:
-            raise ValueError("every must be >= 1")
+            raise ConfigurationError("every must be >= 1")
         if keep_generations is not None and keep_generations < 1:
-            raise ValueError("keep_generations must be >= 1 (or None)")
+            raise ConfigurationError("keep_generations must be >= 1 (or None)")
         self._path = os.fspath(path)
         self._every = every
         self._keep = keep_generations

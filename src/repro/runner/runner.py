@@ -19,7 +19,7 @@ import traceback
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.runner.spec import ExperimentResult, ExperimentSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -96,9 +96,9 @@ class RetryPolicy:
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+            raise ConfigurationError("max_attempts must be >= 1")
         if self.backoff_seconds < 0:
-            raise ValueError("backoff_seconds must be >= 0")
+            raise ConfigurationError("backoff_seconds must be >= 0")
 
     def delay(self, attempt: int) -> float:
         """Seconds to sleep before retry number ``attempt`` (1-based)."""
@@ -149,11 +149,7 @@ class ExperimentRunner:
         (fresh ``random.Random(seed)`` per point, as all drivers here use)
         the output is bit-identical to serial mode.  If the pool cannot be
         created (restricted sandboxes, missing semaphores) the runner
-        falls back to serial execution.  ``"fleet"`` batches compatible
-        points into stacked column tensors (:mod:`repro.runner.fleet`) and
-        executes whole groups as vectorised ops — bit-identical to serial
-        per point — while incompatible points fall back to the process
-        executor.
+        falls back to serial execution.
     max_workers:
         Process count for the pool (default: ``os.cpu_count()``).
     progress:
@@ -179,16 +175,16 @@ class ExperimentRunner:
         max_workers: int | None = None,
         progress: ProgressCallback | None = None,
         should_abort: Callable[[], bool] | None = None,
-        fleet_min_group: int | None = None,
         retry: RetryPolicy | None = None,
     ) -> None:
-        if executor not in ("serial", "process", "fleet"):
-            raise ValueError(f"unknown executor {executor!r}")
+        if executor not in ("serial", "process"):
+            raise ConfigurationError(
+                f"unknown executor {executor!r}; expected 'serial' or 'process'"
+            )
         self._executor = executor
         self._max_workers = max_workers
         self._progress = progress
         self._should_abort = should_abort
-        self._fleet_min_group = fleet_min_group
         self._retry = retry if retry is not None else RetryPolicy()
         # Set only for the duration of a checkpointed run() call.
         self._checkpoint: CheckpointManager | None = None
@@ -245,8 +241,6 @@ class ExperimentRunner:
         return results  # type: ignore[return-value]
 
     def _dispatch(self, spec_list: list[ExperimentSpec]) -> list[ExperimentResult]:
-        if self._executor == "fleet":
-            return self._run_fleet(spec_list)
         workers = self._max_workers if self._max_workers is not None else os.cpu_count() or 1
         if self._executor == "process" and workers > 1 and len(spec_list) > 1:
             results = self._run_process(spec_list, workers)
@@ -290,26 +284,6 @@ class ExperimentRunner:
         if self._progress is not None:
             base = self._progress_base
             self._progress(done + base, total + base, result)
-
-    def _run_fleet(self, specs: Sequence[ExperimentSpec]) -> list[ExperimentResult]:
-        """Batched tensor execution; non-batchable specs take the pool."""
-        from repro.runner.fleet import run_fleet
-
-        def fallback(batch: Sequence[ExperimentSpec]) -> list[ExperimentResult]:
-            return ExperimentRunner(
-                executor="process",
-                max_workers=self._max_workers,
-                should_abort=self._should_abort,
-                retry=self._retry,
-            ).run(batch)
-
-        return run_fleet(
-            specs,
-            fallback=fallback,
-            progress=self._report,
-            should_abort=self._should_abort,
-            min_group=self._fleet_min_group,
-        )
 
     def _run_serial(self, specs: Sequence[ExperimentSpec]) -> list[ExperimentResult]:
         results: list[ExperimentResult] = []

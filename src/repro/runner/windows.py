@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
+from repro.errors import ConfigurationError
 from repro.runner.checkpoint import CheckpointManager
 from repro.runner.runner import ExperimentRunner, ProgressCallback, RetryPolicy
 from repro.runner.spec import ExperimentSpec, derive_seed
@@ -57,7 +58,7 @@ class WindowPlan:
         differ by more than one and every access is accounted for.
         """
         if windows < 1:
-            raise ValueError("windows must be >= 1")
+            raise ConfigurationError("windows must be >= 1")
         if total_accesses < windows:
             windows = max(1, total_accesses)
         base, extra = divmod(total_accesses, windows)

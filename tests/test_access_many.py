@@ -384,7 +384,8 @@ def _local_trace(working_set: int, length: int, seed: int) -> list[int]:
 
 
 class TestChainCoalescing:
-    """Position-map path-op coalescing: fewer physical ops, same results."""
+    """Position-map path-op coalescing through a capacity-1 PLB: fewer
+    physical ops, same results."""
 
     def _hierarchy(self) -> HierarchyConfig:
         data = ORAMConfig(
@@ -408,7 +409,7 @@ class TestChainCoalescing:
         coalescing = build_oram(
             OramSpec(
                 protocol="hierarchical", storage=storage,
-                coalesce_position_ops=True,
+                plb_entries_per_level=1,
             ),
             hierarchy,
             seed=6,
@@ -462,14 +463,9 @@ class TestChainCoalescing:
         oram = build_oram(
             OramSpec(protocol="hierarchical", storage="flat"), hierarchy, seed=2
         )
-        assert not oram.coalesce_position_ops
+        assert oram.plb_entries_per_level == 0 and oram.plb is None
         oram.access_many(_local_trace(512, 600, seed=1))
         assert sum(o.stats.coalesced_ops for o in oram.orams) == 0
-
-    def test_flat_spec_rejects_coalescing(self):
-        with pytest.raises(ConfigurationError):
-            OramSpec(protocol="flat", coalesce_position_ops=True)
-
 
 class TestBlockPool:
     def test_extract_recycles_and_creation_reuses(self):

@@ -1,19 +1,14 @@
-"""The stable public API facade and the coalesce deprecation.
+"""The stable public API facade.
 
-Pins the three contracts the facade satellite introduced:
+Pins the two contracts of the facade:
 
 * ``repro`` / ``repro.api`` export a curated, importable ``__all__`` —
   every listed name resolves, the construction entry points build both
   protocols, and the error hierarchy is reachable without deep imports.
-* ``coalesce_position_ops`` is formally deprecated: constructing either
-  an ``OramSpec`` or a ``HierarchicalPathORAM`` with it raises
-  ``DeprecationWarning``, and the documented replacement
-  (``plb_entries_per_level=1``) reproduces it bit for bit.
 * The examples' import surface (what the README shows) keeps working.
 """
 
 import random
-import warnings
 
 import pytest
 
@@ -129,32 +124,11 @@ class TestOpenOram:
         assert list(service.instances) == ["a"]
 
 
-class TestCoalesceDeprecation:
-    def test_spec_warns(self):
-        with pytest.warns(DeprecationWarning, match="plb_entries_per_level=1"):
+class TestRemovedOptions:
+    def test_coalesce_flag_is_gone(self):
+        # Removed in 2.0: plb_entries_per_level=1 is the same capacity-1 buffer.
+        with pytest.raises(TypeError):
             OramSpec(protocol="hierarchical", coalesce_position_ops=True)
-
-    def test_constructor_warns(self):
-        with pytest.warns(DeprecationWarning, match="plb_entries_per_level=1"):
+        with pytest.raises(TypeError):
             HierarchicalPathORAM(_hierarchy(), rng=random.Random(1), coalesce_position_ops=True)
-
-    def test_spec_without_flag_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            OramSpec(protocol="hierarchical", plb_entries_per_level=1)
-            HierarchicalPathORAM(_hierarchy(), rng=random.Random(1), plb_entries_per_level=1)
-
-    def test_documented_replacement_is_bit_identical(self):
-        # The warning's claim, verified at the spec level: a capacity-1
-        # PLB reproduces coalescing bit for bit on a fused trace.
-        with pytest.warns(DeprecationWarning):
-            legacy_spec = OramSpec(protocol="hierarchical", coalesce_position_ops=True)
-        plb_spec = OramSpec(protocol="hierarchical", plb_entries_per_level=1)
-        trace = [1 + (i * 7) % 255 for i in range(400)]
-        with pytest.warns(DeprecationWarning):
-            legacy = open_oram(legacy_spec, _hierarchy(), seed=4)
-        modern = open_oram(plb_spec, _hierarchy(), seed=4)
-        legacy.access_many(trace)
-        modern.access_many(trace)
-        assert fingerprint(legacy) == fingerprint(modern)
-        assert legacy._rng.getstate() == modern._rng.getstate()
+        assert not hasattr(HierarchicalPathORAM, "coalesce_position_ops")

@@ -14,7 +14,7 @@ from repro.core.path_oram import PathORAM
 from repro.core.presets import dz3pb32
 from repro.core.snapshot import SNAPSHOT_VERSION, snapshot_kind
 from repro.core.types import Operation
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, ConfigurationError
 from repro.runner import (
     CheckpointManager,
     ExperimentRunner,
@@ -344,7 +344,7 @@ class TestKeepGenerations:
         assert names == ["grid.ckpt", "grid.ckpt.gen00000004", "grid.ckpt.gen00000005"]
 
     def test_validation(self, tmp_path):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             CheckpointManager(tmp_path / "grid.ckpt", keep_generations=0)
 
     def test_corrupt_main_falls_back_to_newest_generation(self, tmp_path):

@@ -548,16 +548,6 @@ class TestDynamicSpecValidation:
         with pytest.raises(ConfigurationError):
             OramSpec(eviction="insecure", dynamic_super_blocks=True)
 
-    def test_coalescing_combo_rejected(self):
-        # Coalescing needs the fused chain walk (single-member data
-        # groups); the combo would be a silent no-op, so it raises.
-        with pytest.raises(ConfigurationError):
-            OramSpec(
-                protocol="hierarchical",
-                coalesce_position_ops=True,
-                dynamic_super_blocks=True,
-            )
-
     def test_bad_knobs_rejected_at_spec_construction(self):
         with pytest.raises(ConfigurationError):
             OramSpec(dynamic_super_blocks=True, super_block_max_size=3)

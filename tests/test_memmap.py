@@ -79,10 +79,6 @@ def test_memmap_spec_validation():
         OramSpec(storage="memmap-flat", memmap_history=0)
 
 
-def test_memmap_not_fleet_eligible(tmp_path):
-    assert not _spec(tmp_path).fleet_eligible
-
-
 def test_build_attaches_column_engine(tmp_path):
     oram = build_oram(_spec(tmp_path), CONFIG, seed=3)
     assert isinstance(oram.storage, MemmapTreeStorage)
@@ -94,18 +90,6 @@ def test_columnar_min_slots_fallback(tmp_path):
     spec = _spec(tmp_path, columnar_min_slots=1 << 20)
     oram = build_oram(spec, CONFIG, seed=3)
     assert not isinstance(oram.storage, MemmapTreeStorage)
-
-
-def test_adopt_columns_refused(tmp_path):
-    oram = build_oram(_spec(tmp_path), CONFIG, seed=3)
-    storage = oram.storage
-    with pytest.raises(ConfigurationError):
-        storage.adopt_columns(
-            np.zeros_like(storage._addresses),
-            np.zeros_like(storage._leaves),
-            np.zeros_like(storage._counts),
-        )
-    storage.abandon()
 
 
 def test_sync_mode_validation(tmp_path):

@@ -10,8 +10,7 @@ level needs touching.  These tests pin the load-bearing invariants:
   physical op sequence);
 * the RNG stream is untouched by the hit path (fresh leaves are drawn
   upfront at every level on hit and miss alike);
-* capacity 1 reproduces the legacy ``coalesce_position_ops`` memo
-  bit-for-bit, and capacity 0 reproduces the uncached baseline;
+* capacity 0 reproduces the uncached baseline bit-for-bit;
 * the looped ``access`` path and the fused ``access_many`` path agree
   with the PLB on;
 * dynamic super-block cohort moves invalidate cached labels (the stale
@@ -38,7 +37,7 @@ STACKS = [
 ]
 
 #: Stacks with a fused chain op (live label-list references) — the only
-#: ones the PLB engages on; the generic stacks stay inert like coalescing.
+#: ones the PLB engages on; the generic stacks stay inert.
 FUSED_STACKS = [name for name in STACKS if name in ("flat", "numpy-flat")]
 
 DYNAMIC_KNOBS = dict(
@@ -142,8 +141,8 @@ class TestSpecValidation:
             _spec(plb_entries_per_level=-1)
 
     def test_plb_composes_with_dynamic_super_blocks(self):
-        # Unlike coalesce_position_ops (fused-walk-only, rejected), the
-        # PLB serves the per-level walk too — the combination is legal.
+        # The PLB serves the per-level walk too, so the combination is
+        # legal.
         spec = _spec(plb_entries_per_level=4, **DYNAMIC_KNOBS)
         oram = build_oram(spec, _hierarchy(), seed=3)
         assert oram.plb_active
@@ -174,7 +173,7 @@ class TestPlbDifferential:
         )
         if storage in ("plain", "encrypted"):
             # No fused chain op, no live label references: the PLB stays
-            # inert on these stacks, exactly like coalescing.
+            # inert on these stacks.
             assert not cached.plb_active
             cached.access_many(trace)
             assert sum(o.stats.plb_hits for o in cached.orams) == 0
@@ -265,20 +264,6 @@ class TestPlbDifferential:
             o.stats.plb_hits for o in fused.orams
         )
         assert sum(o.stats.plb_hits for o in fused.orams) > 0
-
-    def test_capacity_one_matches_coalesce_flag(self):
-        # The legacy flag is now exactly a capacity-1 PLB.
-        hierarchy = _hierarchy()
-        trace = _local_trace(512, 1500, seed=3)
-        legacy = build_oram(_spec(coalesce_position_ops=True), hierarchy, seed=4)
-        plb_one = build_oram(_spec(plb_entries_per_level=1), hierarchy, seed=4)
-        legacy.access_many(trace)
-        plb_one.access_many(trace)
-        assert fingerprint(legacy) == fingerprint(plb_one)
-        assert legacy._rng.getstate() == plb_one._rng.getstate()
-        assert sum(o.stats.coalesced_ops for o in legacy.orams) == sum(
-            o.stats.coalesced_ops for o in plb_one.orams
-        )
 
     def test_plb_off_matches_baseline_bit_identical(self):
         hierarchy = _hierarchy()

@@ -8,10 +8,14 @@ from repro.analysis.stash_occupancy import run_stash_occupancy_sweep
 from repro.analysis.sweep import sweep_stash_size, sweep_utilization
 from repro.core.config import HierarchyConfig, ORAMConfig
 from repro.core.presets import dz3pb32
+from repro.errors import ConfigurationError
 from repro.runner import (
+    CheckpointManager,
     ExperimentRunner,
     ExperimentSpec,
+    RetryPolicy,
     RunnerError,
+    WindowPlan,
     derive_seed,
 )
 from repro.workloads.spec_like import benchmark_trace
@@ -154,8 +158,33 @@ class TestExperimentRunner:
         assert ExperimentRunner().run([]) == []
 
     def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="'serial' or 'process'"):
             ExperimentRunner(executor="threads")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda path: ExperimentRunner(executor="threads"),
+        lambda path: RetryPolicy(max_attempts=0),
+        lambda path: RetryPolicy(backoff_seconds=-1.0),
+        lambda path: WindowPlan.split("exp", 0, total_accesses=10, windows=0),
+        lambda path: CheckpointManager(path, every=0),
+        lambda path: CheckpointManager(path, keep_generations=0),
+    ],
+    ids=[
+        "executor",
+        "retry-max-attempts",
+        "retry-backoff",
+        "window-count",
+        "checkpoint-every",
+        "checkpoint-keep-generations",
+    ],
+)
+def test_runner_argument_checks_raise_configuration_error(build, tmp_path):
+    # The facade promises every package error derives from ReproError.
+    with pytest.raises(ConfigurationError):
+        build(tmp_path / "grid.ckpt")
 
 
 class TestParallelSweepDeterminism:

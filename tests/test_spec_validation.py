@@ -47,10 +47,6 @@ class TestProtocolConflicts:
         with pytest.raises(ConfigurationError, match="create_on_miss"):
             OramSpec(protocol="hierarchical", create_on_miss=False)
 
-    def test_flat_rejects_coalesce(self):
-        with pytest.raises(ConfigurationError, match="no position-map chain"):
-            OramSpec(protocol="flat", coalesce_position_ops=True)
-
     def test_flat_rejects_plb(self):
         with pytest.raises(ConfigurationError, match="no position-map chain"):
             OramSpec(protocol="flat", plb_entries_per_level=2)
@@ -103,14 +99,6 @@ class TestDynamicSuperBlockKnobs:
     def test_rejects_insecure_eviction(self):
         with pytest.raises(ConfigurationError, match="insecure"):
             OramSpec(dynamic_super_blocks=True, eviction="insecure")
-
-    def test_rejects_coalesce_combination(self):
-        with pytest.raises(ConfigurationError, match="dynamic_super_blocks"):
-            OramSpec(
-                protocol="hierarchical",
-                dynamic_super_blocks=True,
-                coalesce_position_ops=True,
-            )
 
     def test_max_size_must_be_power_of_two(self):
         with pytest.raises(ConfigurationError):

@@ -18,6 +18,7 @@ from repro.analysis.sweep import (
 )
 from repro.core.config import ORAMConfig
 from repro.core.stats import AccessStats
+from repro.errors import ConfigurationError
 from repro.runner import WindowPlan, merge_counters, run_windows
 
 
@@ -34,7 +35,7 @@ class TestWindowPlan:
         assert plan.total_accesses == 2
 
     def test_split_rejects_nonpositive_windows(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             WindowPlan.split("exp", 0, total_accesses=10, windows=0)
 
     def test_split_of_zero_accesses_yields_one_empty_window(self):
