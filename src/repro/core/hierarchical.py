@@ -41,13 +41,15 @@ StorageFactory = Callable[[ORAMConfig], TreeStorage]
 
 
 def _fused_op(oram: PathORAM):
-    """The ORAM's fully-inlined fused path op, or ``None``.
+    """The ORAM's one path op, or ``None`` on the generic engine.
 
-    The list engine's classified fast path and the column-native NumPy
-    engine share one calling convention (see
-    :meth:`PathORAM._fused_single_access`), so the hierarchical chain walk
-    treats them interchangeably — a hierarchy may even mix them per level
-    (e.g. a columnar data ORAM over list-backed position maps).
+    The classified list engine's :meth:`PathORAM._fused_single_access` and
+    the column engine's ``fused_single_access`` are each their engine's only
+    path op and share one calling convention, so the hierarchical chain
+    walk calls them directly and interchangeably — a hierarchy may even mix
+    them per level (e.g. a columnar data ORAM over list-backed position
+    maps).  Generic-engine ORAMs (wrapper storages) return ``None`` and are
+    driven through their public methods instead.
     """
     if oram._classified_fast:  # noqa: SLF001
         return oram._fused_single_access  # noqa: SLF001
@@ -380,10 +382,10 @@ class HierarchicalPathORAM:
         group_of = self._data_group_of
         labels_per_block = self._labels_per_block
         child_num_leaves = self._child_num_leaves
-        # When every ORAM has a fully-inlined fused path op — the list
-        # engine's classified fast path or the column-native engine — each
-        # level is one direct call with deferred per-ORAM stat counters;
-        # otherwise each level goes through its public method.
+        # When every ORAM has a direct path op — the classified list engine
+        # or the column engine — each level is one direct call with
+        # deferred per-ORAM real-access counters; otherwise each level goes
+        # through its public method.
         fused_ops = [_fused_op(oram) for oram in orams]
         all_fused = data_oram._single_member_groups and all(  # noqa: SLF001
             fused is not None for fused in fused_ops

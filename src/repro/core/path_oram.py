@@ -8,16 +8,31 @@ pluggable tree storage back-end, with:
 * an exclusive-ORAM API (:meth:`extract` / :meth:`insert`) used by the
   processor integration (Section 3.3.1),
 * an ``access_path`` entry point used by the hierarchical construction
-  (Section 2.3) plus a closure-free :meth:`access_position_block` fast path
-  for the recursive position-map chain, and
+  (Section 2.3) plus an :meth:`access_position_block` combined
+  lookup/install for the recursive position-map chain, and
 * an optional adversary-visible trace of accessed leaves, used by the
   common-path-length attack (Section 3.1.3).
 
-The write-back is a single flattened pass: candidates are bucketed once by
-the deepest level they may occupy (one precomputed-table lookup per distinct
-stash leaf and per path-buffer block) and then, when the back-end is the
-array-backed :class:`FlatTreeStorage`, placed directly into its slot array —
-no intermediate per-level bucket lists and no second walk over the path.
+Each engine has exactly one path operation (read the path, remap the
+block, greedy write-back), and every entry point — :meth:`PathORAM.access`,
+:meth:`PathORAM.access_many`, :meth:`PathORAM.dummy_access`,
+:meth:`PathORAM.access_position_block`, :meth:`PathORAM.access_fixed_leaf`
+and the hierarchy's chain walk — calls it:
+
+* the classified list engine (the exact :class:`FlatTreeStorage` with at
+  most 16 levels): :meth:`PathORAM._fused_single_access` reads the slot
+  array in one pass, bucketing each block by the deepest level it may
+  occupy as it is read, and slices the chosen blocks straight back into
+  the slot array;
+* the column engine (``numpy-flat``):
+  :meth:`repro.core.numpy_engine.ColumnEngine.fused_single_access`;
+* the generic engine (wrapper storages, super blocks, deeper trees):
+  :meth:`PathORAM._access_path` over a pending path buffer, written back
+  into the flat slot array or through the storage's ``write_path_levels``.
+
+The write-back buckets candidates once by the deepest level they may
+occupy (one precomputed-table lookup per distinct stash leaf and per path
+block) and places them deepest-first in a single walk over the path.
 """
 
 from __future__ import annotations
@@ -153,11 +168,10 @@ class PathORAM:
             ]
         else:
             self._deepest_table = None
-        # The classified fast path (single-pass read + classification, see
-        # _read_path_classified) needs the exact flat storage and the
-        # moderate-tree lookup tables.  The two cutoffs coincide: levels
-        # <= 16 implies both the deepest-level table and the path-pair
-        # cache exist.
+        # The classified path op (_fused_single_access) needs the exact flat
+        # storage and the moderate-tree lookup tables.  The two cutoffs
+        # coincide: levels <= 16 implies both the deepest-level table and
+        # the path-pair cache exist.
         self._classified_fast = self._fused and self._deepest_table is not None
         # Blocks read from the current path live here between the path read
         # and the path write-back.  Most of them go straight back into the
@@ -176,7 +190,7 @@ class PathORAM:
         self._single_member_groups = self._mapper.group_size == 1
         # Dynamic super-block merging: the mapper keeps the position map at
         # per-address granularity and drives runtime merge/split decisions;
-        # accesses route through the dedicated _access_dynamic path.
+        # accesses route through the dedicated _dynamic_path_op.
         self._dynamic = isinstance(self._mapper, DynamicSuperBlockMapper)
         self._group_of = self._mapper.group_of
         num_groups = self._mapper.num_groups(config.working_set_blocks)
@@ -206,9 +220,9 @@ class PathORAM:
         else:
             self._eviction = BackgroundEviction()
         self._stats = AccessStats()
-        # Free-list of recycled Block shells: miss-creation in the fused
-        # trace loop and the recursive position-map fast path draws from it
-        # instead of allocating; the exclusive-ORAM extract path feeds it.
+        # Free-list of recycled Block shells: miss-creation in the
+        # classified path op draws from it instead of allocating; the
+        # exclusive-ORAM extract path feeds it.
         self._block_pool: list[Block] = []
         self._create_on_miss = create_on_miss
         self._record_path_trace = record_path_trace
@@ -380,91 +394,36 @@ class PathORAM:
         finally lets the background-eviction policy issue dummy accesses.
         """
         if self._dynamic:
-            return self._access_dynamic(address, op, data)
-        if not 1 <= address <= self._working_set:
+            result = self._dynamic_path_op(address, op, data, None)
+        elif not 1 <= address <= self._working_set:
             raise ConfigurationError(
                 f"address {address} outside [1, {self._working_set}]"
             )
-        group = address - 1 if self._single_member_groups else self._group_of(address)
-        leaves = self._pm_leaves
-        old_leaf = leaves[group]
-        bits = self._draw_bits
-        new_leaf = self._getrandbits(bits) if bits else self._random_leaf()
-        leaves[group] = new_leaf
-        # Inlined _access_path for the dominant single-member case (the
-        # classified single-pass variant when the flat fast path applies);
-        # the grouped (super-block) case routes through the shared helper.
-        if not self._single_member_groups:
-            result = self._access_path(address, group, old_leaf, new_leaf, op, data)
-        elif self._classified_fast:
-            block = self._stash_blocks.get(address)
-            in_stash = block is not None
-            rbases, pending, target = self._read_path_classified(
-                old_leaf, None if in_stash else address
-            )
-            if block is None:
-                block = target
-            found = block is not None
-            if block is None:
-                if op is Operation.WRITE or self._create_on_miss:
-                    block = Block(address=address, leaf=new_leaf, data=None)
-                    self._stash.add(block)
-                    in_stash = True
-            if block is not None:
-                if op is Operation.WRITE:
-                    block.data = data
-                if in_stash:
-                    self._stash.retarget(address, new_leaf)
-                else:
-                    # Freshly read, unindexed: classify under its new leaf
-                    # (last in its class pool, the shared tie-break order).
-                    block.leaf = new_leaf
-                    self._by_deepest_buffer[self._deepest_table[new_leaf ^ old_leaf]].append(block)
-                result_data = block.data
-            else:
-                result_data = None
-            self._write_back_classified(old_leaf, rbases, pending)
-            result = AccessResult(address, result_data, found)
-        elif self._column_engine is not None:
-            result_data, found = self._column_engine.fused_single_access(
-                address, old_leaf, new_leaf,
-                op is Operation.WRITE, data, self._create_on_miss,
-                None, 0, 0, 0,
-            )
-            result = AccessResult(address, result_data, found)
         else:
-            self._read_path_into_stash(old_leaf)
-            block = self._stash_blocks.get(address)
-            in_stash = block is not None
-            if block is None:
-                buffer = self._path_buffer
-                for position, candidate in enumerate(buffer):
-                    if candidate.address == address:
-                        # Move the accessed block to the end of the buffer
-                        # so the write-back classifies it last in its class
-                        # pool — the classified fast path's tie-break.
-                        block = candidate
-                        del buffer[position]
-                        buffer.append(candidate)
-                        break
-            found = block is not None
-            if block is None:
-                if op is Operation.WRITE or self._create_on_miss:
-                    block = Block(address=address, leaf=new_leaf, data=None)
-                    self._stash.add(block)
-                    in_stash = True
-            if block is not None:
-                if op is Operation.WRITE:
-                    block.data = data
-                if in_stash:
-                    self._stash.retarget(address, new_leaf)
-                else:
-                    block.leaf = new_leaf  # buffer blocks are unindexed
-                result_data = block.data
+            group = address - 1 if self._single_member_groups else self._group_of(address)
+            leaves = self._pm_leaves
+            old_leaf = leaves[group]
+            bits = self._draw_bits
+            new_leaf = self._getrandbits(bits) if bits else self._random_leaf()
+            leaves[group] = new_leaf
+            # One path op per engine: the classified list op, the column
+            # engine's op (single-member groups only, like the list op), or
+            # the generic _access_path.
+            if self._single_member_groups and self._classified_fast:
+                fused_op = self._fused_single_access
+            elif self._column_engine is not None:
+                fused_op = self._column_engine.fused_single_access
             else:
-                result_data = None
-            self._write_back_path(old_leaf)
-            result = AccessResult(address, result_data, found)
+                fused_op = None
+            if fused_op is None:
+                result = self._access_path(address, group, old_leaf, new_leaf, op, data)
+            else:
+                result_data, found = fused_op(
+                    address, old_leaf, new_leaf,
+                    op is Operation.WRITE, data, self._create_on_miss,
+                    None, 0, 0, 0,
+                )
+                result = AccessResult(address, result_data, found)
         stats = self._stats
         stats.real_accesses += 1
         if stats.record_occupancy:
@@ -492,24 +451,20 @@ class PathORAM:
         op: Operation = Operation.READ,
         data: Any = None,
     ) -> TraceResult:
-        """Consume a whole trace of addresses in one fused loop.
+        """Consume a whole trace of addresses in one loop.
 
         Bit-for-bit identical to ``for a in addresses: self.access(a, op,
         data)`` — same RNG stream, same stash/tree/position-map state, same
-        statistics — but with every per-access cost amortised over the
-        trace: attribute and method lookups are hoisted once, the path read,
-        block lookup, stash retarget and flattened write-back are inlined
-        into a single loop body, miss-created blocks come from a pooled
-        free-list, and the inlined stat counters are flushed to
-        :attr:`stats` once at the end (eviction-issued dummy accesses keep
-        updating the live counters, so interleaving is preserved).
+        statistics.  Each engine runs its one path op per address: the
+        column engine its own trace loop, the list engine a thin loop that
+        calls :meth:`_fused_single_access` directly, with the address
+        validation, leaf draws and eviction checks hoisted out of
+        :meth:`access` and the real-access counter flushed to :attr:`stats`
+        once at the end.  Wrapper storages, super blocks, trees deeper
+        than 16 levels and single-leaf trees fall back to a plain
+        ``access`` loop.
 
-        The fused body requires the array-backed flat storage, single-member
-        super blocks and the moderate-tree lookup tables; any other
-        configuration transparently falls back to a plain ``access`` loop
-        with identical semantics.
-
-        One deliberate divergence: the fused loop validates the whole trace
+        One deliberate divergence: the list loop validates the whole trace
         up front, so an out-of-range address raises *before* any access
         runs, where the equivalent loop would fail mid-trace.  For valid
         traces (the contract the differential tests pin) behaviour is
@@ -520,33 +475,16 @@ class PathORAM:
             return engine.access_many(addresses, op, data)
         if self._dynamic:
             return self._access_many_dynamic(addresses, op, data)
-        table = self._deepest_table
-        pairs = self._path_pairs
-        if (
-            not self._fused
-            or not self._single_member_groups
-            or table is None
-            or pairs is None
-            or not self._draw_bits
-        ):
+        if not (self._classified_fast and self._single_member_groups and self._draw_bits):
             return self._access_many_slow(addresses, op, data)
 
-        # -- hoisted hot-path state (one lookup each for the whole trace) --
+        # -- hoisted loop state (one lookup each for the whole trace) --
         working_set = self._working_set
         leaves = self._pm_leaves
         bits = self._draw_bits
         getrandbits = self._getrandbits
-        slots = self._slots
-        storage_bases = self._storage._bases  # noqa: SLF001 - friend fast path
-        stash = self._stash
+        path_op = self._fused_single_access
         stash_blocks = self._stash_blocks
-        by_leaf = self._stash_by_leaf
-        by_stash = self._by_deepest_stash
-        by_buffer = self._by_deepest_buffer
-        by_buffer_rev = self._by_buffer_rev
-        caps = self._class_cap
-        z = self._z
-        pool = self._block_pool
         create = self._create_on_miss
         is_write = op is Operation.WRITE
         gate = self._eviction_gate
@@ -557,11 +495,10 @@ class PathORAM:
         stats = self._stats
         record_occupancy = stats.record_occupancy
         samples_append = stats.stash_occupancy_samples.append
-        trace_append = self._path_trace.append if self._record_path_trace else None
 
         # The whole trace is validated up front (two C-speed passes) so the
-        # per-access bounds check drops out of the fused loop; a trace with
-        # an out-of-range address therefore fails before any access runs,
+        # per-access bounds check drops out of the loop; a trace with an
+        # out-of-range address therefore fails before any access runs,
         # where the equivalent access loop would fail at that element.
         if type(addresses) is not list:
             addresses = list(addresses)
@@ -569,295 +506,17 @@ class PathORAM:
             bad = next(a for a in addresses if not 1 <= a <= working_set)
             raise ConfigurationError(f"address {bad} outside [1, {working_set}]")
 
-        # -- inlined stat counters, flushed once in the finally block --
         real = found_count = dummy_total = 0
-        path_reads = blocks_read = path_writes = blocks_written = 0
-        occupancy_total = 0
-        transient_peak = self._transient_peak
-        max_occ = stash._max_occupancy  # noqa: SLF001
-
-        # Reused placement scratch for the buffer-only walk (the cold
-        # with-stash path gets fresh lists from _place_into_slots).
-        avail_buffer: list[Block] = []
         try:
             for address in addresses:
                 index = address - 1
                 leaf = leaves[index]
                 new_leaf = getrandbits(bits)
                 leaves[index] = new_leaf
-
-                # ---- single-pass path read + classification ----
-                # KEEP IN SYNC with _read_path_classified and the copy in
-                # _fused_single_access: protocol fixes must land in all
-                # three (the copies exist to avoid per-path-op call and
-                # attribute-hoisting overhead on this hottest loop).
-                block = stash_blocks.get(address)
-                in_stash = block is not None
-                if trace_append is not None:
-                    trace_append(leaf)
-                pair = pairs[leaf]
-                if pair is None:
-                    bases = storage_bases(leaf)
-                    pair = pairs[leaf] = (bases, bases[::-1])
-                bases, rbases = pair
-                pending = 0
-                target = None
-                if in_stash:
-                    for base in bases:
-                        count = slots[base]
-                        if count:
-                            pending += count
-                            if count == 1:
-                                blk = slots[base + 1]
-                                by_buffer[table[blk.leaf ^ leaf]].append(blk)
-                            elif count == 2:
-                                blk = slots[base + 1]
-                                by_buffer[table[blk.leaf ^ leaf]].append(blk)
-                                blk = slots[base + 2]
-                                by_buffer[table[blk.leaf ^ leaf]].append(blk)
-                            elif count == 3:
-                                blk = slots[base + 1]
-                                by_buffer[table[blk.leaf ^ leaf]].append(blk)
-                                blk = slots[base + 2]
-                                by_buffer[table[blk.leaf ^ leaf]].append(blk)
-                                blk = slots[base + 3]
-                                by_buffer[table[blk.leaf ^ leaf]].append(blk)
-                            elif count == 4:
-                                blk = slots[base + 1]
-                                by_buffer[table[blk.leaf ^ leaf]].append(blk)
-                                blk = slots[base + 2]
-                                by_buffer[table[blk.leaf ^ leaf]].append(blk)
-                                blk = slots[base + 3]
-                                by_buffer[table[blk.leaf ^ leaf]].append(blk)
-                                blk = slots[base + 4]
-                                by_buffer[table[blk.leaf ^ leaf]].append(blk)
-                            else:
-                                for blk in slots[base + 1 : base + 1 + count]:
-                                    by_buffer[table[blk.leaf ^ leaf]].append(blk)
-                else:
-                    for base in bases:
-                        count = slots[base]
-                        if count:
-                            pending += count
-                            if count == 1:
-                                blk = slots[base + 1]
-                                if blk.address == address:
-                                    target = blk
-                                else:
-                                    by_buffer[table[blk.leaf ^ leaf]].append(blk)
-                            elif count == 2:
-                                blk = slots[base + 1]
-                                if blk.address == address:
-                                    target = blk
-                                else:
-                                    by_buffer[table[blk.leaf ^ leaf]].append(blk)
-                                blk = slots[base + 2]
-                                if blk.address == address:
-                                    target = blk
-                                else:
-                                    by_buffer[table[blk.leaf ^ leaf]].append(blk)
-                            elif count == 3:
-                                blk = slots[base + 1]
-                                if blk.address == address:
-                                    target = blk
-                                else:
-                                    by_buffer[table[blk.leaf ^ leaf]].append(blk)
-                                blk = slots[base + 2]
-                                if blk.address == address:
-                                    target = blk
-                                else:
-                                    by_buffer[table[blk.leaf ^ leaf]].append(blk)
-                                blk = slots[base + 3]
-                                if blk.address == address:
-                                    target = blk
-                                else:
-                                    by_buffer[table[blk.leaf ^ leaf]].append(blk)
-                            elif count == 4:
-                                blk = slots[base + 1]
-                                if blk.address == address:
-                                    target = blk
-                                else:
-                                    by_buffer[table[blk.leaf ^ leaf]].append(blk)
-                                blk = slots[base + 2]
-                                if blk.address == address:
-                                    target = blk
-                                else:
-                                    by_buffer[table[blk.leaf ^ leaf]].append(blk)
-                                blk = slots[base + 3]
-                                if blk.address == address:
-                                    target = blk
-                                else:
-                                    by_buffer[table[blk.leaf ^ leaf]].append(blk)
-                                blk = slots[base + 4]
-                                if blk.address == address:
-                                    target = blk
-                                else:
-                                    by_buffer[table[blk.leaf ^ leaf]].append(blk)
-                            else:
-                                for blk in slots[base + 1 : base + 1 + count]:
-                                    if blk.address == address:
-                                        target = blk
-                                    else:
-                                        by_buffer[table[blk.leaf ^ leaf]].append(blk)
-                path_reads += 1
-                blocks_read += pending
-                transient = len(stash_blocks) + pending
-                if transient > transient_peak:
-                    transient_peak = transient
-
-                # ---- locate (or create) the block, retarget to new_leaf ----
-                if in_stash:
+                if path_op(
+                    address, leaf, new_leaf, is_write, data, create, None, 0, 0, 0
+                )[1]:
                     found_count += 1
-                    if is_write:
-                        block.data = data
-                    old_block_leaf = block.leaf
-                    if old_block_leaf != new_leaf:
-                        bucket = by_leaf.get(old_block_leaf)
-                        if bucket is not None:
-                            for position, candidate in enumerate(bucket):
-                                if candidate is block:
-                                    last = bucket.pop()
-                                    if last is not block:
-                                        bucket[position] = last
-                                    break
-                            if not bucket:
-                                del by_leaf[old_block_leaf]
-                        block.leaf = new_leaf
-                        bucket = by_leaf.get(new_leaf)
-                        if bucket is None:
-                            by_leaf[new_leaf] = [block]
-                        else:
-                            bucket.append(block)
-                elif target is not None:
-                    block = target
-                    found_count += 1
-                    if is_write:
-                        block.data = data
-                    # Retargeted, then classified last in its class pool
-                    # (the shared tie-break order).
-                    block.leaf = new_leaf
-                    by_buffer[table[new_leaf ^ leaf]].append(block)
-                elif is_write or create:
-                    if pool:
-                        block = pool.pop()
-                        block.address = address
-                        block.leaf = new_leaf
-                        block.data = data if is_write else None
-                    else:
-                        block = Block(
-                            address=address,
-                            leaf=new_leaf,
-                            data=data if is_write else None,
-                        )
-                    stash_blocks[address] = block
-                    bucket = by_leaf.get(new_leaf)
-                    if bucket is None:
-                        by_leaf[new_leaf] = [block]
-                    else:
-                        bucket.append(block)
-                    occupancy = len(stash_blocks)
-                    if occupancy > max_occ:
-                        max_occ = occupancy
-
-                # ---- flattened write-back: bucket stash candidates ----
-                has_stash = False
-                if by_leaf:
-                    base_pending = pending
-                    for other_leaf, group in by_leaf.items():
-                        deepest = table[other_leaf ^ leaf]
-                        ready = by_stash[deepest]
-                        if len(ready) < caps[deepest]:
-                            ready.extend(group)
-                            pending += len(group)
-                    has_stash = pending != base_pending
-
-                if has_stash:
-                    # Cold path: stash candidates compete for slots too.
-                    self._path_rbases = rbases
-                    written, placed_stash, spilled = self._place_into_slots(pending)
-                    if placed_stash:
-                        for placed_block in placed_stash:
-                            if stash_blocks.pop(placed_block.address, None) is not None:
-                                block_leaf = placed_block.leaf
-                                bucket = by_leaf.get(block_leaf)
-                                if bucket is not None:
-                                    for position, candidate in enumerate(bucket):
-                                        if candidate is placed_block:
-                                            last = bucket.pop()
-                                            if last is not placed_block:
-                                                bucket[position] = last
-                                            break
-                                    if not bucket:
-                                        del by_leaf[block_leaf]
-                else:
-                    # ---- fused buffer-only placement (dominant case) ----
-                    # KEEP IN SYNC with _place_buffer_only and the copy in
-                    # _fused_single_access.
-                    occupancy_delta = 0
-                    written = 0
-                    nb = 0
-                    placement = zip(rbases, by_buffer_rev)
-                    for base, b_ready in placement:
-                        old = slots[base]
-                        if b_ready and not nb:
-                            rb = len(b_ready)
-                            if rb <= z:
-                                slots[base + 1 : base + 1 + rb] = b_ready
-                                b_ready.clear()
-                                take = rb
-                            else:
-                                nb = rb - z
-                                slots[base + 1 : base + 1 + z] = b_ready[nb:]
-                                del b_ready[nb:]
-                                avail_buffer.extend(b_ready)
-                                b_ready.clear()
-                                take = z
-                        elif nb:
-                            if b_ready:
-                                avail_buffer.extend(b_ready)
-                                b_ready.clear()
-                                nb = len(avail_buffer)
-                            take = nb if nb < z else z
-                            nb -= take
-                            slots[base + 1 : base + 1 + take] = avail_buffer[nb:]
-                            del avail_buffer[nb:]
-                        else:
-                            if old:
-                                slots[base] = 0
-                                occupancy_delta -= old
-                            continue
-                        if old != take:
-                            slots[base] = take
-                            occupancy_delta += take - old
-                        written += take
-                        if written == pending:
-                            # Everything is placed: the remaining (shallower) buckets
-                            # only need their counts zeroed.
-                            for base, b_ready in placement:
-                                old = slots[base]
-                                if old:
-                                    slots[base] = 0
-                                    occupancy_delta -= old
-                            break
-                    occupancy_total += occupancy_delta
-                    spilled = avail_buffer
-                path_writes += 1
-                blocks_written += written
-
-                # ---- leftover buffer blocks genuinely enter the stash ----
-                if spilled:
-                    for kept_block in spilled:
-                        stash_blocks[kept_block.address] = kept_block
-                        bucket = by_leaf.get(kept_block.leaf)
-                        if bucket is None:
-                            by_leaf[kept_block.leaf] = [kept_block]
-                        else:
-                            bucket.append(kept_block)
-                    if spilled is avail_buffer:
-                        avail_buffer.clear()
-                    occupancy = len(stash_blocks)
-                    if occupancy > max_occ:
-                        max_occ = occupancy
 
                 # ---- bookkeeping + background eviction ----
                 real += 1
@@ -872,22 +531,13 @@ class PathORAM:
                 dummy_total += after_access(self)
                 check_bound()
         finally:
-            if transient_peak > self._transient_peak:
-                self._transient_peak = transient_peak
-            if max_occ > stash._max_occupancy:  # noqa: SLF001
-                stash._max_occupancy = max_occ  # noqa: SLF001
-            self._storage._occupancy += occupancy_total  # noqa: SLF001
             stats.real_accesses += real
-            stats.path_reads += path_reads
-            stats.blocks_read += blocks_read
-            stats.path_writes += path_writes
-            stats.blocks_written += blocks_written
         return TraceResult(accesses=real, found=found_count, dummy_accesses=dummy_total)
 
     def _access_many_slow(
         self, addresses: Any, op: Operation, data: Any
     ) -> TraceResult:
-        """Per-access fallback for configurations the fused loop cannot take
+        """Per-access fallback for configurations the list loop cannot take
         (wrapper storages, static super blocks, huge trees, single-leaf
         ORAMs)."""
         access = self.access
@@ -904,8 +554,8 @@ class PathORAM:
     ) -> TraceResult:
         """Fused trace loop for the dynamic super-block path.
 
-        Same contract as the flat fused loop: bit-for-bit identical to a
-        per-access ``_access_dynamic`` loop (same RNG stream, same mapper
+        Same contract as the list engine's loop: bit-for-bit identical to a
+        per-access :meth:`access` loop (same RNG stream, same mapper
         decisions, same stash/tree state, same statistics), with the
         per-access bookkeeping hoisted out — one attribute lookup per
         trace instead of per access, up-front trace validation, and the
@@ -957,7 +607,7 @@ class PathORAM:
     ) -> AccessResult:
         """One dynamic-super-block path operation (read to write-back).
 
-        The shared body behind :meth:`_access_dynamic` (flat protocol) and
+        The shared body behind :meth:`access` (flat protocol) and
         :meth:`access_dynamic_path` (recursive construction).  Exactly one
         path is read and written, like every other access.  The mapper's
         :meth:`~repro.core.super_block.DynamicSuperBlockMapper.plan_access`
@@ -1052,24 +702,6 @@ class PathORAM:
             stats.super_block_hits += 1
         return AccessResult(address, result_data, found)
 
-    def _access_dynamic(
-        self, address: int, op: Operation, data: Any
-    ) -> AccessResult:
-        """:meth:`access` for a dynamic super-block mapper."""
-        result = self._dynamic_path_op(address, op, data, None)
-        stats = self._stats
-        stats.real_accesses += 1
-        if stats.record_occupancy:
-            stats.stash_occupancy_samples.append(len(self._stash_blocks))
-        gate = self._eviction_gate
-        if gate is not None and len(self._stash_blocks) <= gate:
-            dummy_count = 0
-        else:
-            dummy_count = self._eviction.after_access(self)
-            self._check_stash_bound()
-        result.dummy_accesses = dummy_count
-        return result
-
     def access_dynamic_path(
         self,
         address: int,
@@ -1148,15 +780,16 @@ class PathORAM:
         map.
 
         The caller (the hierarchical ORAM) guarantees ``new_leaf`` is in
-        range and that this ORAM uses single-member groups, so the generic
-        ``mutate``-closure path and its per-access allocations are skipped.
+        range and that this ORAM uses single-member groups.  The classified
+        and column engines update the label vector inside their path op;
+        the generic engine runs :meth:`_access_path` with the update as its
+        ``mutate`` hook.
         """
         if not 1 <= address <= self._working_set:
             raise ConfigurationError(
                 f"address {address} outside [1, {self._working_set}]"
             )
         self._pm_leaves[address - 1] = new_leaf
-        stash = self._stash
         # The live label list, when the op path mutates payloads in place
         # (fused/slot mode) so a cached reference stays current.  The
         # generic path below may re-materialise payloads on the next read
@@ -1174,41 +807,21 @@ class PathORAM:
                 slot, child_new_leaf, labels_per_block, child_num_leaves,
             )
         else:
-            self._read_path_into_stash(current_leaf)
-            block = stash.get(address)
-            in_stash = block is not None
-            if block is None:
-                buffer = self._path_buffer
-                for position, candidate in enumerate(buffer):
-                    if candidate.address == address:
-                        # Classified-path tie-break: accessed block last.
-                        block = candidate
-                        del buffer[position]
-                        buffer.append(candidate)
-                        break
-            if block is None:
-                pool = self._block_pool
-                if pool:
-                    block = pool.pop()
-                    block.address = address
-                    block.leaf = new_leaf
-                    block.data = None
-                else:
-                    block = Block(address=address, leaf=new_leaf, data=None)
-                stash.add(block)
-                in_stash = True
-            labels = block.data
-            if labels is None:
-                randrange = self._rng.randrange
-                labels = [randrange(child_num_leaves) for _ in range(labels_per_block)]
-                block.data = labels
-            child_current_leaf = labels[slot]
-            labels[slot] = child_new_leaf
-            if in_stash:
-                stash.retarget(address, new_leaf)
-            else:
-                block.leaf = new_leaf  # buffer blocks are unindexed
-            self._write_back_path(current_leaf)
+            child_current_leaf = None
+
+            def install_child_leaf(labels):
+                nonlocal child_current_leaf
+                if labels is None:
+                    randrange = self._rng.randrange
+                    labels = [randrange(child_num_leaves) for _ in range(labels_per_block)]
+                child_current_leaf = labels[slot]
+                labels[slot] = child_new_leaf
+                return labels
+
+            self._access_path(
+                address, address - 1, current_leaf, new_leaf,
+                Operation.READ, None, install_child_leaf,
+            )
         observer = self._position_block_observer
         if observer is not None:
             observer(address, live_labels)
@@ -1232,8 +845,8 @@ class PathORAM:
         single-member super-block groups (which the caller must guarantee):
         the generic group machinery, the ``mutate`` hook and the per-call
         method hops are skipped.  Used by the hierarchical construction's
-        fused trace loop for the data-ORAM step.  Falls back to
-        :meth:`access_path` when the classified fast path does not apply.
+        trace loop for the data-ORAM step.  Falls back to
+        :meth:`access_path` on the generic engine.
         """
         if self._dynamic:
             raise ConfigurationError(
@@ -1374,8 +987,7 @@ class PathORAM:
         bits = self._draw_bits
         leaf = self._getrandbits(bits) if bits else self._random_leaf()
         if self._classified_fast:
-            rbases, pending, _ = self._read_path_classified(leaf, None)
-            self._write_back_classified(leaf, rbases, pending)
+            self._fused_single_access(None, leaf, leaf, False, None, False, None, 0, 0, 0)
         elif self._column_engine is not None:
             self._column_engine.dummy_access(leaf)
         else:
@@ -1580,7 +1192,7 @@ class PathORAM:
             for position, candidate in enumerate(buffer):
                 if candidate.address == address:
                     # Accessed block classifies last in its class pool: the
-                    # same tie-break as the classified single-pass read.
+                    # same tie-break as the classified path op.
                     block = candidate
                     del buffer[position]
                     buffer.append(candidate)
@@ -1678,7 +1290,7 @@ class PathORAM:
 
     def _fused_single_access(
         self,
-        address: int,
+        address: int | None,
         leaf: int,
         new_leaf: int,
         is_write: bool,
@@ -1689,23 +1301,34 @@ class PathORAM:
         labels_per_block: int,
         child_num_leaves: int,
     ):
-        """One fully-inlined classified path operation (read to write-back).
+        """The list engine's path operation (read to write-back).
 
-        The shared hot body behind :meth:`access_position_block` and
-        :meth:`access_fixed_leaf`: a single-pass classified read, the
-        single-member block update, and the flattened write-back with the
-        buffer-only placement walk inlined — one method call per path
-        operation, every attribute hoisted exactly once.
+        The only code that reads and classifies a path and runs the
+        buffer-only placement on the classified engine; :meth:`access`,
+        :meth:`access_many`, :meth:`dummy_access`,
+        :meth:`access_position_block`, :meth:`access_fixed_leaf` and the
+        hierarchy's chain walk all call it.  The path read is a single
+        pass that buckets every block read from the slot array by the
+        deepest level it may occupy on this same path, straight into the
+        by-buffer class pools.  The accessed block, when it is found on
+        the path, is held back and classified after its retarget, so it
+        sits last in its class pool — the tie-break the generic engine
+        reproduces by moving the accessed block to the end of the pending
+        path buffer.  The write-back buckets the stash by distinct leaf
+        (capped per class); when no stash block is a candidate — the
+        dominant steady state — the placement walk drops the stash side
+        entirely.
 
-        Two modes share the body.  With ``slot`` set (position-map mode,
-        ``is_write``/``create`` are ignored and the block always
-        materialises) the block's label vector is updated in place and
+        Three modes share the body.  With ``address=None`` (a dummy
+        access) nothing is located or remapped and ``(None, False)`` is
+        returned.  With ``slot`` set (position-map mode, ``is_write`` /
+        ``create`` are ignored and the block always materialises) the
+        block's label vector is updated in place and
         ``(displaced_child_leaf, labels)`` is returned — the label list
-        rides along so the hierarchical chain can coalesce follow-up
-        accesses to the same position-map block without re-reading the
-        path.  With ``slot=None`` (data mode) the payload is read or
-        written per ``is_write``/``create`` and ``(result_data, found)``
-        is returned.
+        rides along so the hierarchical chain's lookaside buffer can serve
+        later accesses through the same position-map block.  With
+        ``slot=None`` (data mode) the payload is read or written per
+        ``is_write``/``create`` and ``(result_data, found)`` is returned.
 
         Only valid when :attr:`_classified_fast` is set; the caller has
         validated ``address`` and updated this ORAM's position map.
@@ -1716,119 +1339,86 @@ class PathORAM:
         table = self._deepest_table
         pools = self._by_deepest_buffer
 
+        # ``match`` is the address to hold back from classification: 0
+        # (never a valid address) when the accessed block already sits in
+        # the stash or on a dummy access.
         block = stash_blocks.get(address)
-        in_stash = block is not None
+        match = address if block is None and address is not None else 0
 
         # ---- single-pass path read + classification ----
-        # KEEP IN SYNC with _read_path_classified and the inline copy in
-        # access_many.
         if self._record_path_trace:
             self._path_trace.append(leaf)
-        pairs = self._path_pairs
-        pair = pairs[leaf]
+        pair = self._path_pairs[leaf]
         if pair is None:
             bases = self._storage._bases(leaf)  # noqa: SLF001 - friend fast path
-            pair = pairs[leaf] = (bases, bases[::-1])
+            pair = self._path_pairs[leaf] = (bases, bases[::-1])
         bases, rbases = pair
         pending = 0
         target = None
-        if in_stash:
-            for base in bases:
-                count = slots[base]
-                if count:
-                    pending += count
-                    if count == 1:
-                        blk = slots[base + 1]
-                        pools[table[blk.leaf ^ leaf]].append(blk)
-                    elif count == 2:
-                        blk = slots[base + 1]
-                        pools[table[blk.leaf ^ leaf]].append(blk)
-                        blk = slots[base + 2]
-                        pools[table[blk.leaf ^ leaf]].append(blk)
-                    elif count == 3:
-                        blk = slots[base + 1]
-                        pools[table[blk.leaf ^ leaf]].append(blk)
-                        blk = slots[base + 2]
-                        pools[table[blk.leaf ^ leaf]].append(blk)
-                        blk = slots[base + 3]
-                        pools[table[blk.leaf ^ leaf]].append(blk)
-                    elif count == 4:
-                        blk = slots[base + 1]
-                        pools[table[blk.leaf ^ leaf]].append(blk)
-                        blk = slots[base + 2]
-                        pools[table[blk.leaf ^ leaf]].append(blk)
-                        blk = slots[base + 3]
-                        pools[table[blk.leaf ^ leaf]].append(blk)
-                        blk = slots[base + 4]
-                        pools[table[blk.leaf ^ leaf]].append(blk)
+        for base in bases:
+            count = slots[base]
+            if count:
+                pending += count
+                if count == 1:
+                    blk = slots[base + 1]
+                    if blk.address == match:
+                        target = blk
                     else:
-                        for blk in slots[base + 1 : base + 1 + count]:
-                            pools[table[blk.leaf ^ leaf]].append(blk)
-        else:
-            for base in bases:
-                count = slots[base]
-                if count:
-                    pending += count
-                    if count == 1:
-                        blk = slots[base + 1]
-                        if blk.address == address:
-                            target = blk
-                        else:
-                            pools[table[blk.leaf ^ leaf]].append(blk)
-                    elif count == 2:
-                        blk = slots[base + 1]
-                        if blk.address == address:
-                            target = blk
-                        else:
-                            pools[table[blk.leaf ^ leaf]].append(blk)
-                        blk = slots[base + 2]
-                        if blk.address == address:
-                            target = blk
-                        else:
-                            pools[table[blk.leaf ^ leaf]].append(blk)
-                    elif count == 3:
-                        blk = slots[base + 1]
-                        if blk.address == address:
-                            target = blk
-                        else:
-                            pools[table[blk.leaf ^ leaf]].append(blk)
-                        blk = slots[base + 2]
-                        if blk.address == address:
-                            target = blk
-                        else:
-                            pools[table[blk.leaf ^ leaf]].append(blk)
-                        blk = slots[base + 3]
-                        if blk.address == address:
-                            target = blk
-                        else:
-                            pools[table[blk.leaf ^ leaf]].append(blk)
-                    elif count == 4:
-                        blk = slots[base + 1]
-                        if blk.address == address:
-                            target = blk
-                        else:
-                            pools[table[blk.leaf ^ leaf]].append(blk)
-                        blk = slots[base + 2]
-                        if blk.address == address:
-                            target = blk
-                        else:
-                            pools[table[blk.leaf ^ leaf]].append(blk)
-                        blk = slots[base + 3]
-                        if blk.address == address:
-                            target = blk
-                        else:
-                            pools[table[blk.leaf ^ leaf]].append(blk)
-                        blk = slots[base + 4]
-                        if blk.address == address:
-                            target = blk
-                        else:
-                            pools[table[blk.leaf ^ leaf]].append(blk)
+                        pools[table[blk.leaf ^ leaf]].append(blk)
+                elif count == 2:
+                    blk = slots[base + 1]
+                    if blk.address == match:
+                        target = blk
                     else:
-                        for blk in slots[base + 1 : base + 1 + count]:
-                            if blk.address == address:
-                                target = blk
-                            else:
-                                pools[table[blk.leaf ^ leaf]].append(blk)
+                        pools[table[blk.leaf ^ leaf]].append(blk)
+                    blk = slots[base + 2]
+                    if blk.address == match:
+                        target = blk
+                    else:
+                        pools[table[blk.leaf ^ leaf]].append(blk)
+                elif count == 3:
+                    blk = slots[base + 1]
+                    if blk.address == match:
+                        target = blk
+                    else:
+                        pools[table[blk.leaf ^ leaf]].append(blk)
+                    blk = slots[base + 2]
+                    if blk.address == match:
+                        target = blk
+                    else:
+                        pools[table[blk.leaf ^ leaf]].append(blk)
+                    blk = slots[base + 3]
+                    if blk.address == match:
+                        target = blk
+                    else:
+                        pools[table[blk.leaf ^ leaf]].append(blk)
+                elif count == 4:
+                    blk = slots[base + 1]
+                    if blk.address == match:
+                        target = blk
+                    else:
+                        pools[table[blk.leaf ^ leaf]].append(blk)
+                    blk = slots[base + 2]
+                    if blk.address == match:
+                        target = blk
+                    else:
+                        pools[table[blk.leaf ^ leaf]].append(blk)
+                    blk = slots[base + 3]
+                    if blk.address == match:
+                        target = blk
+                    else:
+                        pools[table[blk.leaf ^ leaf]].append(blk)
+                    blk = slots[base + 4]
+                    if blk.address == match:
+                        target = blk
+                    else:
+                        pools[table[blk.leaf ^ leaf]].append(blk)
+                else:
+                    for blk in slots[base + 1 : base + 1 + count]:
+                        if blk.address == match:
+                            target = blk
+                        else:
+                            pools[table[blk.leaf ^ leaf]].append(blk)
         transient = len(stash_blocks) + pending
         if transient > self._transient_peak:
             self._transient_peak = transient
@@ -1838,7 +1428,7 @@ class PathORAM:
 
         # ---- locate (or create) the block, retarget to new_leaf ----
         found = True
-        if in_stash:
+        if block is not None:
             if block.leaf != new_leaf:
                 bucket = by_leaf.get(block.leaf)
                 if bucket is not None:
@@ -1862,7 +1452,7 @@ class PathORAM:
             # shared tie-break order).
             block.leaf = new_leaf
             pools[table[new_leaf ^ leaf]].append(block)
-        elif slot is not None or is_write or create:
+        elif address is not None and (slot is not None or is_write or create):
             found = False
             pool = self._block_pool
             if pool:
@@ -1884,7 +1474,6 @@ class PathORAM:
                 stash._max_occupancy = occupancy  # noqa: SLF001
         else:
             found = False
-            block = None
 
         if slot is not None:
             labels = block.data
@@ -1922,16 +1511,15 @@ class PathORAM:
             if placed_stash:
                 self._stash.remove_placed(placed_stash)
         else:
-            # ---- fused buffer-only placement (dominant case) ----
-            # KEEP IN SYNC with _place_buffer_only and the inline copy in
-            # access_many.
+            # ---- buffer-only placement (dominant case) ----
+            # Chooses exactly the blocks _place_into_slots would with empty
+            # stash classes.
             z = self._z
-            by_buffer_rev = self._by_buffer_rev
             spilled = None
             occupancy_delta = 0
             written = 0
             nb = 0
-            placement = zip(rbases, by_buffer_rev)
+            placement = zip(rbases, self._by_buffer_rev)
             for base, b_ready in placement:
                 old = slots[base]
                 if b_ready and not nb:
@@ -1976,9 +1564,11 @@ class PathORAM:
                             slots[base] = 0
                             occupancy_delta -= old
                     break
-            self._storage._occupancy += occupancy_delta  # noqa: SLF001
+            if occupancy_delta:
+                self._storage._occupancy += occupancy_delta  # noqa: SLF001
 
         if spilled:
+            # Unplaced buffer blocks now genuinely enter the stash.
             add = self._stash.add
             for kept_block in spilled:
                 add(kept_block)
@@ -1988,195 +1578,6 @@ class PathORAM:
         if slot is not None:
             return result, labels
         return result, found
-
-    def _read_path_classified(
-        self, leaf: int, address: int | None
-    ) -> tuple[tuple[int, ...], int, Block | None]:
-        """Single-pass path read for the classified fast path.
-
-        Reads the path to ``leaf`` and classifies every block by the
-        deepest level it may occupy on that same path, straight into the
-        by-buffer class pools — fusing the path read with the write-back's
-        classification pass, with no intermediate path-buffer list.  When
-        ``address`` is given (the accessed block is not in the stash), the
-        matching block is *not* classified but returned as ``target``; the
-        caller classifies it after retargeting, so the freshly remapped
-        block always sits last in its class pool — the same tie-break the
-        buffer-based generic path applies by moving the accessed block to
-        the end of the path buffer.
-
-        Only valid when :attr:`_classified_fast` is set.  Returns
-        ``(rbases, count, target)``: the deepest-first bucket bases for the
-        placement walk, the number of real blocks read, and the matched
-        block (``None`` when absent or not asked for).
-
-        This is the canonical copy of the single-pass read; for per-call
-        overhead reasons :meth:`access_many` and
-        :meth:`_fused_single_access` inline the same body — keep all three
-        in sync.
-        """
-        if self._record_path_trace:
-            self._path_trace.append(leaf)
-        pairs = self._path_pairs
-        pair = pairs[leaf]
-        if pair is None:
-            bases = self._storage._bases(leaf)  # noqa: SLF001 - friend fast path
-            pair = pairs[leaf] = (bases, bases[::-1])
-        bases, rbases = pair
-        slots = self._slots
-        table = self._deepest_table
-        pools = self._by_deepest_buffer
-        pending = 0
-        target: Block | None = None
-        if address is None:
-            for base in bases:
-                count = slots[base]
-                if count:
-                    pending += count
-                    if count == 1:
-                        blk = slots[base + 1]
-                        pools[table[blk.leaf ^ leaf]].append(blk)
-                    elif count == 2:
-                        blk = slots[base + 1]
-                        pools[table[blk.leaf ^ leaf]].append(blk)
-                        blk = slots[base + 2]
-                        pools[table[blk.leaf ^ leaf]].append(blk)
-                    elif count == 3:
-                        blk = slots[base + 1]
-                        pools[table[blk.leaf ^ leaf]].append(blk)
-                        blk = slots[base + 2]
-                        pools[table[blk.leaf ^ leaf]].append(blk)
-                        blk = slots[base + 3]
-                        pools[table[blk.leaf ^ leaf]].append(blk)
-                    elif count == 4:
-                        blk = slots[base + 1]
-                        pools[table[blk.leaf ^ leaf]].append(blk)
-                        blk = slots[base + 2]
-                        pools[table[blk.leaf ^ leaf]].append(blk)
-                        blk = slots[base + 3]
-                        pools[table[blk.leaf ^ leaf]].append(blk)
-                        blk = slots[base + 4]
-                        pools[table[blk.leaf ^ leaf]].append(blk)
-                    else:
-                        for blk in slots[base + 1 : base + 1 + count]:
-                            pools[table[blk.leaf ^ leaf]].append(blk)
-        else:
-            for base in bases:
-                count = slots[base]
-                if count:
-                    pending += count
-                    if count == 1:
-                        blk = slots[base + 1]
-                        if blk.address == address:
-                            target = blk
-                        else:
-                            pools[table[blk.leaf ^ leaf]].append(blk)
-                    elif count == 2:
-                        blk = slots[base + 1]
-                        if blk.address == address:
-                            target = blk
-                        else:
-                            pools[table[blk.leaf ^ leaf]].append(blk)
-                        blk = slots[base + 2]
-                        if blk.address == address:
-                            target = blk
-                        else:
-                            pools[table[blk.leaf ^ leaf]].append(blk)
-                    elif count == 3:
-                        blk = slots[base + 1]
-                        if blk.address == address:
-                            target = blk
-                        else:
-                            pools[table[blk.leaf ^ leaf]].append(blk)
-                        blk = slots[base + 2]
-                        if blk.address == address:
-                            target = blk
-                        else:
-                            pools[table[blk.leaf ^ leaf]].append(blk)
-                        blk = slots[base + 3]
-                        if blk.address == address:
-                            target = blk
-                        else:
-                            pools[table[blk.leaf ^ leaf]].append(blk)
-                    elif count == 4:
-                        blk = slots[base + 1]
-                        if blk.address == address:
-                            target = blk
-                        else:
-                            pools[table[blk.leaf ^ leaf]].append(blk)
-                        blk = slots[base + 2]
-                        if blk.address == address:
-                            target = blk
-                        else:
-                            pools[table[blk.leaf ^ leaf]].append(blk)
-                        blk = slots[base + 3]
-                        if blk.address == address:
-                            target = blk
-                        else:
-                            pools[table[blk.leaf ^ leaf]].append(blk)
-                        blk = slots[base + 4]
-                        if blk.address == address:
-                            target = blk
-                        else:
-                            pools[table[blk.leaf ^ leaf]].append(blk)
-                    else:
-                        for blk in slots[base + 1 : base + 1 + count]:
-                            if blk.address == address:
-                                target = blk
-                            else:
-                                pools[table[blk.leaf ^ leaf]].append(blk)
-        transient = len(self._stash_blocks) + pending
-        if transient > self._transient_peak:
-            self._transient_peak = transient
-        stats = self._stats
-        stats.path_reads += 1
-        stats.blocks_read += pending
-        return rbases, pending, target
-
-    def _write_back_classified(
-        self, leaf: int, rbases: tuple[int, ...], pending: int
-    ) -> None:
-        """Write-back counterpart of :meth:`_read_path_classified`.
-
-        The buffer-side candidates were already classified during the path
-        read (plus the retargeted accessed block, appended by the caller);
-        this buckets the stash by distinct leaf (capped per class), runs the
-        fused deepest-first placement straight into the slot array and
-        applies the two remainders to the stash's indexes.
-        """
-        by_leaf = self._stash_by_leaf
-        self._path_rbases = rbases
-        if by_leaf:
-            by_stash = self._by_deepest_stash
-            table = self._deepest_table
-            caps = self._class_cap
-            base_pending = pending
-            for other_leaf, group in by_leaf.items():
-                deepest = table[other_leaf ^ leaf]
-                ready = by_stash[deepest]
-                if len(ready) < caps[deepest]:
-                    ready.extend(group)
-                    pending += len(group)
-            if pending != base_pending:
-                written, placed_stash, avail_buffer = self._place_into_slots(pending)
-                if placed_stash:
-                    self._stash.remove_placed(placed_stash)
-                if avail_buffer:
-                    add = self._stash.add
-                    for block in avail_buffer:
-                        add(block)
-                stats = self._stats
-                stats.path_writes += 1
-                stats.blocks_written += written
-                return
-        written, avail_buffer = self._place_buffer_only(pending)
-        if avail_buffer:
-            add = self._stash.add
-            for block in avail_buffer:
-                add(block)
-        stats = self._stats
-        stats.path_writes += 1
-        stats.blocks_written += written
 
     def _write_back_path(self, leaf: int) -> None:
         """Greedy eviction: place stash blocks as deep as possible on ``leaf``'s path.
@@ -2330,75 +1731,6 @@ class PathORAM:
             written += take
         storage._occupancy += occupancy_delta  # noqa: SLF001
         return written, placed_stash, avail_buffer
-
-    def _place_buffer_only(self, pending: int) -> tuple[int, list[Block]]:
-        """Fused placement when no stash candidates were collected.
-
-        The dominant steady-state case: the only candidates are the freshly
-        read path blocks (plus the retargeted accessed block), so the
-        stash-side pools, caps and the placed-stash remainder drop out of
-        the walk entirely.  Chooses exactly the blocks
-        :meth:`_place_into_slots` would with empty stash classes.  Returns
-        the number of blocks written and the leftover buffer blocks (which
-        enter the stash).
-
-        This is the canonical copy of the buffer-only walk; for per-call
-        overhead reasons :meth:`access_many` and
-        :meth:`_fused_single_access` inline the same body — keep all three
-        in sync.
-        """
-        z = self._z
-        storage = self._storage
-        slots = self._slots
-        avail_buffer: list[Block] = []
-        occupancy_delta = 0
-        written = 0
-        nb = 0
-        placement = zip(self._path_rbases, self._by_buffer_rev)
-        for base, b_ready in placement:
-            old = slots[base]
-            if b_ready and not nb:
-                rb = len(b_ready)
-                if rb <= z:
-                    slots[base + 1 : base + 1 + rb] = b_ready
-                    b_ready.clear()
-                    take = rb
-                else:
-                    nb = rb - z
-                    slots[base + 1 : base + 1 + z] = b_ready[nb:]
-                    del b_ready[nb:]
-                    avail_buffer.extend(b_ready)
-                    b_ready.clear()
-                    take = z
-            elif nb:
-                if b_ready:
-                    avail_buffer.extend(b_ready)
-                    b_ready.clear()
-                    nb = len(avail_buffer)
-                take = nb if nb < z else z
-                nb -= take
-                slots[base + 1 : base + 1 + take] = avail_buffer[nb:]
-                del avail_buffer[nb:]
-            else:
-                if old:
-                    slots[base] = 0
-                    occupancy_delta -= old
-                continue
-            if old != take:
-                slots[base] = take
-                occupancy_delta += take - old
-            written += take
-            if written == pending:
-                # Everything is placed: the remaining (shallower) buckets
-                # only need their counts zeroed.
-                for base, b_ready in placement:
-                    old = slots[base]
-                    if old:
-                        slots[base] = 0
-                        occupancy_delta -= old
-                break
-        storage._occupancy += occupancy_delta  # noqa: SLF001
-        return written, avail_buffer
 
     def _place_into_levels(self, leaf: int) -> tuple[int, list[Block], list[Block]]:
         """Generic placement: build per-level buckets and hand them to the

@@ -7,6 +7,7 @@ tests replay the same trace through both paths on independently seeded
 twins and compare full state fingerprints.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -88,6 +89,11 @@ class TestFlatAccessMany:
     def test_eviction_heavy_config_stays_identical(self):
         # Z=1 at high utilization forces background-eviction dummy storms;
         # the fused loop must interleave them exactly like the access loop.
+        # On ``flat`` both loops run the same path op, so a ``plain``-stack
+        # twin driven by looped ``access`` (the generic engine) is the
+        # independent reference, for the state and for the adversary's
+        # view: the leaf sequence of real and dummy accesses that the CPL
+        # attack reads.
         config = ORAMConfig(
             working_set_blocks=512, utilization=0.8, z=1,
             block_bytes=64, stash_capacity=40,
@@ -95,18 +101,23 @@ class TestFlatAccessMany:
         spec = OramSpec(
             protocol="flat", storage="flat",
             eviction="background", livelock_limit=200_000,
+            record_path_trace=True,
         )
         trace = random_trace(512, 2000, seed=6)
         looped = build_oram(spec, config, seed=9)
         fused = build_oram(spec, config, seed=9)
-        dummy_total = 0
+        reference = build_oram(dataclasses.replace(spec, storage="plain"), config, seed=9)
+        dummy_total = reference_dummies = 0
         for address in trace:
             dummy_total += looped.access(address).dummy_accesses
+            reference_dummies += reference.access(address).dummy_accesses
         result = fused.access_many(trace)
         assert looped.stats.dummy_accesses > 0, "config must exercise eviction"
-        assert result.dummy_accesses == dummy_total
-        assert fingerprint(looped) == fingerprint(fused)
-        assert looped._rng.getstate() == fused._rng.getstate()
+        assert result.dummy_accesses == dummy_total == reference_dummies
+        assert fingerprint(looped) == fingerprint(fused) == fingerprint(reference)
+        assert looped._rng.getstate() == fused._rng.getstate() == reference._rng.getstate()
+        assert len(fused.path_trace) == len(trace) + fused.stats.dummy_accesses
+        assert fused.path_trace == reference.path_trace
 
     def test_writes_and_found_counts(self):
         config = ORAMConfig(
@@ -116,14 +127,18 @@ class TestFlatAccessMany:
         trace = random_trace(128, 500, seed=2)
         looped = build_oram(spec, config, seed=5)
         fused = build_oram(spec, config, seed=5)
-        found = 0
+        reference = build_oram(OramSpec(protocol="flat", storage="plain"), config, seed=5)
+        found = reference_found = 0
         for address in trace:
             found += looped.access(address, Operation.WRITE, b"payload").found
+            reference_found += reference.access(address, Operation.WRITE, b"payload").found
         result = fused.access_many(trace, Operation.WRITE, b"payload")
         assert result == TraceResult(
             accesses=len(trace), found=found, dummy_accesses=result.dummy_accesses
         )
-        assert fingerprint(looped) == fingerprint(fused)
+        assert found == reference_found
+        assert fingerprint(looped) == fingerprint(fused) == fingerprint(reference)
+        assert fused._rng.getstate() == reference._rng.getstate()
 
     def test_occupancy_recording_matches(self):
         config = ORAMConfig(
@@ -133,16 +148,47 @@ class TestFlatAccessMany:
         trace = random_trace(256, 1500, seed=4)
         looped = build_oram(spec, config, seed=1)
         fused = build_oram(spec, config, seed=1)
-        looped.stats.record_occupancy = True
-        fused.stats.record_occupancy = True
+        reference = build_oram(dataclasses.replace(spec, storage="plain"), config, seed=1)
+        for oram in (looped, fused, reference):
+            oram.stats.record_occupancy = True
         for address in trace:
             looped.access(address)
+            reference.access(address)
         fused.access_many(trace)
         assert (
             looped.stats.stash_occupancy_samples
             == fused.stats.stash_occupancy_samples
+            == reference.stats.stash_occupancy_samples
         )
-        assert fingerprint(looped) == fingerprint(fused)
+        assert fingerprint(looped) == fingerprint(fused) == fingerprint(reference)
+        assert fused._rng.getstate() == reference._rng.getstate()
+
+    def test_create_on_miss_off_matches_plain_reference(self):
+        # Reads of never-written addresses miss and create nothing
+        # (found=False, no block); only writes materialise blocks.
+        config = ORAMConfig(
+            working_set_blocks=256, z=4, block_bytes=64, stash_capacity=100
+        )
+        spec = OramSpec(protocol="flat", storage="flat", create_on_miss=False)
+        fused = build_oram(spec, config, seed=4)
+        reference = build_oram(dataclasses.replace(spec, storage="plain"), config, seed=4)
+        rng = random.Random(12)
+        fused_found = reference_found = 0
+        for round_index in range(12):
+            # Writes cover the lower half only, so upper-half reads always
+            # miss while lower-half reads hit more and more often.
+            if round_index % 2:
+                op, chunk = Operation.WRITE, random_trace(128, 60, seed=round_index)
+            else:
+                op, chunk = Operation.READ, [rng.randrange(1, 257) for _ in range(80)]
+            fused_found += fused.access_many(chunk, op, b"payload").found
+            for address in chunk:
+                reference_found += reference.access(address, op, b"payload").found
+        assert fused_found == reference_found
+        assert 0 < fused_found < fused.stats.real_accesses
+        assert fused.total_blocks_stored() <= 128
+        assert fingerprint(fused) == fingerprint(reference)
+        assert fused._rng.getstate() == reference._rng.getstate()
 
     def test_invalid_address_raises_before_any_access(self):
         config = ORAMConfig(
