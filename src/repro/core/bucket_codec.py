@@ -5,13 +5,29 @@ payload)`` triplet; unused slots are filled with dummy blocks (address 0)
 whose payload is zero bytes, exactly as the protocol requires so that a
 bucket's plaintext length never reveals how many real blocks it holds.
 
-Payloads may be ``None`` (functional runs), raw ``bytes`` (processor data)
-or a sequence of integers (position-map ORAM blocks holding leaf labels);
-each is tagged so decoding restores the original type.
+Payloads may be ``None`` (functional runs), raw ``bytes`` (processor data),
+a signed integer or a sequence of integers (position-map ORAM blocks holding
+leaf labels); each is tagged so decoding restores the original type.
+
+Slot layout (little-endian), a 21-byte ``<QQBI`` header then the body::
+
+    address  u64 | leaf  u64 | tag  u8 | length  u32 | body
+
+=========  ===========================================  ================
+tag        body                                          ``length``
+=========  ===========================================  ================
+0 none     empty (also every dummy slot, address 0)      0
+1 bytes    the payload bytes                             byte count
+2 labels   one u64 per label                             label count
+3 int      16-byte two's-complement integer              16
+=========  ===========================================  ================
+
+A field that does not fit its width raises :class:`EncryptionError`.
 """
 
 from __future__ import annotations
 
+import struct
 from typing import Sequence
 
 from repro.core.config import ORAMConfig
@@ -22,6 +38,9 @@ _PAYLOAD_NONE = 0
 _PAYLOAD_BYTES = 1
 _PAYLOAD_LABELS = 2
 _PAYLOAD_INT = 3
+
+_HEADER = struct.Struct("<QQBI")
+_DUMMY_SLOT = _HEADER.pack(DUMMY_ADDRESS, 0, _PAYLOAD_NONE, 0)
 
 
 class BucketCodec:
@@ -36,35 +55,33 @@ class BucketCodec:
     def encode_block(self, block: Block | None) -> bytes:
         """Serialise one block (``None`` produces a dummy slot)."""
         if block is None or block.is_dummy():
-            header = DUMMY_ADDRESS.to_bytes(8, "little") + (0).to_bytes(8, "little")
-            return header + bytes([_PAYLOAD_NONE]) + (0).to_bytes(4, "little")
-        header = block.address.to_bytes(8, "little") + block.leaf.to_bytes(8, "little")
+            return _DUMMY_SLOT
         payload = block.data
-        if payload is None:
-            return header + bytes([_PAYLOAD_NONE]) + (0).to_bytes(4, "little")
-        if isinstance(payload, (bytes, bytearray)):
-            body = bytes(payload)
-            return header + bytes([_PAYLOAD_BYTES]) + len(body).to_bytes(4, "little") + body
-        if isinstance(payload, int) and not isinstance(payload, bool):
-            body = payload.to_bytes(16, "little", signed=True)
-            return header + bytes([_PAYLOAD_INT]) + len(body).to_bytes(4, "little") + body
-        if isinstance(payload, Sequence):
-            labels = [int(v) for v in payload]
-            body = b"".join(v.to_bytes(8, "little", signed=False) for v in labels)
-            return header + bytes([_PAYLOAD_LABELS]) + len(labels).to_bytes(4, "little") + body
+        try:
+            if payload is None:
+                return _HEADER.pack(block.address, block.leaf, _PAYLOAD_NONE, 0)
+            if isinstance(payload, (bytes, bytearray)):
+                header = _HEADER.pack(block.address, block.leaf, _PAYLOAD_BYTES, len(payload))
+                return header + payload
+            if isinstance(payload, int) and not isinstance(payload, bool):
+                header = _HEADER.pack(block.address, block.leaf, _PAYLOAD_INT, 16)
+                return header + payload.to_bytes(16, "little", signed=True)
+            if isinstance(payload, Sequence):
+                labels = [int(v) for v in payload]
+                header = _HEADER.pack(block.address, block.leaf, _PAYLOAD_LABELS, len(labels))
+                return header + struct.pack(f"<{len(labels)}Q", *labels)
+        except (struct.error, OverflowError) as exc:
+            raise EncryptionError(f"block {block.address} does not fit its slot: {exc}") from exc
         raise EncryptionError(f"unsupported block payload type: {type(payload).__name__}")
 
     def decode_block(self, plaintext: bytes) -> Block | None:
         """Deserialise one block; dummies decode to ``None``."""
-        if len(plaintext) < 21:
+        if len(plaintext) < _HEADER.size:
             raise EncryptionError("block plaintext too short")
-        address = int.from_bytes(plaintext[0:8], "little")
-        leaf = int.from_bytes(plaintext[8:16], "little")
-        tag = plaintext[16]
-        length = int.from_bytes(plaintext[17:21], "little")
-        body = plaintext[21:]
+        address, leaf, tag, length = _HEADER.unpack_from(plaintext)
         if address == DUMMY_ADDRESS:
             return None
+        body = plaintext[_HEADER.size :]
         if tag == _PAYLOAD_NONE:
             data = None
         elif tag == _PAYLOAD_BYTES:
@@ -78,7 +95,7 @@ class BucketCodec:
         elif tag == _PAYLOAD_LABELS:
             if len(body) < 8 * length:
                 raise EncryptionError("label payload truncated")
-            data = [int.from_bytes(body[8 * i : 8 * i + 8], "little") for i in range(length)]
+            data = list(struct.unpack_from(f"<{length}Q", body))
         else:
             raise EncryptionError(f"unknown payload tag {tag}")
         return Block(address=address, leaf=leaf, data=data)
@@ -88,9 +105,8 @@ class BucketCodec:
     # ------------------------------------------------------------------
     def encode_blocks(self, blocks: list[Block]) -> list[bytes]:
         """Serialise a bucket's real blocks, padding with dummies to ``Z``."""
-        slots: list[bytes] = [self.encode_block(block) for block in blocks]
-        while len(slots) < self._config.z:
-            slots.append(self.encode_block(None))
+        slots = [self.encode_block(block) for block in blocks]
+        slots.extend([_DUMMY_SLOT] * (self._config.z - len(slots)))
         return slots
 
     def decode_blocks(self, plaintexts: list[bytes]) -> list[Block]:

@@ -23,11 +23,12 @@ serialisation itself lives in :mod:`repro.core.bucket_codec`.
 from __future__ import annotations
 
 import random
+import struct
 from abc import ABC, abstractmethod
 from typing import Sequence
 
 from repro.crypto.keys import ProcessorKey
-from repro.crypto.prf import Keystream, Prf
+from repro.crypto.prf import Keystream, Prf, _xor
 from repro.errors import EncryptionError
 
 #: Bits of overhead per block in the strawman scheme (the encrypted K').
@@ -35,6 +36,8 @@ STRAWMAN_PER_BLOCK_OVERHEAD_BITS = 128
 
 #: Bits of overhead per bucket in the counter-based scheme (BucketCounter).
 COUNTER_PER_BUCKET_OVERHEAD_BITS = 64
+
+_COUNTER = struct.Struct("<Q")
 
 
 def strawman_bucket_bits(z: int, l_bits: int, u_bits: int, b_bits: int) -> int:
@@ -102,7 +105,7 @@ class StrawmanBucketCipher(BucketCipher):
             # 128-bit field conceptually; we serialise it separately here).
             block_prf = Prf(block_key, backend=self._prf.backend)
             pad = block_prf.keystream(len(plaintext), 0)
-            body = bytes(a ^ b for a, b in zip(plaintext, pad))
+            body = _xor(plaintext, pad)
             pieces.append(
                 self._nonce.to_bytes(8, "little")
                 + wrapped_key
@@ -130,7 +133,7 @@ class StrawmanBucketCipher(BucketCipher):
             block_key = self._keystream.apply(wrapped_key, bucket_id, nonce, 0)
             block_prf = Prf(block_key, backend=self._prf.backend)
             pad = block_prf.keystream(body_len, 0)
-            plaintexts.append(bytes(a ^ b for a, b in zip(body, pad)))
+            plaintexts.append(_xor(body, pad))
         return plaintexts
 
     @staticmethod
@@ -161,29 +164,24 @@ class CounterBucketCipher(BucketCipher):
     def encrypt(self, bucket_id: int, block_plaintexts: Sequence[bytes]) -> bytes:
         counter = self._counters.get(bucket_id, 0) + 1
         self._counters[bucket_id] = counter
-        lengths = b"".join(len(p).to_bytes(4, "little") for p in block_plaintexts)
-        plaintext = (
-            len(block_plaintexts).to_bytes(4, "little") + lengths + b"".join(block_plaintexts)
-        )
-        body = self._keystream.apply(plaintext, bucket_id, counter)
-        return counter.to_bytes(self.COUNTER_BYTES, "little") + body
+        count = len(block_plaintexts)
+        frame = struct.pack(f"<{count + 1}I", count, *map(len, block_plaintexts))
+        plaintext = b"".join([frame, *block_plaintexts])
+        return _COUNTER.pack(counter) + self._keystream.apply(plaintext, bucket_id, counter)
 
     def decrypt(self, bucket_id: int, ciphertext: bytes) -> list[bytes]:
         if len(ciphertext) < self.COUNTER_BYTES:
             raise EncryptionError("counter bucket ciphertext shorter than its counter")
-        counter = int.from_bytes(ciphertext[: self.COUNTER_BYTES], "little")
+        (counter,) = _COUNTER.unpack_from(ciphertext)
         body = ciphertext[self.COUNTER_BYTES :]
         plaintext = self._keystream.apply(body, bucket_id, counter)
         if len(plaintext) < 4:
             raise EncryptionError("counter bucket plaintext missing block count")
-        count = int.from_bytes(plaintext[:4], "little")
-        offset = 4
-        lengths: list[int] = []
-        for _ in range(count):
-            if offset + 4 > len(plaintext):
-                raise EncryptionError("counter bucket plaintext missing block length")
-            lengths.append(int.from_bytes(plaintext[offset : offset + 4], "little"))
-            offset += 4
+        (count,) = struct.unpack_from("<I", plaintext)
+        offset = 4 + 4 * count
+        if offset > len(plaintext):
+            raise EncryptionError("counter bucket plaintext missing block length")
+        lengths = struct.unpack_from(f"<{count}I", plaintext, 4)
         blocks: list[bytes] = []
         for length in lengths:
             if offset + length > len(plaintext):

@@ -6,6 +6,14 @@ the hot path of million-access simulations, so the default PRF here is
 SHA-256 based (HMAC-like keyed hashing).  Both back-ends expose the same
 interface; the AES back-end is used in tests to demonstrate equivalence of
 the construction and is available to callers who want bit-exact AES pads.
+
+The pad definition is fixed: chunk ``i`` of a keystream is
+``block(*seed, i)``, 16 bytes each.  ``keystream`` hashes the ``key || seed``
+prefix once and then only feeds each 8-byte chunk index to a copy of that
+hash state, and ``Keystream.apply`` XORs the whole buffer as one integer.
+What remains per 16 bytes of pad is one SHA-256 copy-and-finalise (about
+1 µs on a 2-CPU x86 host), 39 of them for the 616-byte body of a ``Z=4``
+bucket: the cost the paper's on-chip AES engine takes off the critical path.
 """
 
 from __future__ import annotations
@@ -16,6 +24,25 @@ from typing import Literal
 from repro.crypto.aes import AES128
 
 PrfBackend = Literal["sha256", "aes"]
+
+#: Bytes per keystream chunk (one ``block`` output).
+_CHUNK_BYTES = 16
+
+
+def _seed_bytes(seed: tuple[int, ...]) -> bytes:
+    return b"".join(s.to_bytes(8, "little", signed=False) for s in seed)
+
+
+def _hash_chunk(base: hashlib._Hash, suffix: bytes) -> bytes:
+    h = base.copy()
+    h.update(suffix)
+    return h.digest()[:_CHUNK_BYTES]
+
+
+def _xor(data: bytes, pad: bytes) -> bytes:
+    """``data XOR pad`` for equal-length byte strings, as one integer op."""
+    n = len(data)
+    return (int.from_bytes(data, "little") ^ int.from_bytes(pad, "little")).to_bytes(n, "little")
 
 
 class Prf:
@@ -35,7 +62,15 @@ class Prf:
             raise ValueError(f"unknown PRF backend: {backend!r}")
         self._key = bytes(key)
         self._backend = backend
-        self._aes = AES128(self._pad_key(key)) if backend == "aes" else None
+        if backend == "aes":
+            # Hash the seed down to one AES block and encrypt it: a standard
+            # PRF construction when the seed may exceed the block size.
+            self._aes = AES128(self._pad_key(key))
+            self._hash_prefix = b""
+            self._chunk = self._aes_chunk
+        else:
+            self._hash_prefix = self._key
+            self._chunk = _hash_chunk
 
     @staticmethod
     def _pad_key(key: bytes) -> bytes:
@@ -43,20 +78,16 @@ class Prf:
             return key
         return hashlib.sha256(key).digest()[:16]
 
+    def _aes_chunk(self, base: hashlib._Hash, suffix: bytes) -> bytes:
+        return self._aes.encrypt_block(_hash_chunk(base, suffix))
+
     @property
     def backend(self) -> str:
         return self._backend
 
     def block(self, *seed: int) -> bytes:
         """Return one 16-byte pseudo-random block for the given seed tuple."""
-        seed_bytes = b"".join(s.to_bytes(8, "little", signed=False) for s in seed)
-        if self._backend == "aes":
-            # Hash the seed down to one AES block and encrypt it: a standard
-            # PRF construction when the seed may exceed the block size.
-            compressed = hashlib.sha256(seed_bytes).digest()[:16]
-            assert self._aes is not None
-            return self._aes.encrypt_block(compressed)
-        return hashlib.sha256(self._key + seed_bytes).digest()[:16]
+        return self._chunk(hashlib.sha256(self._hash_prefix), _seed_bytes(seed))
 
     def keystream(self, nbytes: int, *seed: int) -> bytes:
         """Return ``nbytes`` of keystream derived from the seed tuple.
@@ -66,14 +97,9 @@ class Prf:
         """
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        chunks = []
-        produced = 0
-        index = 0
-        while produced < nbytes:
-            chunk = self.block(*seed, index)
-            chunks.append(chunk)
-            produced += len(chunk)
-            index += 1
+        base = hashlib.sha256(self._hash_prefix + _seed_bytes(seed))
+        chunk = self._chunk
+        chunks = [chunk(base, i.to_bytes(8, "little")) for i in range(-(-nbytes // _CHUNK_BYTES))]
         return b"".join(chunks)[:nbytes]
 
 
@@ -88,5 +114,4 @@ class Keystream:
 
     def apply(self, data: bytes, *seed: int) -> bytes:
         """XOR ``data`` with the keystream derived from ``seed``."""
-        pad = self._prf.keystream(len(data), *seed)
-        return bytes(a ^ b for a, b in zip(data, pad))
+        return _xor(data, self._prf.keystream(len(data), *seed))
