@@ -7,9 +7,9 @@ package provides:
   against the FIPS-197 test vectors, used where bit-exact AES behaviour is
   wanted.
 * :mod:`repro.crypto.prf` — keyed pseudo-random functions and keystream
-  generators.  The default keystream is SHA-256 based because it is much
-  faster than pure-Python AES; ORAM behaviour depends only on the existence
-  of a keyed PRF, not on which one (see DESIGN.md, substitution table).
+  generators.  The default keystream is one SHAKE-128 call over
+  ``key || seed`` because it is much faster than pure-Python AES; ORAM
+  behaviour depends only on the existence of a keyed PRF, not on which one.
 * :mod:`repro.crypto.bucket_encryption` — the two bucket encryption schemes
   from Section 2.2 of the paper: the strawman per-block-key scheme and the
   counter-based (BucketCounter) scheme.

@@ -12,7 +12,7 @@ path write-back:
   ``M = Z * (128 + L + U + B)`` bits.
 * :class:`CounterBucketCipher` (Section 2.2.2): a single 64-bit per-bucket
   counter, stored in the clear, seeds the pad
-  ``PRF_K(BucketID || BucketCounter || i)``.  Bucket size
+  ``PRF_K(BucketID || BucketCounter)``.  Bucket size
   ``M = Z * (L + U + B) + 64`` bits — the scheme the rest of the paper (and
   this reproduction) assumes.
 
@@ -28,7 +28,7 @@ from abc import ABC, abstractmethod
 from typing import Sequence
 
 from repro.crypto.keys import ProcessorKey
-from repro.crypto.prf import Keystream, Prf, _xor
+from repro.crypto.prf import Keystream, Prf, PrfBackend, _xor
 from repro.errors import EncryptionError
 
 #: Bits of overhead per block in the strawman scheme (the encrypted K').
@@ -53,7 +53,7 @@ def counter_bucket_bits(z: int, l_bits: int, u_bits: int, b_bits: int) -> int:
 class BucketCipher(ABC):
     """Interface shared by both bucket encryption schemes."""
 
-    def __init__(self, processor_key: ProcessorKey, backend: str = "sha256") -> None:
+    def __init__(self, processor_key: ProcessorKey, backend: PrfBackend = "shake128") -> None:
         self._key = processor_key
         self._prf = Prf(processor_key.key_bytes, backend=backend)
         self._keystream = Keystream(self._prf)
@@ -86,7 +86,7 @@ class StrawmanBucketCipher(BucketCipher):
     def __init__(
         self,
         processor_key: ProcessorKey,
-        backend: str = "sha256",
+        backend: PrfBackend = "shake128",
         rng: random.Random | None = None,
     ) -> None:
         super().__init__(processor_key, backend=backend)
@@ -144,8 +144,8 @@ class StrawmanBucketCipher(BucketCipher):
 class CounterBucketCipher(BucketCipher):
     """Counter-based scheme (Section 2.2.2).
 
-    The whole bucket plaintext is XORed with
-    ``PRF_K(BucketID || BucketCounter || chunk_index)`` and the 64-bit
+    The whole bucket plaintext is XORed with the pad
+    ``PRF_K(BucketID || BucketCounter)`` and the 64-bit
     counter is stored in the clear ahead of the ciphertext.  Buckets are
     always read and written atomically, so one counter per bucket suffices;
     seeding with BucketID guarantees two buckets never share a pad.
@@ -153,7 +153,7 @@ class CounterBucketCipher(BucketCipher):
 
     COUNTER_BYTES = 8
 
-    def __init__(self, processor_key: ProcessorKey, backend: str = "sha256") -> None:
+    def __init__(self, processor_key: ProcessorKey, backend: PrfBackend = "shake128") -> None:
         super().__init__(processor_key, backend=backend)
         self._counters: dict[int, int] = {}
 

@@ -1,42 +1,56 @@
 """Keyed pseudo-random functions and one-time-pad keystreams.
 
-The paper's bucket encryption generates one-time pads with
-``AES_K(seed || chunk_index)``.  Pure-Python AES is far too slow to sit on
-the hot path of million-access simulations, so the default PRF here is
-SHA-256 based (HMAC-like keyed hashing).  Both back-ends expose the same
-interface; the AES back-end is used in tests to demonstrate equivalence of
-the construction and is available to callers who want bit-exact AES pads.
+The paper's counter scheme (Section 2.2.2) needs a PRF keyed by ``K`` over
+``BucketID || BucketCounter``; it assumes an on-chip AES engine makes that
+cheap.  Pure-Python AES is far too slow for the hot path of million-access
+simulations, so the default pad here is one extendable-output call:
 
-The pad definition is fixed: chunk ``i`` of a keystream is
-``block(*seed, i)``, 16 bytes each.  ``keystream`` hashes the ``key || seed``
-prefix once and then only feeds each 8-byte chunk index to a copy of that
-hash state, and ``Keystream.apply`` XORs the whole buffer as one integer.
-What remains per 16 bytes of pad is one SHA-256 copy-and-finalise (about
-1 µs on a 2-CPU x86 host), 39 of them for the 616-byte body of a ``Z=4``
-bucket: the cost the paper's on-chip AES engine takes off the critical path.
+    keystream(n, *seed) = SHAKE128(K || seed)[:n]
+
+with ``seed`` packed as unsigned little-endian 64-bit integers.  NIST
+SP 800-185 KMAC is the formal keyed form of this construction; the bare
+``K || seed`` prefix suffices here because the bucket ciphers' keys (the
+processor key and the strawman's per-block ``K'``) are all 16 bytes.
+Domain separation between uses comes from each cipher's fixed seed arity:
+under the processor key a counter-scheme bucket pad takes two ints and a
+strawman key wrap three, so two uses never hash the same input.  Because
+SHAKE output is a stream, ``block(*seed)`` is ``keystream(16, *seed)`` and
+every shorter pad is a prefix of a longer one.  One C call makes the
+616-byte pad of a ``Z=4`` bucket body.
+
+The ``"aes"`` backend is the paper-faithful reference: chunk ``i`` of its
+keystream is ``block(*seed, i) = AES_K(SHA-256(seed || i)[:16])``, 16 bytes
+each.  No ``OramSpec`` reaches it; it is pinned by its own known answer.
+
+Either way, ciphertext shape and length do not depend on the pad, so an
+observer of DRAM learns nothing from which PRF is used.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import struct
 from typing import Literal
 
 from repro.crypto.aes import AES128
 
-PrfBackend = Literal["sha256", "aes"]
+PrfBackend = Literal["shake128", "aes"]
 
-#: Bytes per keystream chunk (one ``block`` output).
+#: Bytes per ``block`` output (one AES block).
 _CHUNK_BYTES = 16
 
 
+@functools.cache
+def _seed_struct(arity: int) -> struct.Struct:
+    return struct.Struct(f"<{arity}Q")
+
+
 def _seed_bytes(seed: tuple[int, ...]) -> bytes:
-    return b"".join(s.to_bytes(8, "little", signed=False) for s in seed)
-
-
-def _hash_chunk(base: hashlib._Hash, suffix: bytes) -> bytes:
-    h = base.copy()
-    h.update(suffix)
-    return h.digest()[:_CHUNK_BYTES]
+    try:
+        return _seed_struct(len(seed)).pack(*seed)
+    except struct.error as exc:
+        raise OverflowError(f"PRF seed {seed} is not unsigned 64-bit") from exc
 
 
 def _xor(data: bytes, pad: bytes) -> bytes:
@@ -53,12 +67,12 @@ class Prf:
     key:
         16-byte key.
     backend:
-        ``"sha256"`` (default, fast) or ``"aes"`` (bit-exact AES-CTR-style
+        ``"shake128"`` (default, fast) or ``"aes"`` (bit-exact AES-CTR-style
         pads, slow).
     """
 
-    def __init__(self, key: bytes, backend: PrfBackend = "sha256") -> None:
-        if backend not in ("sha256", "aes"):
+    def __init__(self, key: bytes, backend: PrfBackend = "shake128") -> None:
+        if backend not in ("shake128", "aes"):
             raise ValueError(f"unknown PRF backend: {backend!r}")
         self._key = bytes(key)
         self._backend = backend
@@ -66,11 +80,6 @@ class Prf:
             # Hash the seed down to one AES block and encrypt it: a standard
             # PRF construction when the seed may exceed the block size.
             self._aes = AES128(self._pad_key(key))
-            self._hash_prefix = b""
-            self._chunk = self._aes_chunk
-        else:
-            self._hash_prefix = self._key
-            self._chunk = _hash_chunk
 
     @staticmethod
     def _pad_key(key: bytes) -> bytes:
@@ -79,27 +88,35 @@ class Prf:
         return hashlib.sha256(key).digest()[:16]
 
     def _aes_chunk(self, base: hashlib._Hash, suffix: bytes) -> bytes:
-        return self._aes.encrypt_block(_hash_chunk(base, suffix))
+        h = base.copy()
+        h.update(suffix)
+        return self._aes.encrypt_block(h.digest()[:_CHUNK_BYTES])
 
     @property
-    def backend(self) -> str:
+    def backend(self) -> PrfBackend:
         return self._backend
 
     def block(self, *seed: int) -> bytes:
         """Return one 16-byte pseudo-random block for the given seed tuple."""
-        return self._chunk(hashlib.sha256(self._hash_prefix), _seed_bytes(seed))
+        if self._backend == "aes":
+            return self._aes_chunk(hashlib.sha256(), _seed_bytes(seed))
+        return self.keystream(_CHUNK_BYTES, *seed)
 
     def keystream(self, nbytes: int, *seed: int) -> bytes:
         """Return ``nbytes`` of keystream derived from the seed tuple.
 
-        Chunk ``i`` of the keystream is ``block(*seed, i)``, mirroring the
-        paper's per-chunk pads ``AES_K(seed || i)``.
+        On ``"aes"``, chunk ``i`` of the keystream is ``block(*seed, i)``,
+        mirroring the paper's per-chunk pads ``AES_K(seed || i)``.
         """
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        base = hashlib.sha256(self._hash_prefix + _seed_bytes(seed))
-        chunk = self._chunk
-        chunks = [chunk(base, i.to_bytes(8, "little")) for i in range(-(-nbytes // _CHUNK_BYTES))]
+        if self._backend == "shake128":
+            return hashlib.shake_128(self._key + _seed_bytes(seed)).digest(nbytes)
+        base = hashlib.sha256(_seed_bytes(seed))
+        chunks = [
+            self._aes_chunk(base, i.to_bytes(8, "little"))
+            for i in range(-(-nbytes // _CHUNK_BYTES))
+        ]
         return b"".join(chunks)[:nbytes]
 
 

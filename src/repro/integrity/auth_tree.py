@@ -101,16 +101,17 @@ class PathORAMAuthenticator:
             return self._root_flags
         return self._flags[bucket_index]
 
-    def _reachable(self, path: Sequence[int], position: int) -> bool:
-        """Whether ``path[position]`` was reachable from the root at the
-        start of this access (all valid bits above it are 1)."""
-        for index in range(position):
-            parent = path[index]
-            child = path[index + 1]
-            direction = self._child_direction(parent, child)
-            if not self._flags_of(parent)[direction]:
-                return False
-        return True
+    def _reachability(self, path: Sequence[int]) -> list[bool]:
+        """Whether each bucket on ``path`` was reachable from the root at the
+        start of this access (all valid bits above it are 1), in one
+        top-down pass: reachability holds until the first unset bit."""
+        reachable = [True] * len(path)
+        for position in range(len(path) - 1):
+            parent = path[position]
+            if not self._flags_of(parent)[self._child_direction(parent, path[position + 1])]:
+                reachable[position + 1 :] = [False] * (len(path) - position - 1)
+                break
+        return reachable
 
     def _compute_path_root(self, path: Sequence[int], buckets: Sequence[bytes],
                            flags_by_node: Sequence[Sequence[int]],
@@ -118,7 +119,6 @@ class PathORAMAuthenticator:
         """Recompute the root hash from leaf to root along ``path``."""
         levels = len(path) - 1
         current = self._leaf_hash(buckets[levels])
-        self.counters.hashes_written += 0  # accounting happens in update()
         for position in range(levels - 1, -1, -1):
             node = path[position]
             child_on_path = path[position + 1]
@@ -149,7 +149,7 @@ class PathORAMAuthenticator:
         if len(buckets) != len(path):
             raise ConfigurationError("bucket count does not match path length")
         flags_by_node = [list(self._flags_of(index)) for index in path]
-        reachability = [self._reachable(path, position) for position in range(len(path))]
+        reachability = self._reachability(path)
         recomputed = self._compute_path_root(path, buckets, flags_by_node, reachability)
         self.counters.verifications += 1
         if recomputed != self._root_hash:
@@ -167,7 +167,7 @@ class PathORAMAuthenticator:
             raise ConfigurationError("bucket count does not match path length")
         levels = len(path) - 1
 
-        reachability = [self._reachable(path, position) for position in range(len(path))]
+        reachability = self._reachability(path)
 
         # Update child-valid flags along the path (top-down).
         for position in range(levels):

@@ -22,15 +22,15 @@ ACCESSES = 2000
 # protocol -> (root hash hex per ORAM, data ORAM first; SHA-256 of 8 raw paths)
 PINS = {
     "flat": (
-        ("e1e33891db78dbacac4b909b0dee87aec7ef93d9eaa768810fce6f3d05b5000b",),
-        "bcd87e9077992a29bdf337431cfd36dfc717845fb89d6995859ccaa58f6604c2",
+        ("e74261a09562adef9aa96f3ac33866ef57a942f2754868fb55c6683c9eb79a7b",),
+        "7720c95a0c9bbb0d060098e3cb10b0ba7953e9e46e58a9a66b16c93f52f45b1b",
     ),
     "hierarchical": (
         (
-            "fd91f744179510b8a6a804f68333d089f586188716a5edddc3be93d27482c9ec",
-            "8355837bd6ee2b767a43a921789c0eaf14835604b4280023888786d9db62bc50",
+            "700ce3e8897d86d409b604015dff3c392b556400c756b15928878af54ece9e5e",
+            "0d6b3f4d82f7eea8ddd35b7ec12b847d689c852e827e7c09ae001ebb9d2553bf",
         ),
-        "b441128bbd7cbd3d9554a5aefa2cff9cd0c2f922c24eb9a903aea86915f224d5",
+        "dc8b05b5624ddf2d896218a2206114954948aefbe9ec25668a6696ec54102a29",
     ),
 }
 

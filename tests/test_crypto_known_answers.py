@@ -2,12 +2,14 @@
 
 The literals pin the exact pads and ciphertexts (as SHA-256 digests), so a
 rewrite of the crypto layer that moves any byte DRAM would see fails here.
-The pads stay defined as ``block(*seed, i)`` per 16-byte chunk, XORed byte
-by byte; two tests below check that definition directly.
+The default pad is ``SHAKE128(key || seed)`` and the ``"aes"`` pad is
+``block(*seed, i)`` per 16-byte chunk, both XORed byte by byte; tests below
+state each definition directly, independent of ``Prf``'s code.
 """
 
 import hashlib
 import random
+import struct
 
 import pytest
 
@@ -18,20 +20,20 @@ from repro.crypto.bucket_encryption import CounterBucketCipher, StrawmanBucketCi
 from repro.crypto.keys import ProcessorKey
 from repro.crypto.prf import Keystream, Prf
 
-SHA256_KEYSTREAM = {
+SHAKE128_KEYSTREAM = {
     0: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    1: "a9253dc8529dd214e5f22397888e78d3390daa47593e26f68c18f97fd7a3876b",
-    15: "cf6fe1e9e661f67ca4410ffab89b1140b9940befac856229228f2ccd959eda40",
-    16: "5bff7f3937f81e5bfdfea0e2503d792b19624c712ee4800a43841eb9eb5b6284",
-    17: "4671b327c9b51f8c402e29545b56d2918cd1c866a2450ddd95df818cad0e0e0d",
-    616: "6f8e9b78b4bd4e551ce584aa452d9db1f7c623d27bf6d06ea6aae5b346b145c5",
+    1: "2c624232cdd221771294dfbb310aca000a0df6ac8b66b696d90ef06fdefb64a3",
+    15: "032d2fd8bf9bb4bff1bcd00675af17efc05e6a68ad0cf9c54accf3bfaf90256e",
+    16: "5a21495995b8670607a55402af1fc490c82fd5a00f3834098baf65d7bd037dc0",
+    17: "eec769c992f35170369c283e2dbbde072db1aee90741e6be06f9f5fde14c0519",
+    616: "e42af415539ccf7ba817c79548a27c521eaa4c14961bb5e40b6b83c07f2399cc",
 }
 AES_KEYSTREAM_48 = "d9dc12e2e622064cf21deb68c203a992b55f7f59334a2900468f9b1ba6267e3e"
 COUNTER_CIPHERTEXTS = (
-    "a0f272edcfd151a497e93d67527ace396cc785aafb981b84286991ac3018d8ea",
-    "1b29024263cb00c82df1c37b2978ea0ddc8e3971a22d523cd46910aafd7179cd",
+    "90b335861ee6653139ec95ff81d19f492966b7af033747203eb20399d66df293",
+    "3e96dc439e09e94ec4f8ec63fda2bbd03a529d762b6dbc285c9d561a6a086427",
 )
-STRAWMAN_CIPHERTEXT = "dd4f764862d0fb188dfde87d43b57e9422b066a09cefb9548a40a4da470517b5"
+STRAWMAN_CIPHERTEXT = "3506d6a351072da0b5c1e224893fb220759468499c7ba2618ea8a12ac30ef3c0"
 
 
 def _digest(data: bytes) -> str:
@@ -50,7 +52,7 @@ def mixed_bucket() -> list[bytes]:
     )
 
 
-def sha256_keystream_digest(nbytes: int) -> str:
+def keystream_digest(nbytes: int) -> str:
     return _digest(Prf(b"k" * 16).keystream(nbytes, 3, 9))
 
 
@@ -69,9 +71,20 @@ def strawman_ciphertext_digest() -> str:
     return _digest(cipher.encrypt(2, mixed_bucket()))
 
 
-@pytest.mark.parametrize("nbytes", sorted(SHA256_KEYSTREAM))
+@pytest.mark.parametrize("nbytes", sorted(SHAKE128_KEYSTREAM))
 def test_sha256_keystream_known_answer(nbytes):
-    assert sha256_keystream_digest(nbytes) == SHA256_KEYSTREAM[nbytes]
+    """SHA-256 digests of the default (``shake128``) keystream."""
+    assert keystream_digest(nbytes) == SHAKE128_KEYSTREAM[nbytes]
+
+
+@pytest.mark.parametrize("seed", [(3,), (3, 9), (3, 9, 27)])
+def test_shake128_pad_definition(seed):
+    key = b"k" * 16
+    prf = Prf(key)
+    for nbytes in sorted(SHAKE128_KEYSTREAM):
+        expected = hashlib.shake_128(key + struct.pack(f"<{len(seed)}Q", *seed)).digest(nbytes)
+        assert prf.keystream(nbytes, *seed) == expected
+    assert prf.block(*seed) == prf.keystream(16, *seed)
 
 
 def test_aes_keystream_known_answer():
@@ -79,9 +92,8 @@ def test_aes_keystream_known_answer():
 
 
 def test_keystream_chunks_are_blocks():
-    for backend in ("sha256", "aes"):
-        prf = Prf(b"k" * 16, backend=backend)
-        assert prf.keystream(48, 3, 9) == b"".join(prf.block(3, 9, i) for i in range(3))
+    prf = Prf(b"k" * 16, backend="aes")
+    assert prf.keystream(48, 3, 9) == b"".join(prf.block(3, 9, i) for i in range(3))
 
 
 def test_apply_is_xor_with_keystream():

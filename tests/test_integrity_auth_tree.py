@@ -1,11 +1,13 @@
 """Authentication-tree (Section 5) tests, including tamper and replay detection."""
 
+import hashlib
 import random
 
 import pytest
 
 from repro.core.config import ORAMConfig
 from repro.core.path_oram import PathORAM
+from repro.core.tree import path_indices
 from repro.crypto.bucket_encryption import CounterBucketCipher
 from repro.crypto.keys import ProcessorKey
 from repro.errors import IntegrityError
@@ -20,6 +22,34 @@ def auth_config() -> ORAMConfig:
 
 def _bucket(value: int, length: int = 8) -> bytes:
     return bytes([value % 256]) * length
+
+
+# Root hash hex and SHA-256 over the external hash list after
+# ``seeded_authenticator_run``: the tree's bytes, whatever the bucket cipher.
+AUTH_TREE_PINS = (
+    "bc776469a8095e1946ada15614568caa5e5f33f4a68c6513cc05aa9f6dda0a75",
+    "d6dc0a34fa4a115c3cc0cf54b1d4770bbb87a5b0891a9b91abca6beb870666f2",
+)
+
+
+def seeded_authenticator_run() -> PathORAMAuthenticator:
+    """300 read-verify / write-update rounds over synthetic bucket bytes.
+
+    About a quarter of the written buckets are ``b""``, so the flag gating of
+    empty buckets is exercised as well as never-written subtrees.
+    """
+    config = ORAMConfig(working_set_blocks=64, z=4)
+    auth = PathORAMAuthenticator(config)
+    rng = random.Random(16)
+    memory: dict[int, bytes] = {}
+    for _ in range(300):
+        leaf = rng.randrange(config.num_leaves)
+        path = path_indices(leaf, config.levels)
+        auth.verify_path(leaf, [memory.get(index, b"") for index in path])
+        for index in path:
+            memory[index] = b"" if rng.random() < 0.25 else rng.randbytes(rng.randrange(1, 48))
+        auth.update_path(leaf, [memory[index] for index in path])
+    return auth
 
 
 class TestAuthenticator:
@@ -98,6 +128,29 @@ class TestAuthenticator:
         assert writes_after_one_update <= levels + 1
         auth.verify_path(2, [_bucket(0) for _ in range(levels + 1)])
         assert auth.counters.sibling_hashes_read <= levels
+
+
+    def test_tree_bytes_after_seeded_run_are_pinned(self):
+        auth = seeded_authenticator_run()
+        external = hashlib.sha256(b"".join(auth._hashes)).hexdigest()
+        assert (auth.root_hash.hex(), external) == AUTH_TREE_PINS
+
+    def test_reachability_is_every_valid_bit_above_set(self):
+        config = ORAMConfig(working_set_blocks=64, z=4)
+        auth = PathORAMAuthenticator(config)
+        rng = random.Random(5)
+        for _ in range(200):
+            auth._root_flags = [rng.randrange(2), rng.randrange(2)]
+            auth._flags = [[rng.randrange(2), rng.randrange(2)] for _ in auth._flags]
+            path = path_indices(rng.randrange(config.num_leaves), config.levels)
+            brute = [
+                all(
+                    auth._flags_of(parent)[child == 2 * parent + 2]
+                    for parent, child in zip(path[:position], path[1 : position + 1])
+                )
+                for position in range(len(path))
+            ]
+            assert auth._reachability(path) == brute
 
 
 class TestIntegrityVerifiedStorage:
