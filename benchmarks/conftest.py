@@ -181,12 +181,14 @@ def median_pair(pairs):
 def record_perf(section: str, record: dict, title: str) -> None:
     """The perf benchmarks' one writer: record a section and print it.
 
-    Merges the record into the sectioned ``BENCH_engine.json`` through
-    :func:`record_bench` and emits the human-readable block, so both perf
-    benchmarks report identically.
+    Stamps the record with the machine's CPU count (ratios from a 2-CPU
+    box and from a CI runner are not comparable), merges it into the
+    sectioned ``BENCH_engine.json`` through :func:`record_bench` and emits
+    the human-readable block, so every perf benchmark reports identically.
     """
     import json
 
+    record = {**record, "cpus": os.cpu_count()}
     record_bench(section, record)
     emit(title, json.dumps(record, indent=2))
 

@@ -17,7 +17,6 @@ bit-exactness; this benchmark additionally asserts a resumed, fully
 cached replay returns the same values).
 """
 
-import os
 import random
 import time
 
@@ -135,7 +134,6 @@ def test_checkpointed_run_overhead(benchmark, tmp_path):
             f"{WINDOWS} paired checkpointed/plain windows"
         ),
         "metric": "accesses per second, checkpointed vs uncheckpointed",
-        "cpus": os.cpu_count(),
         "checkpointed_accesses_per_s": round(ck_rate, 1),
         "plain_accesses_per_s": round(plain_rate, 1),
         "overhead_percent": round((1 - speedup) * 100, 2),

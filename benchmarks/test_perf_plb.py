@@ -1,44 +1,51 @@
-"""PosMap Lookaside Buffer throughput and PM-ops-saved benchmark.
+"""PosMap Lookaside Buffer and chain-coalescing throughput benchmarks.
 
-Replays SPEC-like ``mcf`` (pointer-chasing, the PLB's hard case) and
-``libquantum`` (sequential streaming, its easy case) through the same
-recursive hierarchy as the ``chain_coalescing`` benchmark at three chain
-configurations:
+Two paired-window sections over one recursive hierarchy on the list-backed
+``flat`` stack (a 2^16-block data ORAM under 16-byte position-map blocks):
 
-* ``plb0`` — the uncoalesced baseline chain (every access walks every
-  position-map level physically);
-* ``plb1`` — a capacity-1 PLB, the single-op suffix memo that coalesces
-  consecutive accesses through the same position-map block;
-* ``plb8`` — an 8-entries-per-level PLB, the paper-scale on-chip budget.
+* ``chain_coalescing`` — a SPEC-like ``libquantum`` trace (the paper's
+  memory-bound streaming benchmark) replayed with position-map path-op
+  coalescing (a capacity-1 PLB) against the seed chain replay consuming
+  the same stream.  Sequential SPEC streams resolve through the same
+  position-map blocks for long runs, so most position-map path operations
+  collapse into the op that read the block; the record carries the
+  measured coalesced-ops rate.
+* ``plb`` — SPEC-like ``mcf`` (pointer-chasing, the PLB's hard case) and
+  ``libquantum`` (sequential streaming, its easy case) at three chain
+  configurations:
 
-All three replay identical derived-seed streams window for window
-(lock-stepped harness RNGs), so the throughput ratio and the
-position-map-ops-saved rates measure the cache alone.  The section lands
-in ``BENCH_engine.json`` with ``speedup`` = plb8 over the uncoalesced
-chain on the libquantum stream, gated by the committed ``plb`` floor;
-the mcf-like stream must additionally save at least 0.5 of the chain's 3
-position-map ops per access at the 8-entry budget (a multi-entry win the
-single-op memo cannot reach), and libquantum must keep the >= 1.9 the
-memo already delivered.
+  * ``plb0`` — the uncoalesced baseline chain (every access walks every
+    position-map level physically);
+  * ``plb1`` — a capacity-1 PLB, the single-op suffix memo that coalesces
+    consecutive accesses through the same position-map block;
+  * ``plb8`` — an 8-entries-per-level PLB, the paper-scale on-chip budget.
+
+  All three replay identical derived-seed streams window for window
+  (lock-stepped harness RNGs), so the throughput ratio and the
+  position-map-ops-saved rates measure the cache alone.  ``speedup`` is
+  plb8 over the uncoalesced chain on the libquantum stream; the mcf-like
+  stream must additionally save at least 0.5 of the chain's 3
+  position-map ops per access at the 8-entry budget (a multi-entry win
+  the single-op memo cannot reach), and libquantum must keep the >= 1.9
+  the memo already delivered.
+
+Both sections land in ``BENCH_engine.json`` and are gated by committed
+floors in ``benchmarks/perf_floors.json``.
 """
 
 import gc
 import random
 import time
 
-import pytest
+from conftest import paired_throughput, perf_floor, record_perf, scaled
+from seed_reference import SeedReferenceHierarchicalORAM
 
-np = pytest.importorskip("numpy")
+from repro.backends import OramSpec, build_oram
+from repro.core.config import HierarchyConfig, ORAMConfig
+from repro.workloads.spec_like import benchmark_trace
 
-from conftest import perf_floor, record_perf, scaled  # noqa: E402
-
-from repro.backends import OramSpec, build_oram  # noqa: E402
-from repro.core.config import HierarchyConfig, ORAMConfig  # noqa: E402
-from repro.workloads.spec_like import benchmark_trace  # noqa: E402
-
-#: Same recursive geometry as the chain_coalescing benchmark: a
-#: 2^16-block column-native data ORAM under 16-byte position-map blocks —
-#: a 4-ORAM chain, so the uncached walk costs 3 PM path ops per access.
+#: A 2^16-block data ORAM under 16-byte position-map blocks — a 4-ORAM
+#: chain, so the uncached walk costs 3 PM path ops per access.
 HIER_WORKING_SET = 1 << 16
 
 #: Interleaved measurement windows per configuration.
@@ -48,6 +55,7 @@ WINDOWS = 3
 CAPACITIES = (0, 1, 8)
 
 SPEEDUP_FLOOR = perf_floor("plb")
+COALESCING_FLOOR = perf_floor("chain_coalescing")
 
 #: ISSUE acceptance bars on position-map ops saved per access (of 3).
 MCF_SAVED_FLOOR = 0.5
@@ -69,28 +77,118 @@ def _hierarchy() -> HierarchyConfig:
 
 def _build(capacity: int):
     spec = OramSpec(
-        protocol="hierarchical",
-        storage="numpy-flat",
-        plb_entries_per_level=capacity,
-        columnar_min_slots=1 << 16,
+        protocol="hierarchical", storage="flat", plb_entries_per_level=capacity
     )
     oram = build_oram(spec, _hierarchy(), seed=7)
     oram.access_many(range(1, HIER_WORKING_SET + 1))
     return oram
 
 
-def _window(oram, rng, measured: int, bench: str) -> float:
-    """One SPEC replay window through ``access_many``; returns accesses/s."""
+def _replay_addresses(rng, measured: int, bench: str) -> tuple[list, list]:
+    """One window's SPEC stream as (warm-up, timed) address lists.
+
+    The trace seed comes from the harness RNG, so lock-stepped RNGs replay
+    identical streams.
+    """
     warmup = max(1, measured // 20)
     trace = benchmark_trace(bench, warmup + measured, seed=rng.getrandbits(32))
     addresses = [
         (record.address // 128) % HIER_WORKING_SET + 1 for record in trace
     ]
-    oram.access_many(addresses[:warmup])
+    return addresses[:warmup], addresses[warmup:]
+
+
+def _window(oram, rng, measured: int, bench: str) -> float:
+    """One SPEC replay window through ``access_many``; returns accesses/s."""
+    warmup, timed = _replay_addresses(rng, measured, bench)
+    oram.access_many(warmup)
     gc.collect()
     start = time.perf_counter()
-    oram.access_many(addresses[warmup:])
+    oram.access_many(timed)
     return measured / (time.perf_counter() - start)
+
+
+def _libquantum_window(oram, rng, measured: int, _working_set: int) -> float:
+    return _window(oram, rng, measured, "libquantum")
+
+
+def _libquantum_window_loop(oram, rng, measured: int, _working_set: int) -> float:
+    """The seed side of :func:`_libquantum_window` (per-access replay)."""
+    warmup, timed = _replay_addresses(rng, measured, "libquantum")
+    for address in warmup:
+        oram.access(address)
+    gc.collect()
+    start = time.perf_counter()
+    for address in timed:
+        oram.access(address)
+    return measured / (time.perf_counter() - start)
+
+
+def test_chain_coalescing_spec_replay_vs_seed(benchmark):
+    hierarchy = _hierarchy()
+    measured = scaled(4000, minimum=800)
+
+    def _run():
+        engine = _build(1)
+        seed = SeedReferenceHierarchicalORAM(hierarchy, rng=random.Random(7))
+        for address in range(1, HIER_WORKING_SET + 1):
+            seed.access(address)
+        before_coalesced = sum(o.stats.coalesced_ops for o in engine.orams)
+        before_real = engine.stats.real_accesses
+        pair = paired_throughput(
+            engine,
+            seed,
+            WINDOWS,
+            measured,
+            HIER_WORKING_SET,
+            trace_seed=11,
+            engine_window=_libquantum_window,
+            reference_window=_libquantum_window_loop,
+        )
+        coalesced = sum(o.stats.coalesced_ops for o in engine.orams) - before_coalesced
+        accesses = engine.stats.real_accesses - before_real
+        engine_stored = sum(
+            oram.stash_occupancy + oram.storage.occupancy() for oram in engine.orams
+        )
+        assert engine_stored == seed.total_blocks_stored()
+        return pair, coalesced / accesses, hierarchy.num_orams
+
+    (engine_rate, seed_rate), coalesced_per_access, num_orams = benchmark.pedantic(
+        _run, rounds=1, iterations=1
+    )
+    speedup = engine_rate / seed_rate
+
+    record = {
+        "config": (
+            f"{num_orams}-level recursive hierarchy, data working_set="
+            f"{HIER_WORKING_SET} blocks, 16B position-map blocks, all on "
+            "the list-backed flat stack"
+        ),
+        "baseline": "seed chain replay consuming the same libquantum stream",
+        "engine_path": (
+            "access_many fused chain with position-map path-op coalescing "
+            "(plb_entries_per_level=1)"
+        ),
+        "workload": "spec-like libquantum (sequential streaming)",
+        "accesses_per_window": measured,
+        "window_pairs": WINDOWS,
+        "engine_accesses_per_sec": round(engine_rate, 1),
+        "seed_reference_accesses_per_sec": round(seed_rate, 1),
+        "position_map_ops_coalesced_per_access": round(coalesced_per_access, 2),
+        "position_map_ops_per_access_uncoalesced": num_orams - 1,
+        "speedup": round(speedup, 2),
+    }
+    record_perf(
+        "chain_coalescing",
+        record,
+        "Chain coalescing — recursive SPEC replay on the flat stack vs. "
+        "seed chain",
+    )
+
+    assert speedup >= COALESCING_FLOOR, (
+        f"coalescing chain only {speedup:.2f}x over seed chain replay"
+    )
+    assert coalesced_per_access > 0, "the replay must actually coalesce"
 
 
 def _pm_counters(oram) -> tuple[int, int, int, int]:
@@ -147,8 +245,8 @@ def test_plb_spec_replay_vs_uncoalesced_chain(benchmark):
     record = {
         "config": (
             f"{num_orams}-level recursive hierarchy, data working_set="
-            f"{HIER_WORKING_SET} blocks (column-native), 16B position-map "
-            "blocks, PLB capacities 0/1/8 entries per level"
+            f"{HIER_WORKING_SET} blocks, 16B position-map blocks, all on the "
+            "list-backed flat stack, PLB capacities 0/1/8 entries per level"
         ),
         "baseline": "the same chain with the PLB off (plb_entries_per_level=0)",
         "engine_path": "access_many fused chain with the PosMap Lookaside Buffer",
@@ -176,7 +274,7 @@ def test_plb_spec_replay_vs_uncoalesced_chain(benchmark):
         "plb",
         record,
         "PosMap Lookaside Buffer — SPEC replays at 0/1/8 entries per level "
-        "on the adaptive numpy-flat chain",
+        "on the flat chain",
     )
 
     assert speedup >= SPEEDUP_FLOOR, (

@@ -12,8 +12,6 @@ into the ``serving`` section of ``BENCH_engine.json`` behind a committed
 floor.
 """
 
-import os
-
 from conftest import median_pair, perf_floor, record_perf, scaled  # noqa: E402
 
 from repro.backends import OramSpec
@@ -80,7 +78,6 @@ def test_serving_batched_vs_unbatched(benchmark):
             f"{int(LOAD.write_fraction * 100)}% writes, seeded streams"
         ),
         "metric": "aggregate requests per second, batched vs unbatched",
-        "cpus": os.cpu_count(),
         "batched_rps": round(batched_rps, 1),
         "unbatched_rps": round(unbatched_rps, 1),
         "throughput_rps": round(batched_rps, 1),

@@ -18,12 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.backends import (
-    OramSpec,
-    build_memory_backend,
-    build_oram,
-    full_scale_spec,
-)
+from repro.backends import OramSpec, build_memory_backend, build_oram
 from repro.core.config import HierarchyConfig
 from repro.core.overhead import onchip_storage
 from repro.core.presets import base_oram, dz3pb32, dz4pb32
@@ -182,7 +177,7 @@ def run_oram_configuration(benchmark: str, configuration: Figure12Config,
     trace = benchmark_trace(benchmark, num_memory_ops + warmup, seed=seed)
     config = processor if processor is not None else table1_processor()
     backend = build_memory_backend(
-        full_scale_spec(oram_spec, configuration.hierarchy),
+        oram_spec,
         configuration.hierarchy,
         return_data_cycles=configuration.latency.return_data_cycles,
         finish_access_cycles=configuration.latency.finish_access_cycles,
@@ -221,14 +216,12 @@ def run_oram_trace_replay(benchmark: str, configuration: Figure12Config,
     ORAM-side behaviour of the workload's address stream), consumed in one
     fused :meth:`~repro.core.hierarchical.HierarchicalPathORAM.access_many`
     call.  Line addresses fold into the data ORAM's block space exactly as
-    the processor model's ORAM backend folds them.  Full-scale hierarchies
-    (past :data:`~repro.backends.FULL_SCALE_SLOTS`) are routed onto the
-    ``numpy-flat`` column stack when available.
+    the processor model's ORAM backend folds them.
     """
     trace = benchmark_trace(benchmark, num_memory_ops, seed=seed)
     hierarchy = configuration.hierarchy
     oram = build_oram(
-        full_scale_spec(oram_spec, hierarchy),
+        oram_spec,
         hierarchy,
         seed=derive_seed(seed, ("spec-replay", benchmark, configuration.name)),
     )
@@ -300,7 +293,7 @@ def run_super_block_trace_replay(benchmark: str, configuration: Figure12Config,
     mode_hierarchy = dataclass_replace(hierarchy, data_oram=data_config)
     trace = benchmark_trace(benchmark, num_memory_ops, seed=seed)
     oram = build_oram(
-        full_scale_spec(mode_spec, mode_hierarchy),
+        mode_spec,
         mode_hierarchy,
         seed=derive_seed(seed, ("spec-superblock", benchmark, mode)),
     )
@@ -445,7 +438,7 @@ def run_plb_trace_replay(benchmark: str, configuration: Figure12Config,
     )
     trace = benchmark_trace(benchmark, num_memory_ops, seed=seed)
     oram = build_oram(
-        full_scale_spec(point_spec, hierarchy),
+        point_spec,
         hierarchy,
         seed=derive_seed(seed, ("spec-plb", benchmark, configuration.name)),
     )

@@ -19,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from repro.backends import OramSpec, build_oram, full_scale_spec
+from repro.backends import OramSpec, build_oram
 from repro.core.config import ORAMConfig
 from repro.core.overhead import measured_access_overhead, theoretical_access_overhead
 from repro.core.stats import AccessStats
@@ -110,13 +110,8 @@ def measure_dummy_ratio_window(
     Both :func:`measure_dummy_ratio` (one window) and
     :func:`measure_dummy_ratio_sharded` (many windows, merged) are built
     on this.
-
-    Full-scale grid points (trees past
-    :data:`~repro.backends.FULL_SCALE_SLOTS`) are routed onto the
-    ``numpy-flat`` column stack when available — bit-identical results,
-    ndarray-sized metadata instead of millions of Block objects.
     """
-    oram = build_oram(full_scale_spec(spec, config), config, rng=random.Random(seed))
+    oram = build_oram(spec, config, rng=random.Random(seed))
     # The workload stream is its own derived RNG: the trace can then be
     # pregenerated and replayed through the fused access_many loop without
     # perturbing the ORAM's leaf-draw stream.

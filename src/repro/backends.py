@@ -104,8 +104,8 @@ class OramSpec:
         / ``"insecure"`` force a policy.  Hierarchical ORAMs run eviction at
         the hierarchy level and accept only ``"default"``.
     key_seed:
-        Seed for the processor key of the encrypted/integrity stacks (kept
-        in the spec so pool workers derive identical ciphers).
+        Non-negative seed for the processor key of the encrypted/integrity
+        stacks (kept in the spec so pool workers derive identical ciphers).
     create_on_miss / record_path_trace / livelock_limit:
         Forwarded to the protocol object.
     plb_entries_per_level:
@@ -125,14 +125,6 @@ class OramSpec:
         ``labels_per_position_block`` and shrinking the recursion depth
         (see :class:`~repro.core.config.HierarchyConfig`).  Applied to the
         hierarchy configuration at build time.
-    columnar_min_slots:
-        ``numpy-flat`` stack only: an ORAM whose tree has fewer than this
-        many block slots falls back to the list-backed
-        :class:`FlatTreeStorage`.  NumPy's per-call overhead outweighs the
-        column gathers on small trees (short paths), so a hierarchical
-        spec can run its big data ORAM column-native while its small
-        position-map ORAMs stay on the list engine.  0 (default) keeps
-        every ORAM columnar.
     dynamic_super_blocks:
         Enable runtime super-block merging on the (data) ORAM: a
         :class:`~repro.core.super_block.DynamicSuperBlockMapper` observes
@@ -169,7 +161,6 @@ class OramSpec:
     livelock_limit: int = 100_000
     plb_entries_per_level: int = 0
     compressed_position_map: bool = False
-    columnar_min_slots: int = 0
     dynamic_super_blocks: bool = False
     super_block_window: int = 512
     super_block_merge_threshold: int = 2
@@ -205,6 +196,12 @@ class OramSpec:
                 "(position-map blocks must exist); create_on_miss=False is "
                 "only meaningful for the flat protocol"
             )
+        if self.key_seed < 0:
+            # ProcessorKey seeds random.Random, which takes abs(): a
+            # negative seed would silently reuse the positive seed's key.
+            raise ConfigurationError("key_seed must be >= 0")
+        if self.livelock_limit < 1:
+            raise ConfigurationError("livelock_limit must be >= 1")
         if self.plb_entries_per_level < 0:
             raise ConfigurationError("plb_entries_per_level must be >= 0")
         if self.protocol == "flat" and self.plb_entries_per_level:
@@ -272,48 +269,25 @@ def _plain_storage(spec: OramSpec) -> StorageFactory:
     return PlainTreeStorage
 
 
-# NumPy is optional: when it is absent the ``numpy-flat`` stack is simply
+# NumPy is optional: when it is absent the ``memmap-flat`` stack is simply
 # not registered (specs naming it fail with the usual unknown-storage
 # error) and the pure-Python flat stack remains the default fast backend.
 try:
-    from repro.core.numpy_tree import NumpyFlatTreeStorage
+    import numpy  # noqa: F401
 except ImportError:  # pragma: no cover - exercised by the no-NumPy CI job
-    NumpyFlatTreeStorage = None  # type: ignore[assignment, misc]
+    pass
 else:
-
-    @register_storage("numpy-flat")
-    def _numpy_flat_storage(spec: OramSpec) -> StorageFactory:
-        minimum = spec.columnar_min_slots
-        if minimum <= 0:
-            return NumpyFlatTreeStorage
-
-        def factory(config: ORAMConfig) -> TreeStorage:
-            # Small trees (short paths) are faster on the list engine than
-            # under NumPy's per-call overhead; a hierarchical spec can
-            # therefore keep its small position-map ORAMs list-backed
-            # while the big data ORAM runs column-native.  Both stacks are
-            # bit-identical, so the cutoff only moves throughput.
-            if config.num_buckets * config.z >= minimum:
-                return NumpyFlatTreeStorage(config)
-            return FlatTreeStorage(config)
-
-        return factory
 
     @register_storage("memmap-flat")
     def _memmap_flat_storage(spec: OramSpec) -> StorageFactory:
         from repro.core.memmap_tree import MemmapTreeStorage
 
         base_dir = spec.storage_path or tempfile.mkdtemp(prefix="repro-memmap-")
-        minimum = spec.columnar_min_slots
         # Hierarchical builds call the factory once per chain level; each
         # level gets its own durable file, named by build order + geometry.
         counter = itertools.count()
 
         def factory(config: ORAMConfig) -> TreeStorage:
-            if minimum > 0 and config.num_buckets * config.z < minimum:
-                # Small position-map ORAMs stay on the volatile list
-                # stack; only trees past the cutoff earn a durable file.
-                return FlatTreeStorage(config)
             index = next(counter)
             os.makedirs(base_dir, exist_ok=True)
             name = f"oram-{index:02d}-L{config.levels}-Z{config.z}.tree"
@@ -359,59 +333,6 @@ def _integrity_storage(spec: OramSpec) -> StorageFactory:
 def storage_factory(spec: OramSpec) -> StorageFactory:
     """The storage factory for a spec's storage stack."""
     return _STORAGE_BUILDERS[spec.storage](spec)
-
-
-#: Tree size (total block slots) from which the design-space drivers switch
-#: a "flat" spec onto the ``numpy-flat`` columns: at this scale the tree's
-#: metadata as three int64 ndarrays is decisively cheaper than millions of
-#: Python Block objects, and the column-native engine keeps the paths fast.
-#: Below it the list engine's per-block costs beat NumPy's per-call
-#: overhead, so moderate grids are left exactly as specified.
-FULL_SCALE_SLOTS = 1 << 20
-
-
-def full_scale_spec(
-    spec: OramSpec, config: ORAMConfig | HierarchyConfig
-) -> OramSpec:
-    """Route a full-scale grid point onto the ``numpy-flat`` stack.
-
-    Returns ``spec`` unchanged unless all of the following hold: the spec
-    names the ``"flat"`` storage stack (an explicitly chosen stack — plain,
-    encrypted, integrity, or already numpy — is always respected), NumPy is
-    available (the stack is registered), the configuration uses
-    single-member super-block groups (the column engine declines grouped
-    ORAMs, so routing a super-block config would land it on the *generic*
-    loop — slower than the list engine it replaced), and ``config``
-    describes a tree of at least :data:`FULL_SCALE_SLOTS` block slots (for
-    a hierarchy, its largest ORAM).  The returned spec keeps ORAMs below
-    the threshold on the list-backed storage via ``columnar_min_slots``,
-    so a full-scale hierarchy runs its huge data ORAM column-native while
-    the small position-map ORAMs stay on the list engine.
-
-    Either way the simulated results are bit-identical — the differential
-    suites pin the stacks against each other — so the drivers apply this
-    freely inside pool workers.
-    """
-    if spec.storage != "flat" or "numpy-flat" not in _STORAGE_BUILDERS:
-        return spec
-    if spec.dynamic_super_blocks:
-        # The column engine declines grouped ORAMs, so routing a dynamic
-        # super-block spec onto the numpy stack would land it on the
-        # generic loop — slower than the list engine it replaced.
-        return spec
-    if isinstance(config, HierarchyConfig):
-        if config.data_oram.super_block_size != 1:
-            return spec
-        slots = max(c.num_buckets * c.z for c in config.oram_configs)
-    else:
-        if config.super_block_size != 1:
-            return spec
-        slots = config.num_buckets * config.z
-    if slots < FULL_SCALE_SLOTS:
-        return spec
-    return spec.with_updates(
-        storage="numpy-flat", columnar_min_slots=FULL_SCALE_SLOTS
-    )
 
 
 def _eviction_policy(

@@ -46,10 +46,9 @@ def _fused_op(oram: PathORAM):
     The classified list engine's :meth:`PathORAM._fused_single_access` and
     the column engine's ``fused_single_access`` are each their engine's only
     path op and share one calling convention, so the hierarchical chain
-    walk calls them directly and interchangeably — a hierarchy may even mix
-    them per level (e.g. a columnar data ORAM over list-backed position
-    maps).  Generic-engine ORAMs (wrapper storages) return ``None`` and are
-    driven through their public methods instead.
+    walk calls them directly and interchangeably, whichever engine each
+    level's storage selects.  Generic-engine ORAMs (wrapper storages)
+    return ``None`` and are driven through their public methods instead.
     """
     if oram._classified_fast:  # noqa: SLF001
         return oram._fused_single_access  # noqa: SLF001
@@ -406,7 +405,7 @@ class HierarchicalPathORAM:
             # Lookaside state: per position-map ORAM, the PLB's dict of
             # recently operated block addresses mapped to live references
             # to their label vectors (payloads ride by reference through
-            # the flat slot array and the NumPy object column alike, so
+            # the flat slot array and the memmap object column alike, so
             # retargeting a cached list retargets the read-in block
             # wherever it currently rests — tree or stash).  The dict ops
             # are inlined below; per-level hit/miss/coalesced counts are

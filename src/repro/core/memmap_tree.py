@@ -47,8 +47,8 @@ unpickling reopens the file and — when the store moved past the referenced
 generation — rolls it back through the archived undo journals.
 
 This module must only be imported when NumPy is available;
-:mod:`repro.backends` guards the import exactly like the ``numpy-flat``
-stack.
+:mod:`repro.backends` guards the import and does not register the
+``memmap-flat`` stack without it.
 """
 
 from __future__ import annotations
@@ -215,9 +215,10 @@ def column_digest(storage: NumpyFlatTreeStorage) -> str:
 
     Covers the numeric columns, the occupancy counter and the sparse
     payload contents (by ``repr``, which is deterministic for the label
-    lists and simple payloads the engine stores).  Works for the in-RAM
-    ``numpy-flat`` stack and the memmap stack alike, which is what lets
-    the crash-injection tests verify recovery against an in-memory shadow.
+    lists and simple payloads the engine stores).  Works for an in-RAM
+    :class:`NumpyFlatTreeStorage` and the memmap stack alike, which is what
+    lets the crash-injection tests verify recovery against an in-memory
+    shadow.
     """
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(storage._counts).tobytes())  # noqa: SLF001

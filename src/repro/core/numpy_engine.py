@@ -1,6 +1,6 @@
 """Column-native path execution over :class:`NumpyFlatTreeStorage`.
 
-This module is the ``numpy-flat`` stack's counterpart of the fused
+This module is the ``memmap-flat`` stack's counterpart of the fused
 classified fast path in :mod:`repro.core.path_oram`: one
 :class:`ColumnEngine` attaches to a :class:`~repro.core.path_oram.PathORAM`
 whose storage is the exact column store, and runs whole path operations —
@@ -56,7 +56,7 @@ from repro.errors import ConfigurationError
 _TABLE_LEVELS = 16
 
 #: Beyond this many cached per-leaf row grids the engine rebuilds grids on
-#: the fly instead of growing the cache (full-scale sweeps touch millions
+#: the fly instead of growing the cache (beyond-RAM trees touch millions
 #: of distinct leaves).
 _LEAF_CACHE_LIMIT = 1 << 17
 

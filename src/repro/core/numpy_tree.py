@@ -1,4 +1,4 @@
-"""NumPy slot-array tree storage (the ``numpy-flat`` stack).
+"""NumPy slot-array tree storage: the column layout under ``memmap-flat``.
 
 :class:`NumpyFlatTreeStorage` keeps the ORAM tree as *columns* instead of a
 list of Python objects: per-bucket occupancy counts plus per-slot address
@@ -25,17 +25,19 @@ to run whole path operations without materialising a single Python
   empty" inside a single fancy-indexed assignment.
 
 The Block-shell protocol still works unchanged (path reads materialise
-shells from the columns, path writes decompose them again), so the stack
-stays bit-identical to the list-backed flat storage whether the column
-engine is active or not — the differential property tests enforce it.
-The tree's bulk state is numeric and compact: a 4 GB-class tree's metadata
-fits in three ndarrays instead of millions of Python objects, which is
-what the design-space sweeps at the paper's full scale need.
+shells from the columns, path writes decompose them again), so the
+columns stay bit-identical to the list-backed flat storage whether the
+column engine is active or not — the differential property tests enforce
+it.
 
-This module must only be imported when NumPy is available;
-:mod:`repro.backends` guards the import and simply does not register the
-``numpy-flat`` stack otherwise, so the pure-Python suite keeps passing
-without NumPy installed.
+This class is not a registered stack of its own: in RAM the list-backed
+``flat`` stack is faster at every tree size measured.  It is the base of
+:class:`~repro.core.memmap_tree.MemmapTreeStorage`, which homes the same
+columns in an on-disk file, and tests build it directly as an in-RAM twin
+of that stack.  This module must only be imported when NumPy is
+available; :mod:`repro.backends` guards the import and simply does not
+register ``memmap-flat`` otherwise, so the pure-Python suite keeps
+passing without NumPy installed.
 """
 
 from __future__ import annotations
@@ -102,17 +104,6 @@ class NumpyFlatTreeStorage(TreeStorage):
         # gather/scatter them with the same fancy indices as the numeric
         # columns — but only when a real payload was ever attached.
         self._data = np.full(num_rows + 1, None, dtype=object)
-
-    # ------------------------------------------------------------------
-    # Checkpoint support
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        # The per-leaf gather-index cache is pure derived state and can be
-        # a large fraction of a snapshot (two ndarrays per touched leaf);
-        # drop it and let reads repopulate it lazily after restore.
-        state = self.__dict__.copy()
-        state["_path_rows"] = {}
-        return state
 
     # ------------------------------------------------------------------
     # Bucket interface
@@ -257,10 +248,3 @@ class NumpyFlatTreeStorage(TreeStorage):
     def occupancy(self) -> int:
         """Real blocks stored in the tree — an O(1) maintained counter."""
         return self._occupancy
-
-    # ------------------------------------------------------------------
-    # Introspection used by tests
-    # ------------------------------------------------------------------
-    def column_nbytes(self) -> int:
-        """Bytes held by the numeric columns (excludes the payload column)."""
-        return self._counts.nbytes + self._addresses.nbytes + self._leaves.nbytes

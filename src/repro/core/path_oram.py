@@ -24,7 +24,7 @@ and the hierarchy's chain walk — calls it:
   array in one pass, bucketing each block by the deepest level it may
   occupy as it is read, and slices the chosen blocks straight back into
   the slot array;
-* the column engine (``numpy-flat``):
+* the column engine (``memmap-flat``):
   :meth:`repro.core.numpy_engine.ColumnEngine.fused_single_access`;
 * the generic engine (wrapper storages, super blocks, deeper trees):
   :meth:`PathORAM._access_path` over a pending path buffer, written back

@@ -9,6 +9,7 @@ twins and compare full state fingerprints.
 
 import dataclasses
 import random
+import tempfile
 
 import pytest
 
@@ -18,11 +19,31 @@ from repro.core.hierarchical import HierarchicalPathORAM
 from repro.core.types import Operation, TraceResult
 from repro.errors import ConfigurationError
 
-#: Storage stacks every differential case runs over.  ``numpy-flat`` joins
-#: automatically when NumPy is importable (the registry omits it otherwise,
-#: which is itself asserted in test_backends).
-STACKS = [name for name in ("flat", "plain", "encrypted", "numpy-flat")
+#: Storage stacks every differential case runs over.  ``memmap-flat`` (the
+#: column engine's stack) joins automatically when NumPy is importable (the
+#: registry omits it otherwise, which is itself asserted in test_backends).
+STACKS = [name for name in ("flat", "plain", "encrypted", "memmap-flat")
           if name in storage_backends()]
+
+
+def build_stack(spec, config, seed, directory):
+    """``build_oram`` for any stack in :data:`STACKS`.
+
+    Each ``memmap-flat`` build gets a fresh subdirectory of ``directory``
+    (two builds sharing one would truncate each other's files) and relaxed
+    journal syncs, and must run on the column engine unless dynamic super
+    blocks make every engine but the generic one decline.
+    """
+    if spec.storage != "memmap-flat":
+        return build_oram(spec, config, seed=seed)
+    spec = spec.with_updates(
+        storage_path=tempfile.mkdtemp(dir=directory), memmap_sync="relaxed"
+    )
+    oram = build_oram(spec, config, seed=seed)
+    if not spec.dynamic_super_blocks:
+        orams = oram.orams if isinstance(oram, HierarchicalPathORAM) else [oram]
+        assert all(sub._column_engine is not None for sub in orams)
+    return oram
 
 
 def oram_fingerprint(oram):
@@ -71,14 +92,14 @@ def random_trace(working_set: int, length: int, seed: int) -> list[int]:
 
 class TestFlatAccessMany:
     @pytest.mark.parametrize("storage", STACKS)
-    def test_access_many_matches_looped_access(self, storage):
+    def test_access_many_matches_looped_access(self, storage, tmp_path):
         config = ORAMConfig(
             working_set_blocks=256, z=4, block_bytes=64, stash_capacity=100
         )
         spec = OramSpec(protocol="flat", storage=storage)
         trace = random_trace(256, 1200, seed=3)
-        looped = build_oram(spec, config, seed=7)
-        fused = build_oram(spec, config, seed=7)
+        looped = build_stack(spec, config, 7, tmp_path)
+        fused = build_stack(spec, config, 7, tmp_path)
         for address in trace:
             looped.access(address)
         result = fused.access_many(trace)
@@ -229,12 +250,12 @@ class TestHierarchicalAccessMany:
         )
 
     @pytest.mark.parametrize("storage", STACKS)
-    def test_access_many_matches_looped_access(self, storage):
+    def test_access_many_matches_looped_access(self, storage, tmp_path):
         hierarchy = self._hierarchy()
         spec = OramSpec(protocol="hierarchical", storage=storage)
         trace = random_trace(512, 800, seed=5)
-        looped = build_oram(spec, hierarchy, seed=7)
-        fused = build_oram(spec, hierarchy, seed=7)
+        looped = build_stack(spec, hierarchy, 7, tmp_path)
+        fused = build_stack(spec, hierarchy, 7, tmp_path)
         for address in trace:
             looped.access(address)
         result = fused.access_many(trace)
@@ -292,16 +313,19 @@ class TestColumnEngineDifferential:
     flat stack — not merely self-consistent: same tree layout (within-bucket
     order included, via ``read_bucket``), same stash contents, same RNG
     stream, same statistics.  These tests replay one trace on twin ORAMs
-    that differ only in storage stack and compare full fingerprints."""
+    that differ only in storage stack (``flat`` vs the column engine's
+    ``memmap-flat``) and compare full fingerprints."""
 
-    def _twins(self, config, seed):
+    @pytest.fixture(autouse=True)
+    def _column_directory(self, tmp_path):
         pytest.importorskip("numpy")
-        flat = build_oram(OramSpec(protocol="flat", storage="flat"), config, seed=seed)
-        columnar = build_oram(
-            OramSpec(protocol="flat", storage="numpy-flat"), config, seed=seed
-        )
-        assert columnar._column_engine is not None, "engine must attach"
-        return flat, columnar
+        self.directory = tmp_path
+
+    def _twins(self, config, seed, **spec_kwargs):
+        return [
+            build_stack(OramSpec(storage=storage, **spec_kwargs), config, seed, self.directory)
+            for storage in ("flat", "memmap-flat")
+        ]
 
     def test_reads_bit_identical_to_list_backed_stack(self):
         config = ORAMConfig(
@@ -335,19 +359,10 @@ class TestColumnEngineDifferential:
             working_set_blocks=512, utilization=0.8, z=1,
             block_bytes=64, stash_capacity=40,
         )
-        pytest.importorskip("numpy")
         trace = random_trace(512, 2000, seed=6)
-        orams = [
-            build_oram(
-                OramSpec(
-                    protocol="flat", storage=storage,
-                    eviction="background", livelock_limit=200_000,
-                ),
-                config,
-                seed=9,
-            )
-            for storage in ("flat", "numpy-flat")
-        ]
+        orams = self._twins(
+            config, seed=9, eviction="background", livelock_limit=200_000
+        )
         results = [oram.access_many(trace) for oram in orams]
         assert orams[0].stats.dummy_accesses > 0, "config must exercise eviction"
         assert results[0] == results[1]
@@ -358,16 +373,8 @@ class TestColumnEngineDifferential:
         config = ORAMConfig(
             working_set_blocks=256, z=2, block_bytes=64, stash_capacity=None
         )
-        pytest.importorskip("numpy")
         trace = random_trace(256, 1000, seed=4)
-        orams = [
-            build_oram(
-                OramSpec(protocol="flat", storage=storage, eviction="none"),
-                config,
-                seed=1,
-            )
-            for storage in ("flat", "numpy-flat")
-        ]
+        orams = self._twins(config, seed=1, eviction="none")
         for oram in orams:
             oram.stats.record_occupancy = True
             oram.access_many(trace)
@@ -378,7 +385,6 @@ class TestColumnEngineDifferential:
         assert fingerprint(orams[0]) == fingerprint(orams[1])
 
     def test_hierarchical_chain_bit_identical(self):
-        pytest.importorskip("numpy")
         data = ORAMConfig(
             working_set_blocks=512, z=3, block_bytes=64, stash_capacity=60
         )
@@ -389,10 +395,7 @@ class TestColumnEngineDifferential:
             onchip_position_map_limit_bytes=128,
         )
         trace = random_trace(512, 800, seed=5)
-        orams = [
-            build_oram(OramSpec(protocol="hierarchical", storage=storage), hierarchy, seed=7)
-            for storage in ("flat", "numpy-flat")
-        ]
+        orams = self._twins(hierarchy, seed=7, protocol="hierarchical")
         for oram in orams:
             oram.access_many(trace)
         assert fingerprint(orams[0]) == fingerprint(orams[1])
@@ -445,20 +448,21 @@ class TestChainCoalescing:
         )
 
     @pytest.mark.parametrize("storage", STACKS)
-    def test_coalescing_reduces_ops_with_unchanged_results(self, storage):
+    def test_coalescing_reduces_ops_with_unchanged_results(self, storage, tmp_path):
         hierarchy = self._hierarchy()
         trace = _local_trace(512, 2500, seed=4)
         payload = {address: bytes([address % 256]) for address in set(trace)}
-        plain = build_oram(
-            OramSpec(protocol="hierarchical", storage=storage), hierarchy, seed=6
+        plain = build_stack(
+            OramSpec(protocol="hierarchical", storage=storage), hierarchy, 6, tmp_path
         )
-        coalescing = build_oram(
+        coalescing = build_stack(
             OramSpec(
                 protocol="hierarchical", storage=storage,
                 plb_entries_per_level=1,
             ),
             hierarchy,
-            seed=6,
+            6,
+            tmp_path,
         )
         if storage in ("plain", "encrypted"):
             # Stacks without a fused chain op (the reference list-of-lists

@@ -176,153 +176,63 @@ class TestRegistration:
 
 
 class TestNumpyFlatStack:
-    """The optional NumPy slot-array storage stack (``numpy-flat``)."""
+    """The NumPy column layout (:class:`NumpyFlatTreeStorage`), registered
+    only as the durable ``memmap-flat`` stack."""
+
+    def _spec(self, tmp_path, **kwargs) -> OramSpec:
+        pytest.importorskip("numpy")
+        return OramSpec(
+            storage="memmap-flat",
+            storage_path=str(tmp_path),
+            memmap_sync="relaxed",
+            **kwargs,
+        )
 
     def test_registration_tracks_numpy_availability(self):
         try:
             import numpy  # noqa: F401
         except ImportError:
-            assert "numpy-flat" not in storage_backends()
+            assert "memmap-flat" not in storage_backends()
             with pytest.raises(ConfigurationError):
-                OramSpec(storage="numpy-flat")
+                OramSpec(storage="memmap-flat")
         else:
-            assert "numpy-flat" in storage_backends()
+            assert "memmap-flat" in storage_backends()
 
-    def test_builds_column_storage(self):
-        pytest.importorskip("numpy")
+    def test_builds_column_storage(self, tmp_path):
+        spec = self._spec(tmp_path)
         from repro.core.numpy_tree import NumpyFlatTreeStorage
 
-        oram = build_oram(OramSpec(storage="numpy-flat"), _config(), seed=3)
+        oram = build_oram(spec, _config(), seed=3)
         assert isinstance(oram.storage, NumpyFlatTreeStorage)
+        assert oram._column_engine is not None
         oram.write(5, b"x")
         assert oram.read(5).data == b"x"
         assert oram.storage.occupancy() == oram.total_blocks_stored() - oram.stash_occupancy
-        assert oram.storage.column_nbytes() > 0
 
-    def test_round_trips_payloads_through_columns(self):
-        pytest.importorskip("numpy")
+    def test_round_trips_payloads_through_columns(self, tmp_path):
         config = _config()
-        oram = build_oram(OramSpec(storage="numpy-flat"), config, seed=5)
+        oram = build_oram(self._spec(tmp_path), config, seed=5)
+        assert oram._column_engine is not None
         payloads = {address: bytes([address]) * 4 for address in range(1, 33)}
         for address, payload in payloads.items():
             oram.write(address, payload)
         for address, payload in payloads.items():
             assert oram.read(address).data == payload
 
-    def test_spec_with_numpy_flat_travels_through_pickle(self):
-        pytest.importorskip("numpy")
-        spec = OramSpec(storage="numpy-flat")
+    def test_spec_with_numpy_flat_travels_through_pickle(self, tmp_path):
+        spec = self._spec(tmp_path)
         assert pickle.loads(pickle.dumps(spec)) == spec
 
-    def test_columnar_min_slots_routes_small_trees_to_list_storage(self):
-        pytest.importorskip("numpy")
-        from repro.core.numpy_tree import NumpyFlatTreeStorage
-
-        spec = OramSpec(storage="numpy-flat", columnar_min_slots=1 << 20)
-        small = build_oram(spec, _config(), seed=3)
-        assert isinstance(small.storage, FlatTreeStorage)
-        # The default keeps every ORAM columnar.
-        default = build_oram(OramSpec(storage="numpy-flat"), _config(), seed=3)
-        assert isinstance(default.storage, NumpyFlatTreeStorage)
-
-    def test_adaptive_hierarchy_mixes_stacks_by_size(self):
-        pytest.importorskip("numpy")
-        from repro.core.numpy_tree import NumpyFlatTreeStorage
-
-        hierarchy = _hierarchy()
-        data_slots = hierarchy.data_oram.num_buckets * hierarchy.data_oram.z
-        spec = OramSpec(
-            protocol="hierarchical",
-            storage="numpy-flat",
-            columnar_min_slots=data_slots,
-        )
-        oram = build_oram(spec, hierarchy, seed=5)
-        assert isinstance(oram.data_oram.storage, NumpyFlatTreeStorage)
-        assert all(
-            isinstance(sub.storage, FlatTreeStorage) for sub in oram.orams[1:]
-        )
-        # The mixed chain still answers correctly.
-        oram.write(3, b"x")
-        assert oram.read(3).data == b"x"
-
-    def test_column_engine_attaches_only_to_exact_columnar_storage(self):
-        pytest.importorskip("numpy")
-        oram = build_oram(OramSpec(storage="numpy-flat"), _config(), seed=3)
+    def test_column_engine_attaches_only_to_exact_columnar_storage(self, tmp_path):
+        oram = build_oram(self._spec(tmp_path / "a"), _config(), seed=3)
         assert oram._column_engine is not None
         listed = build_oram(OramSpec(storage="flat"), _config(), seed=3)
         assert listed._column_engine is None
         grouped = build_oram(
-            OramSpec(storage="numpy-flat"),
+            self._spec(tmp_path / "b"),
             _config(super_block_size=2),
             seed=3,
         )
         assert grouped._column_engine is None
 
 
-class TestFullScaleRouting:
-    """full_scale_spec: huge grids move onto the column stack."""
-
-    def test_small_configs_are_untouched(self):
-        from repro.backends import full_scale_spec
-
-        spec = OramSpec(storage="flat")
-        assert full_scale_spec(spec, _config()) is spec
-
-    def test_non_flat_stacks_are_respected(self):
-        from repro.backends import FULL_SCALE_SLOTS, full_scale_spec
-
-        big = ORAMConfig(
-            working_set_blocks=FULL_SCALE_SLOTS, z=4, block_bytes=32,
-            stash_capacity=200,
-        )
-        spec = OramSpec(storage="plain")
-        assert full_scale_spec(spec, big) is spec
-
-    def test_super_block_configs_stay_on_the_list_engine(self):
-        # The column engine declines grouped ORAMs, so routing a
-        # super-block config to numpy-flat would land it on the slow
-        # generic loop; full_scale_spec must leave it alone.
-        from repro.backends import FULL_SCALE_SLOTS, full_scale_spec
-
-        big = ORAMConfig(
-            working_set_blocks=FULL_SCALE_SLOTS, z=4, block_bytes=32,
-            stash_capacity=200, super_block_size=2,
-        )
-        spec = OramSpec(storage="flat")
-        assert full_scale_spec(spec, big) is spec
-        hierarchy = HierarchyConfig(
-            data_oram=big,
-            position_map_block_bytes=8,
-            onchip_position_map_limit_bytes=512,
-        )
-        hier_spec = OramSpec(protocol="hierarchical", storage="flat")
-        assert full_scale_spec(hier_spec, hierarchy) is hier_spec
-
-    def test_full_scale_flat_config_routes_to_columns(self):
-        pytest.importorskip("numpy")
-        from repro.backends import FULL_SCALE_SLOTS, full_scale_spec
-
-        big = ORAMConfig(
-            working_set_blocks=FULL_SCALE_SLOTS, z=4, block_bytes=32,
-            stash_capacity=200,
-        )
-        routed = full_scale_spec(OramSpec(storage="flat"), big)
-        assert routed.storage == "numpy-flat"
-        assert routed.columnar_min_slots == FULL_SCALE_SLOTS
-
-    def test_full_scale_hierarchy_keys_on_largest_oram(self):
-        pytest.importorskip("numpy")
-        from repro.backends import FULL_SCALE_SLOTS, full_scale_spec
-
-        hierarchy = HierarchyConfig(
-            data_oram=ORAMConfig(
-                working_set_blocks=FULL_SCALE_SLOTS, z=4, block_bytes=128,
-                stash_capacity=200,
-            ),
-            position_map_block_bytes=8,
-            onchip_position_map_limit_bytes=512,
-        )
-        routed = full_scale_spec(
-            OramSpec(protocol="hierarchical", storage="flat"), hierarchy
-        )
-        assert routed.storage == "numpy-flat"

@@ -89,16 +89,23 @@ class TestSnapshotRoundtrip:
         assert resumed._mapper.fingerprint() == straight._mapper.fingerprint()
         assert _flat_fingerprint(resumed) == _flat_fingerprint(straight)
 
-    def test_numpy_stack_resume_is_bit_exact(self):
+    def test_numpy_stack_resume_is_bit_exact(self, tmp_path):
         pytest.importorskip("numpy")
-        kwargs = {"storage": "numpy-flat"}
-        straight = build_oram(
-            OramSpec(protocol="flat", **kwargs), ORAMConfig(working_set_blocks=48), seed=11
-        )
+
+        def build(directory):
+            spec = OramSpec(
+                protocol="flat",
+                storage="memmap-flat",
+                storage_path=os.fspath(directory),
+                memmap_sync="relaxed",
+            )
+            oram = build_oram(spec, ORAMConfig(working_set_blocks=48), seed=11)
+            assert oram._column_engine is not None
+            return oram
+
+        straight = build(tmp_path / "straight")
         log_a = _drive(straight, 0, 300)
-        first = build_oram(
-            OramSpec(protocol="flat", **kwargs), ORAMConfig(working_set_blocks=48), seed=11
-        )
+        first = build(tmp_path / "first")
         _drive(first, 0, 150)
         resumed = PathORAM.restore(first.snapshot())
         # The column engine is derived state: rebuilt, not serialised.

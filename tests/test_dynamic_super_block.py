@@ -8,7 +8,7 @@ future work (Section 3.2).  These tests pin
 * the protocol invariants with merging active — exactly one path read and
   one path write per logical access, no duplicated or lost blocks through
   merge/split churn, every written payload readable,
-* differential equality across the Plain/Flat/Encrypted/numpy-flat
+* differential equality across the Plain/Flat/Encrypted/memmap-flat
   storage stacks on both protocols,
 * serial == multiprocessing bit-reproducibility through the experiment
   runner (the sweep and SPEC-replay axes), and
@@ -21,7 +21,7 @@ import random
 
 import pytest
 
-from repro.backends import OramSpec, build_oram, full_scale_spec, storage_backends
+from repro.backends import OramSpec, build_oram, storage_backends
 from repro.core.config import HierarchyConfig, ORAMConfig
 from repro.core.interface import ORAMMemoryInterface
 from repro.core.path_oram import PathORAM
@@ -31,10 +31,11 @@ from repro.core.super_block import (
     SuperBlockMapper,
 )
 from repro.errors import ConfigurationError
+from tests.test_access_many import build_stack
 
 STACKS = [
     name
-    for name in ("flat", "plain", "encrypted", "numpy-flat")
+    for name in ("flat", "plain", "encrypted", "memmap-flat")
     if name in storage_backends()
 ]
 
@@ -350,7 +351,7 @@ class TestDynamicProtocol:
 # Differential pinning across storage stacks
 # ----------------------------------------------------------------------
 class TestDynamicDifferential:
-    def replay(self, storage, protocol="flat", seed=41):
+    def replay(self, storage, directory, protocol="flat", seed=41):
         knobs = dict(DYNAMIC_KNOBS)
         spec = OramSpec(
             protocol=protocol,
@@ -374,7 +375,7 @@ class TestDynamicDifferential:
                 onchip_position_map_limit_bytes=64,
             )
             working_set = 256
-        oram = build_oram(spec, config, seed=seed)
+        oram = build_stack(spec, config, seed, directory)
         trace = locality_trace(rng, working_set, 500)
         for index, address in enumerate(trace):
             if index % 4 == 0:
@@ -390,10 +391,10 @@ class TestDynamicDifferential:
         )
 
     @pytest.mark.parametrize("protocol", ["flat", "hierarchical"])
-    def test_stacks_bit_identical(self, protocol):
-        reference = self.replay("flat", protocol=protocol)
+    def test_stacks_bit_identical(self, protocol, tmp_path):
+        reference = self.replay("flat", tmp_path, protocol=protocol)
         for storage in STACKS:
-            assert self.replay(storage, protocol=protocol) == reference, storage
+            assert self.replay(storage, tmp_path, protocol=protocol) == reference, storage
 
 
 # ----------------------------------------------------------------------
@@ -541,7 +542,7 @@ class TestDynamicExclusiveInterface:
 
 
 # ----------------------------------------------------------------------
-# Spec validation and full-scale routing
+# Spec validation
 # ----------------------------------------------------------------------
 class TestDynamicSpecValidation:
     def test_insecure_eviction_rejected(self):
@@ -565,11 +566,6 @@ class TestDynamicSpecValidation:
         )
         with pytest.raises(ConfigurationError):
             build_oram(spec, config, seed=1)
-
-    def test_full_scale_routing_declines_dynamic(self):
-        spec = OramSpec(**DYNAMIC_KNOBS)
-        config = ORAMConfig(working_set_blocks=1 << 21, utilization=0.5, z=4, stash_capacity=None)
-        assert full_scale_spec(spec, config) is spec
 
 
 # ----------------------------------------------------------------------

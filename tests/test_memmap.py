@@ -24,15 +24,18 @@ from repro.backends import (  # noqa: E402
     restore_oram,
     storage_backends,
 )
-from repro.core.config import ORAMConfig  # noqa: E402
+from repro.core.config import HierarchyConfig, ORAMConfig  # noqa: E402
 from repro.core.memmap_tree import (  # noqa: E402
     CRASH_POINTS,
     MemmapTreeStorage,
     column_digest,
 )
+from repro.core.numpy_tree import NumpyFlatTreeStorage  # noqa: E402
+from repro.core.path_oram import PathORAM  # noqa: E402
 from repro.core.types import Operation  # noqa: E402
 from repro.errors import ConfigurationError, DurabilityError  # noqa: E402
 from repro.faults import CrashInjector, SimulatedCrash  # noqa: E402
+from tests.test_access_many import fingerprint  # noqa: E402
 
 CONFIG = ORAMConfig(working_set_blocks=48)
 
@@ -86,12 +89,6 @@ def test_build_attaches_column_engine(tmp_path):
     oram.storage.abandon()
 
 
-def test_columnar_min_slots_fallback(tmp_path):
-    spec = _spec(tmp_path, columnar_min_slots=1 << 20)
-    oram = build_oram(spec, CONFIG, seed=3)
-    assert not isinstance(oram.storage, MemmapTreeStorage)
-
-
 def test_sync_mode_validation(tmp_path):
     with pytest.raises(ConfigurationError):
         MemmapTreeStorage(CONFIG, tmp_path / "t.tree", sync="lazy")
@@ -102,15 +99,19 @@ def test_sync_mode_validation(tmp_path):
 # ----------------------------------------------------------------------
 # Differential equivalence with the volatile stacks
 # ----------------------------------------------------------------------
+def _numpy_twin(config, seed):
+    """The flat-spec ORAM over an in-RAM column twin of the memmap stack."""
+    return PathORAM(config, storage=NumpyFlatTreeStorage(config), rng=random.Random(seed))
+
+
 @pytest.mark.parametrize("protocol", ["flat", "hierarchical"])
 def test_memmap_bit_identical_to_numpy_flat(tmp_path, protocol):
-    from repro.core.config import HierarchyConfig
-
     if protocol == "flat":
-        config = CONFIG
-        mm_spec = _spec(tmp_path)
-        np_spec = OramSpec(protocol="flat", storage="numpy-flat")
+        # Against the in-RAM column twin: the columns themselves match.
+        mm = build_oram(_spec(tmp_path), CONFIG, seed=5)
+        ref = _numpy_twin(CONFIG, seed=5)
     else:
+        # Against the list-backed stack: the full state fingerprints match.
         config = HierarchyConfig(
             data_oram=ORAMConfig(working_set_blocks=48, stash_capacity=150),
             position_map_block_bytes=8,
@@ -121,14 +122,17 @@ def test_memmap_bit_identical_to_numpy_flat(tmp_path, protocol):
             storage="memmap-flat",
             storage_path=os.fspath(tmp_path),
         )
-        np_spec = OramSpec(protocol="hierarchical", storage="numpy-flat")
-    mm = build_oram(mm_spec, config, seed=5)
-    ref = build_oram(np_spec, config, seed=5)
+        mm = build_oram(mm_spec, config, seed=5)
+        ref = build_oram(OramSpec(protocol="hierarchical"), config, seed=5)
+        assert all(sub._column_engine is not None for sub in mm.orams)
     _drive(mm, 0, 150)
     _drive(ref, 0, 150)
     assert mm.stats.fingerprint() == ref.stats.fingerprint()
     if protocol == "flat":
+        assert mm._column_engine is not None
         assert column_digest(mm.storage) == column_digest(ref.storage)
+    else:
+        assert fingerprint(mm) == fingerprint(ref)
 
 
 # ----------------------------------------------------------------------
@@ -263,7 +267,7 @@ def test_reopened_store_resumes_bit_identically(tmp_path):
 def test_snapshot_is_constant_size(tmp_path):
     config = ORAMConfig(working_set_blocks=2048)
     mm = build_oram(_spec(tmp_path), config, seed=11)
-    ref = build_oram(OramSpec(protocol="flat", storage="numpy-flat"), config, seed=11)
+    ref = _numpy_twin(config, seed=11)
     for oram in (mm, ref):
         for i in range(60):  # payload-free so the reference is pure columns
             oram.access(1 + (i * 7) % 2048, Operation.READ)

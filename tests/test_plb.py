@@ -28,17 +28,17 @@ from repro.core.config import HierarchyConfig, ORAMConfig
 from repro.core.plb import PosMapLookaside
 from repro.core.types import Operation
 from repro.errors import ConfigurationError
-from tests.test_access_many import fingerprint, oram_fingerprint, random_trace
+from tests.test_access_many import build_stack, fingerprint, oram_fingerprint, random_trace
 
 STACKS = [
     name
-    for name in ("flat", "plain", "encrypted", "numpy-flat")
+    for name in ("flat", "plain", "encrypted", "memmap-flat")
     if name in storage_backends()
 ]
 
 #: Stacks with a fused chain op (live label-list references) — the only
 #: ones the PLB engages on; the generic stacks stay inert.
-FUSED_STACKS = [name for name in STACKS if name in ("flat", "numpy-flat")]
+FUSED_STACKS = [name for name in STACKS if name in ("flat", "memmap-flat")]
 
 DYNAMIC_KNOBS = dict(
     dynamic_super_blocks=True,
@@ -156,20 +156,21 @@ class TestSpecValidation:
 
 class TestPlbDifferential:
     @pytest.mark.parametrize("storage", STACKS)
-    def test_plb_reduces_ops_with_unchanged_results(self, storage):
+    def test_plb_reduces_ops_with_unchanged_results(self, storage, tmp_path):
         hierarchy = _hierarchy()
         trace = _local_trace(512, 2500, seed=4)
         payload = {address: bytes([address % 256]) for address in set(trace)}
-        plain = build_oram(
-            OramSpec(protocol="hierarchical", storage=storage), hierarchy, seed=6
+        plain = build_stack(
+            OramSpec(protocol="hierarchical", storage=storage), hierarchy, 6, tmp_path
         )
-        cached = build_oram(
+        cached = build_stack(
             OramSpec(
                 protocol="hierarchical", storage=storage,
                 plb_entries_per_level=8,
             ),
             hierarchy,
-            seed=6,
+            6,
+            tmp_path,
         )
         if storage in ("plain", "encrypted"):
             # No fused chain op, no live label references: the PLB stays
@@ -215,7 +216,7 @@ class TestPlbDifferential:
             assert cached.read(address).data == plain.read(address).data
 
     @pytest.mark.parametrize("storage", FUSED_STACKS)
-    def test_rng_stream_untouched_by_hit_path(self, storage):
+    def test_rng_stream_untouched_by_hit_path(self, storage, tmp_path):
         # Fresh leaves are drawn upfront at every level on hit and miss
         # alike, so the RNG stream is capacity-independent.  Unbounded
         # stashes: no pressure-driven draws that could depend on op counts.
@@ -223,8 +224,8 @@ class TestPlbDifferential:
         trace = _local_trace(512, 1500, seed=8)
         spec = OramSpec(protocol="hierarchical", storage=storage)
         orams = [
-            build_oram(
-                spec.with_updates(plb_entries_per_level=capacity), hierarchy, seed=9
+            build_stack(
+                spec.with_updates(plb_entries_per_level=capacity), hierarchy, 9, tmp_path
             )
             for capacity in (0, 1, 4, 8)
         ]
@@ -245,7 +246,7 @@ class TestPlbDifferential:
         assert hit_counts[-1] > 0
 
     @pytest.mark.parametrize("storage", FUSED_STACKS)
-    def test_looped_access_matches_access_many(self, storage):
+    def test_looped_access_matches_access_many(self, storage, tmp_path):
         # With the PLB on, the per-access chain walk and the fused batch
         # walk share one cache and stay bit-identical.
         hierarchy = _hierarchy()
@@ -253,8 +254,8 @@ class TestPlbDifferential:
             protocol="hierarchical", storage=storage, plb_entries_per_level=8
         )
         trace = _local_trace(512, 900, seed=5)
-        looped = build_oram(spec, hierarchy, seed=7)
-        fused = build_oram(spec, hierarchy, seed=7)
+        looped = build_stack(spec, hierarchy, 7, tmp_path)
+        fused = build_stack(spec, hierarchy, 7, tmp_path)
         for address in trace:
             looped.access(address)
         fused.access_many(trace)

@@ -37,6 +37,26 @@ class TestRegistryLookups:
         with pytest.raises(ConfigurationError, match="unknown eviction policy"):
             OramSpec(eviction="random")
 
+    def test_retired_numpy_flat_stack(self):
+        # The in-RAM column stack is gone whether or not NumPy is installed;
+        # its columns live on only under memmap-flat.
+        assert "numpy-flat" not in storage_backends()
+        with pytest.raises(ConfigurationError, match="unknown storage stack"):
+            OramSpec(storage="numpy-flat")
+
+
+class TestScalarKnobs:
+    def test_negative_key_seed(self):
+        # A negative seed would derive the same processor key as its
+        # absolute value (random.Random seeds with abs()).
+        with pytest.raises(ConfigurationError, match="key_seed"):
+            OramSpec(storage="encrypted", key_seed=-7)
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_livelock_limit_floor(self, limit):
+        with pytest.raises(ConfigurationError, match="livelock_limit"):
+            OramSpec(eviction="background", livelock_limit=limit)
+
 
 class TestProtocolConflicts:
     def test_hierarchical_rejects_nondefault_eviction(self):
