@@ -175,6 +175,9 @@ class SeedReferenceORAM(PathORAM):
     def access_position_block(self, *args, **kwargs):
         self._unsupported("access_position_block")
 
+    def access_many(self, *args, **kwargs):
+        self._unsupported("access_many")
+
     def access(self, address, op=Operation.READ, data=None):
         # The seed's accessORAM: position-map traffic through the method
         # interface, a randrange leaf draw, and the eviction policy
@@ -185,11 +188,26 @@ class SeedReferenceORAM(PathORAM):
         old_leaf = position_map.lookup(group)
         new_leaf = self._rng.randrange(position_map.num_leaves)
         position_map.assign(group, new_leaf)
-        result = self._access_path(address, group, old_leaf, new_leaf, op, data)
+        result = self._seed_access_path(address, group, old_leaf, new_leaf, op, data)
         self._stats.record_real_access()
         self._stats.sample_stash_occupancy(self._stash.occupancy)
         result.dummy_accesses = self.eviction_policy.after_access(self)
         self._check_stash_bound()
+        return result
+
+    def access_path(self, address, current_leaf, new_leaf, op=Operation.READ,
+                    data=None, mutate=None):
+        # The seed's externally-leafed accessPath, with the read-modify-write
+        # ``mutate`` hook its recursive chain drives.
+        self._check_address(address)
+        group = self._mapper.group_of(address)
+        self._position_map.assign(group, new_leaf)
+        result = self._seed_access_path(
+            address, group, current_leaf, new_leaf, op, data, mutate
+        )
+        self._stats.record_real_access()
+        self._stats.sample_stash_occupancy(self._stash.occupancy)
+        result.dummy_accesses = 0
         return result
 
     def dummy_access(self):
@@ -199,7 +217,8 @@ class SeedReferenceORAM(PathORAM):
         self._stats.record_dummy_access()
         self._stats.sample_stash_occupancy(self._stash.occupancy)
 
-    def _access_path(self, address, group, current_leaf, new_leaf, op, data, mutate=None):
+    def _seed_access_path(self, address, group, current_leaf, new_leaf, op, data,
+                          mutate=None):
         # The seed's accessPath: no single-member fast path — the whole
         # group is retargeted through addresses_in_group every time.
         self._read_path_into_stash(current_leaf)

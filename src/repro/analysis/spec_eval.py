@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from repro.analysis.sweep import PlbCounters, plb_chain_counters
 from repro.backends import OramSpec, build_memory_backend, build_oram
 from repro.core.config import HierarchyConfig
 from repro.core.overhead import onchip_storage
@@ -375,7 +376,7 @@ def figure12_super_block_axis(benchmarks: list[str], num_memory_ops: int = 5_000
 
 
 @dataclass(frozen=True)
-class PlbReplayResult:
+class PlbReplayResult(PlbCounters):
     """One (benchmark, PLB capacity) ORAM-level SPEC replay."""
 
     benchmark: str
@@ -388,29 +389,6 @@ class PlbReplayResult:
     plb_hits: int
     plb_misses: int
     coalesced_ops: int
-
-    @property
-    def hit_rate(self) -> float:
-        """PLB hits per lookup (0 when the buffer is off)."""
-        lookups = self.plb_hits + self.plb_misses
-        if not lookups:
-            return 0.0
-        return self.plb_hits / lookups
-
-    @property
-    def pm_ops_per_access(self) -> float:
-        """Physical position-map path ops per logical access."""
-        if not self.accesses:
-            return 0.0
-        return self.pm_ops / self.accesses
-
-    @property
-    def pm_ops_saved_per_access(self) -> float:
-        """Position-map path ops the PLB skipped, per logical access
-        (out of ``num_orams - 1`` chain levels)."""
-        if not self.accesses:
-            return 0.0
-        return self.coalesced_ops / self.accesses
 
 
 def run_plb_trace_replay(benchmark: str, configuration: Figure12Config,
@@ -447,18 +425,13 @@ def run_plb_trace_replay(benchmark: str, configuration: Figure12Config,
         (record.address // line_bytes) % working_set + 1 for record in trace
     ]
     result = oram.access_many(addresses)
-    pm_stats = [pm.stats for pm in oram.orams[1:]]
     return PlbReplayResult(
         benchmark=benchmark,
         entries_per_level=entries_per_level,
         compressed=compressed,
-        num_orams=oram.num_orams,
         accesses=result.accesses,
         found=result.found,
-        pm_ops=sum(stats.real_accesses for stats in pm_stats),
-        plb_hits=sum(stats.plb_hits for stats in pm_stats),
-        plb_misses=sum(stats.plb_misses for stats in pm_stats),
-        coalesced_ops=sum(stats.coalesced_ops for stats in pm_stats),
+        **plb_chain_counters(oram),
     )
 
 

@@ -472,19 +472,22 @@ PLB_CAPACITIES = (0, 1, 2, 4, 8, 16)
 PLB_SPEC = OramSpec(protocol="hierarchical", storage="flat")
 
 
-@dataclass(frozen=True)
-class PlbPoint:
-    """One (trace kind, PLB capacity) point of the lookaside sweep."""
+def plb_chain_counters(oram) -> dict[str, int]:
+    """A hierarchy's chain length and its position-map ORAMs' summed
+    op and PLB counters (the fields :class:`PlbCounters` reads)."""
+    pm_stats = [pm.stats for pm in oram.orams[1:]]
+    return {
+        "num_orams": oram.num_orams,
+        "pm_ops": sum(stats.real_accesses for stats in pm_stats),
+        "plb_hits": sum(stats.plb_hits for stats in pm_stats),
+        "plb_misses": sum(stats.plb_misses for stats in pm_stats),
+        "coalesced_ops": sum(stats.coalesced_ops for stats in pm_stats),
+    }
 
-    trace_kind: str
-    entries_per_level: int
-    compressed: bool
-    num_orams: int
-    accesses: int
-    pm_ops: int
-    plb_hits: int
-    plb_misses: int
-    coalesced_ops: int
+
+class PlbCounters:
+    """Derived PLB rates for a record with ``accesses`` and the
+    :func:`plb_chain_counters` fields."""
 
     @property
     def hit_rate(self) -> float:
@@ -508,6 +511,21 @@ class PlbPoint:
         if not self.accesses:
             return 0.0
         return self.coalesced_ops / self.accesses
+
+
+@dataclass(frozen=True)
+class PlbPoint(PlbCounters):
+    """One (trace kind, PLB capacity) point of the lookaside sweep."""
+
+    trace_kind: str
+    entries_per_level: int
+    compressed: bool
+    num_orams: int
+    accesses: int
+    pm_ops: int
+    plb_hits: int
+    plb_misses: int
+    coalesced_ops: int
 
 
 def measure_plb_point(
@@ -548,17 +566,12 @@ def measure_plb_point(
         (record.address // access_bytes) % working_set + 1 for record in trace
     ]
     oram.access_many(addresses)
-    pm_stats = [pm.stats for pm in oram.orams[1:]]
     return PlbPoint(
         trace_kind=trace_kind,
         entries_per_level=entries_per_level,
         compressed=compressed,
-        num_orams=oram.num_orams,
         accesses=oram.stats.real_accesses,
-        pm_ops=sum(stats.real_accesses for stats in pm_stats),
-        plb_hits=sum(stats.plb_hits for stats in pm_stats),
-        plb_misses=sum(stats.plb_misses for stats in pm_stats),
-        coalesced_ops=sum(stats.coalesced_ops for stats in pm_stats),
+        **plb_chain_counters(oram),
     )
 
 

@@ -7,13 +7,16 @@ chain outermost-first: each position-map lookup yields the leaf to read in
 the next (larger) ORAM and simultaneously installs the fresh leaf that ORAM
 is being remapped to.
 
-The chain walk is the hierarchy's fast path: every round draws the whole
-stack of fresh leaves into one reused buffer (a single ``getrandbits`` per
-ORAM), resolves the per-level ``(block, slot)`` coordinates from a memoised
-chain table, and drives each position-map ORAM through
-:meth:`PathORAM.access_position_block` — the closure-free combined
-lookup/install — so a recursive access costs H path operations and nothing
-else.
+One chain walk serves :meth:`HierarchicalPathORAM.access`,
+:meth:`~HierarchicalPathORAM.extract` and
+:meth:`~HierarchicalPathORAM.access_many`: it draws the whole stack of
+fresh leaves into one reused buffer (a single ``getrandbits`` per ORAM),
+resolves the per-level ``(block, slot)`` coordinates from a memoised chain
+table, serves the deepest level it can from the PosMap Lookaside Buffer,
+drives each remaining position-map ORAM inwards through
+:meth:`PathORAM.access_position_block` and ends with the data ORAM's
+:meth:`PathORAM.access_path` — so a recursive access costs at most H path
+operations and nothing else.  Every ORAM runs its own engine's path op.
 
 Background eviction follows Section 3.1.1: whenever *any* stash in the
 hierarchy exceeds its threshold, a dummy access is issued to *every* ORAM in
@@ -38,24 +41,6 @@ from repro.core.types import AccessResult, Operation, TraceResult
 from repro.errors import ConfigurationError, ReproError, StashOverflowError
 
 StorageFactory = Callable[[ORAMConfig], TreeStorage]
-
-
-def _fused_op(oram: PathORAM):
-    """The ORAM's one path op, or ``None`` on the generic engine.
-
-    The classified list engine's :meth:`PathORAM._fused_single_access` and
-    the column engine's ``fused_single_access`` are each their engine's only
-    path op and share one calling convention, so the hierarchical chain
-    walk calls them directly and interchangeably, whichever engine each
-    level's storage selects.  Generic-engine ORAMs (wrapper storages)
-    return ``None`` and are driven through their public methods instead.
-    """
-    if oram._classified_fast:  # noqa: SLF001
-        return oram._fused_single_access  # noqa: SLF001
-    engine = oram._column_engine  # noqa: SLF001
-    if engine is not None:
-        return engine.fused_single_access
-    return None
 
 
 class HierarchicalPathORAM:
@@ -86,8 +71,9 @@ class HierarchicalPathORAM:
         (the default) disables the buffer; capacity 1 is the degenerate
         single-op memo that coalesces consecutive accesses through the
         same position-map block.  The buffer engages only when every
-        position-map ORAM runs a fused (in-place label mutation) path op
-        — on generic list/encrypted stacks it stays inert.  Hits count
+        position-map ORAM runs the classified or column path op, which
+        mutate label lists in place — on the generic ``plain`` and
+        ``encrypted`` stacks it stays inert.  Hits count
         ``stats.plb_hits`` (on the ORAM that served the hit) and
         ``stats.coalesced_ops`` (on every skipped level); physical ops
         behind a lookup count ``stats.plb_misses``.
@@ -145,33 +131,31 @@ class HierarchicalPathORAM:
         self._livelock_limit = livelock_limit
         # Hot-path caches for the chain walk and the eviction rounds:
         # * one reused buffer of fresh leaves, filled by a single
-        #   getrandbits draw per ORAM (leaf counts are powers of two);
-        # * the (block, slot) chain per data-ORAM group, memoised — the
-        #   divmod ladder is pure arithmetic on the group id;
+        #   getrandbits draw per ORAM (leaf counts are powers of two, and
+        #   getrandbits(0) is 0 without consuming the stream);
+        # * the (block, slot) chain per data address, memoised — the
+        #   divmod ladder is pure arithmetic on the address's group id;
         # * the on-chip position map's entry list, so the outermost
         #   lookup/install is one list index;
         # * dummy rounds walk the ORAMs smallest-first (the reverse of
-        #   construction order) and re-check only stashes with a threshold.
+        #   construction order) and re-check only stashes with a threshold,
+        #   reading each stash's size straight off its dict.
         self._leaf_bits = [(config.num_leaves - 1).bit_length() for config in self._configs]
         self._new_leaves = [0] * len(self._configs)
         self._getrandbits = self._rng.getrandbits
-        # Chain memoisation is worth one dict entry per accessed group only
-        # while the map stays small (like path_oram's _deepest_table, which
-        # is disabled for big trees); past the cutoff the divmod ladder is
-        # recomputed per access.
-        data_groups = self._orams[0].super_block_mapper.num_groups(
-            self._configs[0].working_set_blocks
-        )
+        # Chain memoisation is worth one dict entry per accessed address
+        # only while the map stays small (like path_oram's _deepest_table,
+        # which is disabled for big trees); past the cutoff the divmod
+        # ladder is recomputed per access.
         self._chain_cache: dict[int, tuple[tuple[int, int], ...]] | None = (
-            {} if data_groups <= 1 << 16 else None
+            {} if self._configs[0].working_set_blocks <= 1 << 16 else None
         )
         self._data_group_of = self._orams[0].super_block_mapper.group_of
         self._onchip_leaves = self._onchip_position_map.leaves
-        self._pending_data_leaf = 0
         # PosMap Lookaside Buffer.  It only engages when every
-        # position-map level has a fused path op (in-place label mutation
-        # keeps cached references live); on generic stacks it stays
-        # allocated-but-inert.
+        # position-map level mutates its label lists in place (the
+        # classified and column ops), which keeps cached references live;
+        # on generic stacks it stays allocated-but-inert.
         self._plb_entries = plb_entries_per_level
         self._plb: PosMapLookaside | None = (
             PosMapLookaside(len(self._configs), plb_entries_per_level)
@@ -179,39 +163,27 @@ class HierarchicalPathORAM:
             else None
         )
         self._plb_active = self._plb is not None and all(
-            _fused_op(oram) is not None for oram in self._orams[1:]
+            oram._classified_fast or oram._column_engine is not None  # noqa: SLF001
+            for oram in self._orams[1:]
         )
-        self._install_plb_observers()
+        self._install_retarget_observer()
         self._eviction_order = tuple(reversed(self._orams))
-        self._thresholded_orams = tuple(
-            (oram, oram.eviction_threshold)
+        self._thresholded = tuple(
+            (oram.eviction_threshold, oram._stash_blocks)  # noqa: SLF001
             for oram in self._orams
             if oram.eviction_threshold is not None
         )
 
-    def _install_plb_observers(self) -> None:
-        """(Re-)install the PLB coherence closures on the chain's ORAMs.
+    def _install_retarget_observer(self) -> None:
+        """(Re-)install the PLB coherence closure on the data ORAM.
 
-        Shared by construction and :meth:`__setstate__`: the observers are
-        closures over the PLB (unpicklable by design), so a snapshot strips
-        them from every child ORAM and a restore re-installs them here.
+        Shared by construction and :meth:`__setstate__`: the observer is a
+        closure over the PLB (unpicklable by design), so a snapshot strips
+        it from the data ORAM and a restore re-installs it here.  The chain
+        walk itself keeps the PLB coherent with its own position-map ops.
         """
-        if not self._plb_active:
-            return
-        plb = self._plb
-        for level, oram in enumerate(self._orams[1:], start=1):
-
-            def _observe(address, labels, _level=level, _plb=plb):
-                # access_position_block coherence hook: a fused op hands
-                # over the block's live label list (install/refresh); a
-                # re-materialising op hands None (drop any stale ref).
-                if labels is None:
-                    _plb.invalidate(_level, address)
-                else:
-                    _plb.install(_level, address, labels)
-
-            oram._position_block_observer = _observe  # noqa: SLF001
-        if self._dynamic_data and self._labels_per_block:
+        if self._plb_active and self._dynamic_data and self._labels_per_block:
+            plb = self._plb
             k = self._labels_per_block[0]
 
             def _retarget(lo, hi, _plb=plb, _k=k):
@@ -229,12 +201,12 @@ class HierarchicalPathORAM:
     SNAPSHOT_KIND = "hierarchical-path-oram"
 
     def __setstate__(self, state: dict) -> None:
-        # The child ORAMs' __getstate__ stripped the PLB observer closures;
+        # The data ORAM's __getstate__ stripped the PLB observer closure;
         # everything else (shared RNG, the PLB's live label-list references
         # into the chain's blocks, the memoised chain tables) round-trips
         # through the pickle memo with aliasing intact.
         self.__dict__.update(state)
-        self._install_plb_observers()
+        self._install_retarget_observer()
 
     def snapshot(self) -> dict:
         """Capture the whole chain's state in a versioned envelope.
@@ -293,8 +265,8 @@ class HierarchicalPathORAM:
         """The PosMap Lookaside Buffer (None when disabled).
 
         Allocated whenever ``plb_entries_per_level`` requests capacity;
-        *served* only when every position-map level runs a fused path op
-        (see :attr:`plb_active`).
+        *served* only when every position-map level runs the classified or
+        column path op (see :attr:`plb_active`).
         """
         return self._plb
 
@@ -323,16 +295,8 @@ class HierarchicalPathORAM:
         label can be stale for members a merge retargeted while they sat in
         the stash; see :meth:`PathORAM.access_dynamic_path`.
         """
-        current_leaf = self._resolve_position_chain(address)
-        if self._dynamic_data:
-            result = self._orams[0].access_dynamic_path(
-                address, self._pending_data_leaf, op, data
-            )
-            self._plb_dynamic_recheck(address)
-        else:
-            result = self._orams[0].access_path(
-                address, current_leaf, self._pending_data_leaf, op, data
-            )
+        self._check_address(address)
+        result = self._chain_access(address, op, data, False)
         self._stats.real_accesses += 1
         result.dummy_accesses = self._run_background_eviction()
         return result
@@ -349,243 +313,36 @@ class HierarchicalPathORAM:
         op: Operation = Operation.READ,
         data: Any = None,
     ) -> TraceResult:
-        """Consume a whole trace of addresses in one fused chain loop.
+        """Consume a whole trace of addresses in one loop.
 
         Bit-for-bit identical to ``for a in addresses: self.access(a, op,
-        data)``: the position-map chain walk is inlined with every lookup
-        hoisted out of the loop, the data-ORAM step takes the single-member
-        :meth:`~repro.core.path_oram.PathORAM.access_fixed_leaf` fast path
-        when it can (the generic ``access_path`` otherwise, e.g. with super
-        blocks), and the per-access over-threshold check reads the stash
-        sizes directly — the dummy-round machinery is only entered when a
-        stash is actually over its threshold.
-
-        With the PosMap Lookaside Buffer (``plb_entries_per_level``) the
-        loop
-        additionally skips every position-map path operation whose block
-        is still in the per-level label cache: the access that physically
-        read the block in shares its fused path op with every later access
-        that resolves through it, which only retargets its label inside
-        the cached block (see the constructor's parameter descriptions).
-        Logical results are unchanged; the physical op sequence is not.
+        data)``: each element runs the same chain walk as :meth:`access`,
+        and the per-access over-threshold check reads the stash sizes
+        directly — the dummy-round machinery is only entered when a stash
+        is actually over its threshold.  One deliberate divergence: the
+        whole trace is validated up front, so an out-of-range address
+        raises *before* any access runs.
         """
-        orams = self._orams
-        data_oram = orams[0]
-        outer_index = len(self._configs) - 1
-        leaf_bits = self._leaf_bits
-        new_leaves = self._new_leaves
-        getrandbits = self._getrandbits
-        cache = self._chain_cache
-        chain_for = self._chain_for
-        onchip = self._onchip_leaves
-        group_of = self._data_group_of
-        labels_per_block = self._labels_per_block
-        child_num_leaves = self._child_num_leaves
-        # When every ORAM has a direct path op — the classified list engine
-        # or the column engine — each level is one direct call with
-        # deferred per-ORAM real-access counters; otherwise each level goes
-        # through its public method.
-        fused_ops = [_fused_op(oram) for oram in orams]
-        all_fused = data_oram._single_member_groups and all(  # noqa: SLF001
-            fused is not None for fused in fused_ops
-        )
-        if all_fused:
-            pm_lists = [oram._pm_leaves for oram in orams]  # noqa: SLF001
-            oram_stats = [oram._stats for oram in orams]  # noqa: SLF001
-            occ_samplers = [
-                (stat.stash_occupancy_samples.append, oram._stash_blocks)  # noqa: SLF001
-                if stat.record_occupancy
-                else None
-                for oram, stat in zip(orams, oram_stats)
-            ]
-            real_counts = [0] * len(orams)
-            d_working_set = data_oram._working_set  # noqa: SLF001
-            d_create = data_oram._create_on_miss  # noqa: SLF001
-            is_write = op is Operation.WRITE
-            # Lookaside state: per position-map ORAM, the PLB's dict of
-            # recently operated block addresses mapped to live references
-            # to their label vectors (payloads ride by reference through
-            # the flat slot array and the memmap object column alike, so
-            # retargeting a cached list retargets the read-in block
-            # wherever it currently rests — tree or stash).  The dict ops
-            # are inlined below; per-level hit/miss/coalesced counts are
-            # deferred like the real-access counters and flushed once.
-            plb = self._plb if self._plb_active else None
-            lookaside = plb is not None and outer_index > 0
-            if lookaside:
-                plb_levels = plb.levels
-                plb_capacity = plb.entries_per_level
-                coalesced_counts = [0] * (outer_index + 1)
-                plb_hit_counts = [0] * (outer_index + 1)
-                plb_miss_counts = [0] * (outer_index + 1)
-        else:
-            lookaside = False
-            walk_chain = self._walk_position_chain
-            dynamic_recheck = (
-                self._plb_dynamic_recheck
-                if self._dynamic_data and self._plb_active
-                else None
-            )
-            if self._dynamic_data:
-                dynamic_access = data_oram.access_dynamic_path
-
-                def data_access(address, current_leaf, new_leaf, op, data):
-                    # The chain-read leaf is advisory under dynamic merging
-                    # (the data ORAM's per-address mirror is authoritative).
-                    return dynamic_access(address, new_leaf, op, data)
-
-            else:
-                data_access = (
-                    data_oram.access_fixed_leaf
-                    if data_oram._single_member_groups  # noqa: SLF001
-                    else data_oram.access_path
-                )
-        # (threshold, stash dict) pairs: the per-access check is a len()
-        # per thresholded ORAM, with no property or method hops.
-        thresholded = tuple(
-            (threshold, oram._stash_blocks)  # noqa: SLF001
-            for oram, threshold in self._thresholded_orams
-        )
+        if type(addresses) is not list:
+            addresses = list(addresses)
+        if addresses:
+            self._check_address(min(addresses))
+            self._check_address(max(addresses))
+        chain_access = self._chain_access
+        thresholded = self._thresholded
         run_eviction = self._run_background_eviction
-        stats = self._stats
         real = found_count = rounds_total = 0
         try:
             for address in addresses:
-                group = group_of(address)
-                for index, bits in enumerate(leaf_bits):
-                    new_leaves[index] = getrandbits(bits) if bits else 0
-                if cache is None:
-                    chain = chain_for(group)
-                else:
-                    chain = cache.get(group)
-                    if chain is None:
-                        chain = cache[group] = chain_for(group)
-                if not chain:
-                    # Single-ORAM hierarchy: on-chip map holds data leaves.
-                    current_leaf = onchip[group]
-                    onchip[group] = new_leaves[0]
-                elif all_fused:
-                    # Deepest chain entry whose position-map block is still
-                    # in the lookaside buffer at its level.  A hit is safe
-                    # wherever it lands: serving it leaves the cached block
-                    # unmoved (no read, no remap), so the label for it one
-                    # level up stays accurate and every level above can be
-                    # skipped outright.  Scan inner-to-outer; the first hit
-                    # wins because it skips the most ops.
-                    divergence = 0
-                    if lookaside:
-                        while divergence < outer_index:
-                            level_cache = plb_levels[divergence + 1]
-                            hit_labels = level_cache.get(chain[divergence][0])
-                            if hit_labels is not None:
-                                break
-                            divergence += 1
-                    else:
-                        divergence = outer_index
-                    if divergence < outer_index:
-                        # Ops above the boundary touch nothing: their
-                        # blocks do not move and their labels still point
-                        # at the (unmoved) cached block's sub-chain.
-                        for oram_index in range(divergence + 2, outer_index + 1):
-                            coalesced_counts[oram_index] += 1
-                        # Boundary hit: retarget this access's label inside
-                        # the cached block instead of a fresh path op, and
-                        # MRU-promote the served entry.
-                        boundary = divergence + 1
-                        block_address, slot = chain[divergence]
-                        current_leaf = hit_labels[slot]
-                        hit_labels[slot] = new_leaves[divergence]
-                        del level_cache[block_address]
-                        level_cache[block_address] = hit_labels
-                        coalesced_counts[boundary] += 1
-                        plb_hit_counts[boundary] += 1
-                    else:
-                        outer_group = chain[-1][0] - 1
-                        current_leaf = onchip[outer_group]
-                        onchip[outer_group] = new_leaves[outer_index]
-                    for oram_index in range(divergence, 0, -1):
-                        child_index = oram_index - 1
-                        block_address, slot = chain[child_index]
-                        pm_lists[oram_index][block_address - 1] = new_leaves[oram_index]
-                        current_leaf, labels = fused_ops[oram_index](
-                            block_address,
-                            current_leaf,
-                            new_leaves[oram_index],
-                            True,
-                            None,
-                            False,
-                            slot,
-                            new_leaves[child_index],
-                            labels_per_block[child_index],
-                            child_num_leaves[child_index],
-                        )
-                        if lookaside:
-                            # This level's lookup missed; install the op's
-                            # live label list (MRU), evicting the oldest
-                            # entry past capacity.
-                            level_cache = plb_levels[oram_index]
-                            if block_address in level_cache:
-                                del level_cache[block_address]
-                            elif len(level_cache) >= plb_capacity:
-                                del level_cache[next(iter(level_cache))]
-                            level_cache[block_address] = labels
-                            plb_miss_counts[oram_index] += 1
-                        real_counts[oram_index] += 1
-                        sampler = occ_samplers[oram_index]
-                        if sampler is not None:
-                            sampler[0](len(sampler[1]))
-                else:
-                    current_leaf = walk_chain(chain, new_leaves)
-                if all_fused:
-                    # Inlined data-ORAM step (access_fixed_leaf minus the
-                    # wrapper: same validation, deferred stat counters).
-                    if not 1 <= address <= d_working_set:
-                        raise ConfigurationError(
-                            f"address {address} outside [1, {d_working_set}]"
-                        )
-                    pm_lists[0][address - 1] = new_leaves[0]
-                    _, found = fused_ops[0](
-                        address, current_leaf, new_leaves[0],
-                        is_write, data, d_create, None, 0, 0, 0,
-                    )
-                    if found:
-                        found_count += 1
-                    real_counts[0] += 1
-                    sampler = occ_samplers[0]
-                    if sampler is not None:
-                        sampler[0](len(sampler[1]))
-                else:
-                    result = data_access(address, current_leaf, new_leaves[0], op, data)
-                    found_count += result.found
-                    if dynamic_recheck is not None:
-                        dynamic_recheck(address)
+                if chain_access(address, op, data, False).found:
+                    found_count += 1
                 real += 1
                 for threshold, stash_blocks in thresholded:
                     if len(stash_blocks) > threshold:
                         rounds_total += run_eviction()
                         break
         finally:
-            stats.real_accesses += real
-            if all_fused:
-                for oram_stat, count in zip(oram_stats, real_counts):
-                    oram_stat.real_accesses += count
-                if lookaside:
-                    hits_total = misses_total = 0
-                    for oram_index in range(1, outer_index + 1):
-                        oram_stat = oram_stats[oram_index]
-                        count = coalesced_counts[oram_index]
-                        if count:
-                            oram_stat.coalesced_ops += count
-                        hits = plb_hit_counts[oram_index]
-                        if hits:
-                            oram_stat.plb_hits += hits
-                            hits_total += hits
-                        misses = plb_miss_counts[oram_index]
-                        if misses:
-                            oram_stat.plb_misses += misses
-                            misses_total += misses
-                    plb.hits += hits_total
-                    plb.misses += misses_total
+            self._stats.real_accesses += real
         return TraceResult(accesses=real, found=found_count, dummy_accesses=rounds_total)
 
     def extract(self, address: int) -> dict[int, Any]:
@@ -600,16 +357,8 @@ class HierarchicalPathORAM:
         :meth:`PathORAM.extract_dynamic_path`, with the chain's fresh data
         leaf used only when the merge plan wants a fresh draw.
         """
-        current_leaf = self._resolve_position_chain(address)
-        if self._dynamic_data:
-            extracted = self._orams[0].extract_dynamic_path(
-                address, self._pending_data_leaf
-            )
-            self._plb_dynamic_recheck(address)
-        else:
-            extracted = self._orams[0].extract_path(
-                address, current_leaf, self._pending_data_leaf
-            )
+        self._check_address(address)
+        extracted = self._chain_access(address, Operation.READ, None, True)
         self._stats.real_accesses += 1
         self._run_background_eviction()
         return extracted
@@ -627,6 +376,11 @@ class HierarchicalPathORAM:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _check_address(self, address: int) -> None:
+        working_set = self._configs[0].working_set_blocks
+        if not 1 <= address <= working_set:
+            raise ConfigurationError(f"address {address} outside [1, {working_set}]")
+
     def _chain_for(self, group: int) -> tuple[tuple[int, int], ...]:
         """For each position-map ORAM (innermost data side first), the
         ``(block_address, slot)`` holding the child's leaf label."""
@@ -638,117 +392,96 @@ class HierarchicalPathORAM:
             identifier = block_address - 1
         return tuple(chain)
 
-    def _identifier_chain(self, address: int) -> list[tuple[int, int]]:
-        """Back-compat view of the chain for ``address`` (tests/tools)."""
-        return list(self._chain_for(self._data_group_of(address)))
+    def _chain_access(self, address: int, op: Operation, data: Any, extract: bool):
+        """One hierarchical access up to background eviction: the chain walk.
 
-    def _resolve_position_chain(self, address: int) -> int:
-        """Walk the position-map ORAMs outermost-first.
-
-        Returns the data ORAM leaf currently assigned to ``address``'s group
-        and leaves the freshly drawn new data-ORAM leaf in
-        ``self._pending_data_leaf``.  Every position-map ORAM along the way
-        is accessed (and its relevant entry updated to the child's new
-        leaf) through :meth:`PathORAM.access_position_block`, exactly as
-        ``accessHORAM`` prescribes.
+        Draws a fresh leaf for every ORAM up front (so a PLB hit consumes
+        no extra randomness and the stream matches the PLB-off run), looks
+        up the memoised ``(block, slot)`` chain, and — with the PosMap
+        Lookaside Buffer active — serves the deepest chain entry whose
+        block is cached: it retargets this access's label inside the
+        cached block, and every level above is skipped, since the cached
+        block does not move and the label for it one level up stays
+        accurate.  The remaining position-map ORAMs run inwards through
+        :meth:`PathORAM.access_position_block`, each physical op
+        installing its block's live label list in the PLB.  The data step
+        is :meth:`PathORAM.access_path` (``extract``:
+        :meth:`PathORAM.extract_path`), or the ``*_dynamic_path`` twin
+        under dynamic super blocks, where the chain-read leaf is advisory.
+        Returns the data step's result; the caller has validated
+        ``address`` and counts the access.
         """
-        group = self._data_group_of(address)
         new_leaves = self._new_leaves
-        getrandbits = self._getrandbits
-        for index, bits in enumerate(self._leaf_bits):
-            new_leaves[index] = getrandbits(bits) if bits else 0
-        self._pending_data_leaf = new_leaves[0]
-
+        new_leaves[:] = map(self._getrandbits, self._leaf_bits)
         cache = self._chain_cache
         if cache is None:
-            chain = self._chain_for(group)
+            chain = self._chain_for(self._data_group_of(address))
         else:
-            chain = cache.get(group)
+            chain = cache.get(address)
             if chain is None:
-                chain = cache[group] = self._chain_for(group)
+                chain = cache[address] = self._chain_for(self._data_group_of(address))
 
-        if not chain:
-            # Single-ORAM hierarchy: the on-chip map holds data leaves directly.
-            onchip = self._onchip_leaves
-            current = onchip[group]
-            onchip[group] = new_leaves[0]
-            return current
-
-        return self._walk_position_chain(chain, new_leaves)
-
-    def _walk_position_chain(
-        self, chain: tuple[tuple[int, int], ...], new_leaves: list[int]
-    ) -> int:
-        """One position-map chain walk, outermost-first, PLB-served.
-
-        The shared walk behind the looped :meth:`access` path and the
-        non-fused :meth:`access_many` branch (the fully-fused branch
-        inlines the same logic with deferred counters).  When the PosMap
-        Lookaside Buffer is active, the deepest chain entry whose block is
-        cached is served in place of its path op — and every level above
-        it is skipped — exactly as in the fused loop; physical ops install
-        their blocks through :meth:`PathORAM.access_position_block`'s
-        observer hook.  ``new_leaves`` must already hold this access's
-        fresh leaf for every level (they are drawn up front either way, so
-        a hit consumes no extra randomness).
-        """
+        onchip = self._onchip_leaves
         orams = self._orams
-        outer_index = len(self._configs) - 1
-        plb = self._plb if self._plb_active else None
-        divergence = outer_index
-        if plb is not None:
-            plb_levels = plb.levels
-            divergence = 0
-            while divergence < outer_index:
-                level_cache = plb_levels[divergence + 1]
-                hit_labels = level_cache.get(chain[divergence][0])
-                if hit_labels is not None:
-                    break
-                divergence += 1
-        if divergence < outer_index:
-            # Boundary hit: serve this access's label from the cached
-            # block (MRU-promoting it); the levels above are skipped.
-            boundary = divergence + 1
-            block_address, slot = chain[divergence]
-            current_leaf = hit_labels[slot]
-            hit_labels[slot] = new_leaves[divergence]
-            del level_cache[block_address]
-            level_cache[block_address] = hit_labels
-            plb.hits += 1
-            boundary_stats = orams[boundary].stats
-            boundary_stats.plb_hits += 1
-            boundary_stats.coalesced_ops += 1
-            for oram_index in range(divergence + 2, outer_index + 1):
-                orams[oram_index].stats.coalesced_ops += 1
+        if not chain:
+            # Single-ORAM hierarchy: the on-chip map holds data leaves.
+            group = self._data_group_of(address)
+            current_leaf = onchip[group]
+            onchip[group] = new_leaves[0]
         else:
-            # The outermost position-map ORAM's own leaf comes from the
-            # on-chip map (position-map ORAMs always use single-member
-            # groups, so the group id is just the block address less one).
-            onchip = self._onchip_leaves
-            outer_group = chain[-1][0] - 1
-            current_leaf = onchip[outer_group]
-            onchip[outer_group] = new_leaves[outer_index]
-
-        # Walk from the boundary (or the outermost ORAM) inwards to ORAM_2;
-        # each physical op's observer installs its block into the PLB.
-        labels_per_block = self._labels_per_block
-        child_num_leaves = self._child_num_leaves
-        for oram_index in range(divergence, 0, -1):
-            child_index = oram_index - 1
-            block_address, slot = chain[child_index]
-            current_leaf = orams[oram_index].access_position_block(
-                block_address,
-                current_leaf,
-                new_leaves[oram_index],
-                slot,
-                new_leaves[child_index],
-                labels_per_block[child_index],
-                child_num_leaves[child_index],
-            )
+            outer_index = len(chain)
+            plb = self._plb if self._plb_active else None
+            divergence = outer_index
             if plb is not None:
-                plb.misses += 1
-                orams[oram_index].stats.plb_misses += 1
-        return current_leaf
+                # Scan inner-to-outer; the first hit skips the most ops.
+                lookup = plb.lookup
+                for level, (block_address, slot) in enumerate(chain, start=1):
+                    labels = lookup(level, block_address)
+                    if labels is not None:
+                        divergence = level - 1
+                        current_leaf = labels[slot]
+                        labels[slot] = new_leaves[divergence]
+                        orams[level]._stats.plb_hits += 1  # noqa: SLF001
+                        for skipped in orams[level:]:
+                            skipped._stats.coalesced_ops += 1  # noqa: SLF001
+                        break
+            if divergence == outer_index:
+                # The outermost position-map ORAM's own leaf comes from the
+                # on-chip map (position-map ORAMs always use single-member
+                # groups, so the group id is the block address less one).
+                outer_group = chain[-1][0] - 1
+                current_leaf = onchip[outer_group]
+                onchip[outer_group] = new_leaves[outer_index]
+            labels_per_block = self._labels_per_block
+            child_num_leaves = self._child_num_leaves
+            for level in range(divergence, 0, -1):
+                child = level - 1
+                block_address, slot = chain[child]
+                oram = orams[level]
+                current_leaf, labels = oram.access_position_block(
+                    block_address,
+                    current_leaf,
+                    new_leaves[level],
+                    slot,
+                    new_leaves[child],
+                    labels_per_block[child],
+                    child_num_leaves[child],
+                )
+                if plb is not None:
+                    plb.install(level, block_address, labels)
+                    oram._stats.plb_misses += 1  # noqa: SLF001
+
+        data_oram = orams[0]
+        if self._dynamic_data:
+            if extract:
+                result = data_oram.extract_dynamic_path(address, new_leaves[0])
+            else:
+                result = data_oram.access_dynamic_path(address, new_leaves[0], op, data)
+            self._plb_dynamic_recheck(address)
+            return result
+        if extract:
+            return data_oram.extract_path(address, current_leaf, new_leaves[0])
+        return data_oram.access_path(address, current_leaf, new_leaves[0], op, data)
 
     def _plb_dynamic_recheck(self, address: int) -> None:
         """Post-data-access coherence check under dynamic super blocks.
@@ -782,8 +515,8 @@ class HierarchicalPathORAM:
         return rounds
 
     def _any_stash_over_threshold(self) -> bool:
-        for oram, threshold in self._thresholded_orams:
-            if oram.stash_occupancy > threshold:
+        for threshold, stash_blocks in self._thresholded:
+            if len(stash_blocks) > threshold:
                 return True
         return False
 

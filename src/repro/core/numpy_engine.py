@@ -45,10 +45,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.background_eviction import NoEviction
 from repro.core.numpy_tree import NumpyFlatTreeStorage
-from repro.core.types import Block, Operation, TraceResult
-from repro.errors import ConfigurationError
+from repro.core.types import Block
 
 #: Largest tree depth for which the engine precomputes the classification
 #: table (``2^(levels+1)`` int64 entries — 1 MiB at 16 levels); deeper
@@ -65,11 +63,14 @@ _VIRTUAL = (-1, -1)
 
 
 class ColumnEngine:
-    """Column-native path operations for one PathORAM.
+    """The column engine's path op for one PathORAM.
 
     Build through :meth:`for_oram`, which returns ``None`` when the engine
     cannot guarantee bit-identical semantics (wrapper storages, grouped
-    super blocks, single-leaf trees).
+    super blocks, single-leaf trees).  The engine is an op, not a loop:
+    the ORAM installs :meth:`_path_op` as its own path op, and every entry
+    point (the trace loop, single accesses, dummies, the recursive
+    chain's position-map and data steps) calls it there.
     """
 
     @classmethod
@@ -89,7 +90,6 @@ class ColumnEngine:
         return cls(oram)
 
     def __init__(self, oram) -> None:
-        self._oram = oram
         storage: NumpyFlatTreeStorage = oram.storage
         self._storage = storage
         # Durable storages journal dirty pages before they are mutated; the
@@ -184,8 +184,9 @@ class ColumnEngine:
     # ------------------------------------------------------------------
     # The column-native path operation
     # ------------------------------------------------------------------
+    @staticmethod
     def _path_op(
-        self,
+        oram,
         address: int | None,
         leaf: int,
         new_leaf: int,
@@ -209,37 +210,40 @@ class ColumnEngine:
           materialises, its label vector is updated in place and
           ``(displaced_child_leaf, labels)`` is returned.
 
+        A static method of the ORAM and the op's 10 arguments, like the
+        list engine's op, so the ORAM can keep it as its ``_path_op``
+        without a reference cycle; the engine is ``oram._column_engine``.
         The caller has validated the address and updated the position map.
         """
-        oram = self._oram
-        levels = self._levels
-        z = self._z
+        engine = oram._column_engine  # noqa: SLF001
+        levels = engine._levels
+        z = engine._z
         stash_blocks = oram._stash_blocks  # noqa: SLF001
         by_leaf = oram._stash_by_leaf  # noqa: SLF001
-        storage = self._storage
-        addresses_col = self._addresses
-        leaves_col = self._leaves
-        data_col = self._data
+        storage = engine._storage
+        addresses_col = engine._addresses
+        leaves_col = engine._leaves
+        data_col = engine._data
 
         if oram._record_path_trace:  # noqa: SLF001
             oram._path_trace.append(leaf)  # noqa: SLF001
 
-        rows_ext, rows, buckets, bases = self._bundle(leaf)
+        rows_ext, rows, buckets, bases = engine._bundle(leaf)
 
         # ---- gather + vectorised classification ----
         lvs = leaves_col[rows_ext]
-        table = self._class_table
+        table = engine._class_table
         if table is not None:
-            diff = np.bitwise_xor(lvs, leaf, out=self._diff_buf)
+            diff = np.bitwise_xor(lvs, leaf, out=engine._diff_buf)
             cls = table[diff]
         else:
-            cls = self._classify(lvs ^ leaf)
+            cls = engine._classify(lvs ^ leaf)
         order = cls.argsort(kind="stable")
         cnt = np.bincount(cls, minlength=levels + 2).tolist()
         addrs = addresses_col[rows_ext]
         gather_payloads = storage.has_payloads
         data_g = data_col[rows_ext] if gather_payloads else None
-        live = self._grid + 1 - cnt[levels + 1]
+        live = engine._grid + 1 - cnt[levels + 1]
         pending = live  # grows by the stash candidates below
 
         # ---- locate the accessed block ----
@@ -296,7 +300,7 @@ class ColumnEngine:
         elif target_pos >= 0:
             # Retargeted, then classified last in its class pool (the
             # shared tie-break order); stays columnar via a virtual chunk.
-            virtual_class = self._class_of(new_leaf ^ leaf)
+            virtual_class = engine._class_of(new_leaf ^ leaf)
             virtual_payload = data_g[target_src] if gather_payloads else None
         elif slot is not None or is_write or create:
             found = False
@@ -381,8 +385,8 @@ class ColumnEngine:
         # ordering rule of the list engine's placement walk.  Class-d's
         # pool sits at order[hi - cnt[d] : hi] (pools are laid out in
         # ascending class order by the stable argsort).
-        src_buf = self._src_buf
-        src_buf[:] = self._sentinel_src
+        src_buf = engine._src_buf
+        src_buf[:] = engine._sentinel_src
         avail: list[tuple[int, int]] = []
         avail_len = 0
         avail_stash: list[Block] = []
@@ -491,14 +495,14 @@ class ColumnEngine:
                 break
 
         # ---- scatter the whole path back (sentinel source = empty) ----
-        note = self._note_path_write
+        note = engine._note_path_write
         if note is not None:
             note(leaf)
         addresses_col[rows] = addrs[src_buf]
         leaves_col[rows] = lvs[src_buf]
         if gather_payloads:
             data_col[rows] = data_g[src_buf]
-        self._counts[buckets] = takes
+        engine._counts[buckets] = takes
         has_payloads = gather_payloads
         if virtual_dest >= 0:
             addresses_col[virtual_dest] = address
@@ -587,86 +591,3 @@ class ColumnEngine:
         if slot is not None:
             return result, labels
         return result, found
-
-    # ------------------------------------------------------------------
-    # Entry points mirroring the list engine's fast paths
-    # ------------------------------------------------------------------
-    def fused_single_access(
-        self,
-        address: int,
-        leaf: int,
-        new_leaf: int,
-        is_write: bool,
-        data: Any,
-        create: bool,
-        slot: int | None,
-        child_new_leaf: int,
-        labels_per_block: int,
-        child_num_leaves: int,
-    ):
-        """Drop-in column-native replacement for
-        :meth:`PathORAM._fused_single_access` (same contract, same
-        returns)."""
-        return self._path_op(
-            address, leaf, new_leaf, is_write, data, create,
-            slot, child_new_leaf, labels_per_block, child_num_leaves,
-        )
-
-    def dummy_access(self, leaf: int) -> None:
-        """Column-native dummy access: read the path, write back greedily."""
-        self._path_op(None, leaf, 0, False, None, False, None, 0, 0, 0)
-
-    def access_many(self, addresses: Any, op: Operation, data: Any) -> TraceResult:
-        """Column-native trace loop, bit-identical to the looped ``access``
-        (and therefore to the list-backed flat stack's fused loop)."""
-        oram = self._oram
-        working_set = oram._working_set  # noqa: SLF001
-        leaves = oram._pm_leaves  # noqa: SLF001
-        bits = oram._draw_bits  # noqa: SLF001
-        getrandbits = oram._getrandbits  # noqa: SLF001
-        stash_blocks = oram._stash_blocks  # noqa: SLF001
-        is_write = op is Operation.WRITE
-        create = oram._create_on_miss  # noqa: SLF001
-        gate = oram._eviction_gate  # noqa: SLF001
-        after_access = oram._eviction.after_access  # noqa: SLF001
-        no_eviction = type(oram._eviction) is NoEviction  # noqa: SLF001
-        bounded = oram.config.stash_capacity is not None
-        check_bound = oram._check_stash_bound  # noqa: SLF001
-        stats = oram._stats  # noqa: SLF001
-        record_occupancy = stats.record_occupancy
-        samples_append = stats.stash_occupancy_samples.append
-        path_op = self._path_op
-
-        # Same up-front validation contract as the list engine's fused loop.
-        if type(addresses) is not list:
-            addresses = list(addresses)
-        if addresses and (min(addresses) < 1 or max(addresses) > working_set):
-            bad = next(a for a in addresses if not 1 <= a <= working_set)
-            raise ConfigurationError(f"address {bad} outside [1, {working_set}]")
-
-        real = found_count = dummy_total = 0
-        try:
-            for address in addresses:
-                index = address - 1
-                leaf = leaves[index]
-                new_leaf = getrandbits(bits)
-                leaves[index] = new_leaf
-                _, found = path_op(
-                    address, leaf, new_leaf, is_write, data, create, None, 0, 0, 0
-                )
-                if found:
-                    found_count += 1
-                real += 1
-                if record_occupancy:
-                    samples_append(len(stash_blocks))
-                if gate is not None and len(stash_blocks) <= gate:
-                    continue
-                if no_eviction:
-                    if bounded:
-                        check_bound()
-                    continue
-                dummy_total += after_access(oram)
-                check_bound()
-        finally:
-            stats.real_accesses += real
-        return TraceResult(accesses=real, found=found_count, dummy_accesses=dummy_total)

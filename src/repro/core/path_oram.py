@@ -14,10 +14,14 @@ pluggable tree storage back-end, with:
   common-path-length attack (Section 3.1.3).
 
 Each engine has exactly one path operation (read the path, remap the
-block, greedy write-back), and every entry point — :meth:`PathORAM.access`,
-:meth:`PathORAM.access_many`, :meth:`PathORAM.dummy_access`,
-:meth:`PathORAM.access_position_block`, :meth:`PathORAM.access_fixed_leaf`
-and the hierarchy's chain walk — calls it:
+block, greedy write-back): a plain function of the ORAM and one
+10-argument contract.  A :class:`PathORAM` chooses it once, as
+``_path_op``, when it is built or restored, and every entry point —
+:meth:`PathORAM.access`, :meth:`PathORAM.access_many`,
+:meth:`PathORAM.access_path`, :meth:`PathORAM.access_position_block` and
+:meth:`PathORAM.dummy_access` — calls ``self._path_op(self, ...)``.  (A
+stored bound method would tie the ORAM into a reference cycle and delay
+freeing its tree until the cyclic collector runs.)  The ops:
 
 * the classified list engine (the exact :class:`FlatTreeStorage` with at
   most 16 levels): :meth:`PathORAM._fused_single_access` reads the slot
@@ -25,10 +29,12 @@ and the hierarchy's chain walk — calls it:
   occupy as it is read, and slices the chosen blocks straight back into
   the slot array;
 * the column engine (``memmap-flat``):
-  :meth:`repro.core.numpy_engine.ColumnEngine.fused_single_access`;
+  :meth:`repro.core.numpy_engine.ColumnEngine._path_op`;
 * the generic engine (wrapper storages, super blocks, deeper trees):
   :meth:`PathORAM._access_path` over a pending path buffer, written back
   into the flat slot array or through the storage's ``write_path_levels``.
+  Super-block groups on the classified storage keep the classified op for
+  dummies, which move no block.
 
 The write-back buckets candidates once by the deepest level they may
 occupy (one precomputed-table lookup per distinct stash leaf and per path
@@ -59,6 +65,11 @@ from repro.errors import ConfigurationError, StashOverflowError
 #: stays tiny in practice; the cap bounds memory if a workload extracts
 #: far more blocks than it ever re-creates.
 _BLOCK_POOL_LIMIT = 4096
+
+#: ``Operation.WRITE`` as a module constant: an enum attribute lookup costs
+#: several times a global load, and single accesses compare against it once
+#: per call.
+_WRITE = Operation.WRITE
 
 
 def leaf_common_path_length(leaf_a: int, leaf_b: int, levels: int) -> int:
@@ -236,29 +247,44 @@ class PathORAM:
             and self._eviction_threshold is not None
             else None
         )
-        # Column-native execution over the NumPy slot-array storage: the
-        # engine runs whole path operations on the int64 columns without
-        # materialising Block shells.  The ``columnar`` marker only exists
-        # on NumpyFlatTreeStorage (and its subclasses), so the guarded
-        # import can never run without NumPy installed;
-        # ColumnEngine.for_oram returns None for configurations it cannot
-        # serve bit-identically (wrapper subclasses, grouped super blocks,
-        # single-leaf trees).
+        # PLB coherence hook, set by HierarchicalPathORAM when a PosMap
+        # Lookaside Buffer caches the position-map labels of this (data)
+        # ORAM's blocks (see repro.core.plb): _retarget_observer(lo, hi)
+        # fires whenever a dynamic super-block cohort move re-assigns the
+        # leaves of the address range [lo, hi) behind the chain's back.
+        self._retarget_observer = None
+        self._attach_path_op()
+
+    def _attach_path_op(self) -> None:
+        """Choose this ORAM's one path op (by :meth:`__init__` and
+        :meth:`__setstate__`).
+
+        The classified list op needs the exact flat storage and
+        single-member groups.  The column engine runs whole path operations
+        on ``memmap-flat``'s int64 columns without materialising Block
+        shells; the ``columnar`` marker only exists on
+        NumpyFlatTreeStorage (and its subclasses), so the guarded import
+        can never run without NumPy installed, and
+        ColumnEngine.for_oram returns None for configurations it cannot
+        serve bit-identically (wrapper subclasses, grouped super blocks,
+        single-leaf trees).  Everything else runs the generic op, except
+        that super-block groups on the classified storage keep the
+        classified op for dummies.
+        """
+        cls = type(self)
         self._column_engine = None
         if getattr(type(self._storage), "columnar", False):
             from repro.core.numpy_engine import ColumnEngine
 
             self._column_engine = ColumnEngine.for_oram(self)
-        # PLB coherence hooks, set by HierarchicalPathORAM when a PosMap
-        # Lookaside Buffer caches this ORAM's blocks (see repro.core.plb).
-        # _position_block_observer(address, labels) fires at the end of
-        # every access_position_block with the block's live label list
-        # (None when the op path re-materialises payloads, which severs the
-        # cached reference); _retarget_observer(lo, hi) fires whenever a
-        # dynamic super-block cohort move re-assigns the leaves of the
-        # address range [lo, hi) behind the position-map chain's back.
-        self._position_block_observer = None
-        self._retarget_observer = None
+        if self._classified_fast and self._single_member_groups:
+            self._path_op = cls._fused_single_access
+        elif self._column_engine is not None:
+            self._path_op = self._column_engine._path_op  # noqa: SLF001
+        elif self._classified_fast:
+            self._path_op = cls._grouped_flat_op
+        else:
+            self._path_op = cls._access_path
 
     # ------------------------------------------------------------------
     # Introspection
@@ -338,21 +364,19 @@ class PathORAM:
         # Everything in the instance dict pickles — including the bound RNG
         # methods and the friend views into the storage, stash and position
         # map, whose aliasing the pickle memo preserves exactly — except:
-        # the PLB observer closures (installed by HierarchicalPathORAM,
-        # which re-installs them on restore) and the column engine (ndarray
-        # aliases into the storage; rebuilt from the restored columns).
+        # the PLB observer closure (installed by HierarchicalPathORAM,
+        # which re-installs it on restore) and the column engine (ndarray
+        # aliases into the storage; rebuilt from the restored columns,
+        # together with the path op).
         state = self.__dict__.copy()
-        state["_position_block_observer"] = None
         state["_retarget_observer"] = None
         state["_column_engine"] = None
+        state["_path_op"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        if getattr(type(self._storage), "columnar", False):
-            from repro.core.numpy_engine import ColumnEngine
-
-            self._column_engine = ColumnEngine.for_oram(self)
+        self._attach_path_op()
 
     def snapshot(self) -> dict:
         """Capture the full simulation state in a versioned envelope.
@@ -406,24 +430,12 @@ class PathORAM:
             bits = self._draw_bits
             new_leaf = self._getrandbits(bits) if bits else self._random_leaf()
             leaves[group] = new_leaf
-            # One path op per engine: the classified list op, the column
-            # engine's op (single-member groups only, like the list op), or
-            # the generic _access_path.
-            if self._single_member_groups and self._classified_fast:
-                fused_op = self._fused_single_access
-            elif self._column_engine is not None:
-                fused_op = self._column_engine.fused_single_access
-            else:
-                fused_op = None
-            if fused_op is None:
-                result = self._access_path(address, group, old_leaf, new_leaf, op, data)
-            else:
-                result_data, found = fused_op(
-                    address, old_leaf, new_leaf,
-                    op is Operation.WRITE, data, self._create_on_miss,
-                    None, 0, 0, 0,
-                )
-                result = AccessResult(address, result_data, found)
+            result_data, found = self._path_op(
+                self, address, old_leaf, new_leaf,
+                op is _WRITE, data, self._create_on_miss,
+                None, 0, 0, 0,
+            )
+            result = AccessResult(address, result_data, found)
         stats = self._stats
         stats.real_accesses += 1
         if stats.record_occupancy:
@@ -455,27 +467,23 @@ class PathORAM:
 
         Bit-for-bit identical to ``for a in addresses: self.access(a, op,
         data)`` — same RNG stream, same stash/tree/position-map state, same
-        statistics.  Each engine runs its one path op per address: the
-        column engine its own trace loop, the list engine a thin loop that
-        calls :meth:`_fused_single_access` directly, with the address
+        statistics.  With single-member groups, every engine runs one thin
+        loop that calls this ORAM's path op directly, with the address
         validation, leaf draws and eviction checks hoisted out of
         :meth:`access` and the real-access counter flushed to :attr:`stats`
-        once at the end.  Wrapper storages, super blocks, trees deeper
-        than 16 levels and single-leaf trees fall back to a plain
-        ``access`` loop.
+        once at the end.  Dynamic super blocks have their own loop; static
+        super blocks and single-leaf trees fall back to a plain ``access``
+        loop.
 
-        One deliberate divergence: the list loop validates the whole trace
-        up front, so an out-of-range address raises *before* any access
-        runs, where the equivalent loop would fail mid-trace.  For valid
-        traces (the contract the differential tests pin) behaviour is
-        exactly identical.
+        One deliberate divergence: the loop validates the whole trace up
+        front, so an out-of-range address raises *before* any access runs,
+        where the equivalent loop would fail mid-trace.  For valid traces
+        (the contract the differential tests pin) behaviour is exactly
+        identical.
         """
-        engine = self._column_engine
-        if engine is not None:
-            return engine.access_many(addresses, op, data)
         if self._dynamic:
             return self._access_many_dynamic(addresses, op, data)
-        if not (self._classified_fast and self._single_member_groups and self._draw_bits):
+        if not (self._single_member_groups and self._draw_bits):
             return self._access_many_slow(addresses, op, data)
 
         # -- hoisted loop state (one lookup each for the whole trace) --
@@ -483,7 +491,7 @@ class PathORAM:
         leaves = self._pm_leaves
         bits = self._draw_bits
         getrandbits = self._getrandbits
-        path_op = self._fused_single_access
+        path_op = self._path_op
         stash_blocks = self._stash_blocks
         create = self._create_on_miss
         is_write = op is Operation.WRITE
@@ -514,7 +522,7 @@ class PathORAM:
                 new_leaf = getrandbits(bits)
                 leaves[index] = new_leaf
                 if path_op(
-                    address, leaf, new_leaf, is_write, data, create, None, 0, 0, 0
+                    self, address, leaf, new_leaf, is_write, data, create, None, 0, 0, 0
                 )[1]:
                     found_count += 1
 
@@ -537,9 +545,8 @@ class PathORAM:
     def _access_many_slow(
         self, addresses: Any, op: Operation, data: Any
     ) -> TraceResult:
-        """Per-access fallback for configurations the list loop cannot take
-        (wrapper storages, static super blocks, huge trees, single-leaf
-        ORAMs)."""
+        """Per-access fallback for configurations the loop cannot take
+        (static super blocks, single-leaf ORAMs)."""
         access = self.access
         real = found_count = dummy_total = 0
         for address in addresses:
@@ -554,7 +561,7 @@ class PathORAM:
     ) -> TraceResult:
         """Fused trace loop for the dynamic super-block path.
 
-        Same contract as the list engine's loop: bit-for-bit identical to a
+        Same contract as the static loop: bit-for-bit identical to a
         per-access :meth:`access` loop (same RNG stream, same mapper
         decisions, same stash/tree state, same statistics), with the
         per-access bookkeeping hoisted out — one attribute lookup per
@@ -736,28 +743,33 @@ class PathORAM:
         new_leaf: int,
         op: Operation = Operation.READ,
         data: Any = None,
-        mutate: Any = None,
     ) -> AccessResult:
         """``accessPath`` (steps 2-5 of Section 2.1) with externally supplied
         leaves, as required by the hierarchical construction where the leaf
-        comes from the parent position-map ORAM.
-
-        ``mutate``, when given, is a callable applied to the block's payload
-        while the block sits in the stash (read-modify-write).
+        comes from the parent position-map ORAM.  Runs this ORAM's path op,
+        like :meth:`access`.
         """
         if self._dynamic:
             raise ConfigurationError(
                 "dynamic super-block merging routes externally-leafed "
                 "accesses through access_dynamic_path"
             )
-        self._check_address(address)
-        group = self._mapper.group_of(address)
+        if not 1 <= address <= self._working_set:
+            raise ConfigurationError(
+                f"address {address} outside [1, {self._working_set}]"
+            )
+        group = address - 1 if self._single_member_groups else self._group_of(address)
         self._position_map.assign(group, new_leaf)
-        result = self._access_path(address, group, current_leaf, new_leaf, op, data, mutate)
-        self._stats.record_real_access()
-        self._stats.sample_stash_occupancy(self._stash.occupancy)
-        result.dummy_accesses = 0
-        return result
+        result_data, found = self._path_op(
+            self, address, current_leaf, new_leaf,
+            op is _WRITE, data, self._create_on_miss,
+            None, 0, 0, 0,
+        )
+        stats = self._stats
+        stats.real_accesses += 1
+        if stats.record_occupancy:
+            stats.stash_occupancy_samples.append(len(self._stash_blocks))
+        return AccessResult(address, result_data, found)
 
     def access_position_block(
         self,
@@ -768,7 +780,7 @@ class PathORAM:
         child_new_leaf: int,
         labels_per_block: int,
         child_num_leaves: int,
-    ) -> int:
+    ) -> tuple[int, list[int] | None]:
         """One position-map ORAM access of the recursive construction.
 
         Reads the position-map block at ``address`` along ``current_leaf``,
@@ -779,101 +791,29 @@ class PathORAM:
         uniformly random child leaves, mirroring the initial random position
         map.
 
+        Returns ``(child_current_leaf, labels)``: ``labels`` is the block's
+        live label list on the classified and column engines, which mutate
+        it in place, so the hierarchy's lookaside buffer can cache the
+        reference.  The generic engine may re-materialise payloads on the
+        next read (encrypted storage) and hands back ``None`` instead.
+
         The caller (the hierarchical ORAM) guarantees ``new_leaf`` is in
-        range and that this ORAM uses single-member groups.  The classified
-        and column engines update the label vector inside their path op;
-        the generic engine runs :meth:`_access_path` with the update as its
-        ``mutate`` hook.
+        range and that this ORAM uses single-member groups.
         """
         if not 1 <= address <= self._working_set:
             raise ConfigurationError(
                 f"address {address} outside [1, {self._working_set}]"
             )
         self._pm_leaves[address - 1] = new_leaf
-        # The live label list, when the op path mutates payloads in place
-        # (fused/slot mode) so a cached reference stays current.  The
-        # generic path below may re-materialise payloads on the next read
-        # (encrypted storage), so it reports None and the observer drops
-        # any cached entry instead of installing a doomed reference.
-        live_labels = None
-        if self._classified_fast:
-            child_current_leaf, live_labels = self._fused_single_access(
-                address, current_leaf, new_leaf, True, None, False,
-                slot, child_new_leaf, labels_per_block, child_num_leaves,
-            )
-        elif self._column_engine is not None:
-            child_current_leaf, live_labels = self._column_engine.fused_single_access(
-                address, current_leaf, new_leaf, True, None, False,
-                slot, child_new_leaf, labels_per_block, child_num_leaves,
-            )
-        else:
-            child_current_leaf = None
-
-            def install_child_leaf(labels):
-                nonlocal child_current_leaf
-                if labels is None:
-                    randrange = self._rng.randrange
-                    labels = [randrange(child_num_leaves) for _ in range(labels_per_block)]
-                child_current_leaf = labels[slot]
-                labels[slot] = child_new_leaf
-                return labels
-
-            self._access_path(
-                address, address - 1, current_leaf, new_leaf,
-                Operation.READ, None, install_child_leaf,
-            )
-        observer = self._position_block_observer
-        if observer is not None:
-            observer(address, live_labels)
-        stats = self._stats
-        stats.real_accesses += 1
-        if stats.record_occupancy:
-            stats.stash_occupancy_samples.append(len(self._stash_blocks))
-        return child_current_leaf
-
-    def access_fixed_leaf(
-        self,
-        address: int,
-        current_leaf: int,
-        new_leaf: int,
-        op: Operation = Operation.READ,
-        data: Any = None,
-    ) -> AccessResult:
-        """Single-member ``access_path`` fast path.
-
-        Bit-identical to :meth:`access_path` when this ORAM uses
-        single-member super-block groups (which the caller must guarantee):
-        the generic group machinery, the ``mutate`` hook and the per-call
-        method hops are skipped.  Used by the hierarchical construction's
-        trace loop for the data-ORAM step.  Falls back to
-        :meth:`access_path` on the generic engine.
-        """
-        if self._dynamic:
-            raise ConfigurationError(
-                "dynamic super-block merging routes externally-leafed "
-                "accesses through access_dynamic_path"
-            )
-        if self._classified_fast:
-            fused_op = self._fused_single_access
-        elif self._column_engine is not None:
-            fused_op = self._column_engine.fused_single_access
-        else:
-            return self.access_path(address, current_leaf, new_leaf, op, data)
-        if not 1 <= address <= self._working_set:
-            raise ConfigurationError(
-                f"address {address} outside [1, {self._working_set}]"
-            )
-        self._pm_leaves[address - 1] = new_leaf
-        result_data, found = fused_op(
-            address, current_leaf, new_leaf,
-            op is Operation.WRITE, data, self._create_on_miss,
-            None, 0, 0, 0,
+        result = self._path_op(
+            self, address, current_leaf, new_leaf, True, None, False,
+            slot, child_new_leaf, labels_per_block, child_num_leaves,
         )
         stats = self._stats
         stats.real_accesses += 1
         if stats.record_occupancy:
             stats.stash_occupancy_samples.append(len(self._stash_blocks))
-        return AccessResult(address, result_data, found)
+        return result
 
     def extract_path(self, address: int, current_leaf: int, new_leaf: int) -> dict[int, Any]:
         """Exclusive-ORAM extraction with externally supplied leaves.
@@ -986,13 +926,7 @@ class PathORAM:
         """
         bits = self._draw_bits
         leaf = self._getrandbits(bits) if bits else self._random_leaf()
-        if self._classified_fast:
-            self._fused_single_access(None, leaf, leaf, False, None, False, None, 0, 0, 0)
-        elif self._column_engine is not None:
-            self._column_engine.dummy_access(leaf)
-        else:
-            self._read_path_into_stash(leaf)
-            self._write_back_path(leaf)
+        self._path_op(self, None, leaf, leaf, False, None, False, None, 0, 0, 0)
         stats = self._stats
         stats.dummy_accesses += 1
         if stats.record_occupancy:
@@ -1176,15 +1110,31 @@ class PathORAM:
 
     def _access_path(
         self,
-        address: int,
-        group: int,
-        current_leaf: int,
+        address: int | None,
+        leaf: int,
         new_leaf: int,
-        op: Operation,
+        is_write: bool,
         data: Any,
-        mutate: Any = None,
-    ) -> AccessResult:
-        self._read_path_into_stash(current_leaf)
+        create: bool,
+        slot: int | None,
+        child_new_leaf: int,
+        labels_per_block: int,
+        child_num_leaves: int,
+    ):
+        """The generic engine's path operation (read to write-back).
+
+        Same contract, modes and returns as :meth:`_fused_single_access`,
+        over the pending path buffer and :meth:`_write_back_path`, so it
+        serves every storage and every static super-block mapper (the whole
+        group follows the accessed block to ``new_leaf``).  In
+        position-map mode it returns ``(displaced_child_leaf, None)``: the
+        storage may re-materialise payloads on the next read, so no live
+        label list is handed out.
+        """
+        self._read_path_into_stash(leaf)
+        if address is None:
+            self._write_back_path(leaf)
+            return None, False
         block = self._stash.get(address)
         in_stash = block is not None
         if block is None:
@@ -1198,15 +1148,24 @@ class PathORAM:
                     buffer.append(candidate)
                     break
         found = block is not None
-        if block is None:
-            if op is Operation.WRITE or mutate is not None or self._create_on_miss:
-                block = Block(address=address, leaf=new_leaf, data=None)
-                self._stash.add(block)
-                in_stash = True
-        if block is not None and op is Operation.WRITE:
-            block.data = data
-        if block is not None and mutate is not None:
-            block.data = mutate(block.data)
+        if block is None and (is_write or create or slot is not None):
+            block = Block(address=address, leaf=new_leaf, data=None)
+            self._stash.add(block)
+            in_stash = True
+        if slot is not None:
+            labels = block.data
+            if labels is None:
+                randrange = self._rng.randrange
+                labels = [randrange(child_num_leaves) for _ in range(labels_per_block)]
+                block.data = labels
+            result = labels[slot]
+            labels[slot] = child_new_leaf
+        elif block is not None:
+            if is_write:
+                block.data = data
+            result = block.data
+        else:
+            result = None
         if self._single_member_groups:
             # The accessed block is its whole super-block group.
             if block is not None:
@@ -1215,10 +1174,36 @@ class PathORAM:
                 else:
                     block.leaf = new_leaf  # buffer blocks are unindexed
         else:
-            self._retarget_group(group, current_leaf, new_leaf)
-        result_data = block.data if block is not None else None
-        self._write_back_path(current_leaf)
-        return AccessResult(address, result_data, found)
+            self._retarget_group(self._group_of(address), leaf, new_leaf)
+        self._write_back_path(leaf)
+        if slot is not None:
+            return result, None
+        return result, found
+
+    def _grouped_flat_op(
+        self,
+        address: int | None,
+        leaf: int,
+        new_leaf: int,
+        is_write: bool,
+        data: Any,
+        create: bool,
+        slot: int | None,
+        child_new_leaf: int,
+        labels_per_block: int,
+        child_num_leaves: int,
+    ):
+        """Path op for static super-block groups on the classified storage.
+
+        The classified op moves only the accessed block, so real accesses
+        take the generic op, which moves the whole group; a dummy moves no
+        block and keeps the classified op.
+        """
+        path_op = self._access_path if address is not None else self._fused_single_access
+        return path_op(
+            address, leaf, new_leaf, is_write, data, create,
+            slot, child_new_leaf, labels_per_block, child_num_leaves,
+        )
 
     def _retarget_group(self, group: int, current_leaf: int, new_leaf: int) -> None:
         """Point every resident member of ``group`` at ``new_leaf``.
@@ -1304,10 +1289,8 @@ class PathORAM:
         """The list engine's path operation (read to write-back).
 
         The only code that reads and classifies a path and runs the
-        buffer-only placement on the classified engine; :meth:`access`,
-        :meth:`access_many`, :meth:`dummy_access`,
-        :meth:`access_position_block`, :meth:`access_fixed_leaf` and the
-        hierarchy's chain walk all call it.  The path read is a single
+        buffer-only placement on the classified engine; every entry point
+        reaches it through ``_path_op``.  The path read is a single
         pass that buckets every block read from the slot array by the
         deepest level it may occupy on this same path, straight into the
         by-buffer class pools.  The accessed block, when it is found on
@@ -1330,7 +1313,8 @@ class PathORAM:
         ``slot=None`` (data mode) the payload is read or written per
         ``is_write``/``create`` and ``(result_data, found)`` is returned.
 
-        Only valid when :attr:`_classified_fast` is set; the caller has
+        Only valid on the exact flat storage with at most 16 levels, and
+        for real accesses only with single-member groups; the caller has
         validated ``address`` and updated this ORAM's position map.
         """
         stash_blocks = self._stash_blocks

@@ -11,23 +11,26 @@ level is skipped.
 
 :class:`PosMapLookaside` is that cache.  One insertion-ordered dict per chain
 level maps a PM block address to the block's **live label list** — the same
-list object the fused path ops mutate in place, so a cached entry always
-reflects the block's current labels without copying.  Hit safety does not
-need the memo's "last op" suffix property: serving a hit leaves the cached
-block *unmoved* (it is not read from or written to the tree), so the label
-for it stored one level up stays accurate and every level above is untouched.
+list object the classified and column path ops mutate in place, so a cached
+entry always reflects the block's current labels without copying.  Hit
+safety does not need the memo's "last op" suffix property: serving a hit
+leaves the cached block *unmoved* (it is not read from or written to the
+tree), so the label for it stored one level up stays accurate and every
+level above is untouched.
 
 Determinism: plain dicts, MRU via delete-and-reinsert, eviction of the
 oldest entry (``next(iter(d))``) — no clocks, no hashing randomness beyond
 int keys (which hash to themselves).  A capacity of 1 is that single-op
 memo: it coalesces consecutive accesses through the same position-map block.
 
-The cache trusts its caller to invalidate: :class:`~repro.core.hierarchical.
-HierarchicalPathORAM` routes every ``access_position_block`` result and every
-dynamic super-block retarget through :meth:`install` / :meth:`invalidate`
-(see the ``_position_block_observer`` / ``_retarget_observer`` hooks on
-:class:`~repro.core.path_oram.PathORAM`), so a stale label can never be
-served after a cohort move rewrites the data ORAM's leaves.
+The cache trusts its caller to keep it coherent: the chain walk of
+:class:`~repro.core.hierarchical.HierarchicalPathORAM` probes it through
+:meth:`lookup`, installs the label list every physical
+``access_position_block`` hands back through :meth:`install`, and routes
+every dynamic super-block retarget (the ``_retarget_observer`` hook on
+:class:`~repro.core.path_oram.PathORAM`) through :meth:`invalidate_range`,
+so a stale label can never be served after a cohort move rewrites the data
+ORAM's leaves.  These methods are the only code that touches the dicts.
 """
 
 from __future__ import annotations
@@ -40,9 +43,9 @@ class PosMapLookaside:
 
     ``levels[i]`` caches blocks of chain ORAM ``i`` (index 0 — the data
     ORAM — is present but never used, keeping level indices aligned with
-    ``HierarchicalPathORAM.orams``).  The hot loops index ``levels``
-    directly and inline the dict operations; the methods here are the
-    reference semantics and serve the non-fused / looped paths.
+    ``HierarchicalPathORAM.orams``).  A lookup that misses counts a miss:
+    in the chain walk each missed level is followed by one physical
+    position-map op.
     """
 
     __slots__ = ("levels", "entries_per_level", "hits", "misses")

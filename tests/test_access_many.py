@@ -8,8 +8,10 @@ twins and compare full state fingerprints.
 """
 
 import dataclasses
+import gc
 import random
 import tempfile
+import weakref
 
 import pytest
 
@@ -211,15 +213,18 @@ class TestFlatAccessMany:
         assert fingerprint(fused) == fingerprint(reference)
         assert fused._rng.getstate() == reference._rng.getstate()
 
-    def test_invalid_address_raises_before_any_access(self):
+    @pytest.mark.parametrize("storage", STACKS)
+    def test_invalid_address_raises_before_any_access(self, storage, tmp_path):
         config = ORAMConfig(
             working_set_blocks=64, z=4, block_bytes=64, stash_capacity=60
         )
-        oram = build_oram(OramSpec(protocol="flat", storage="flat"), config, seed=3)
+        spec = OramSpec(protocol="flat", storage=storage)
+        oram = build_stack(spec, config, 3, tmp_path)
         with pytest.raises(ConfigurationError):
             oram.access_many([1, 2, 65])
         # Up-front validation: nothing ran.
         assert oram.stats.real_accesses == 0
+        assert oram.stats.path_reads == 0
 
     def test_super_block_config_falls_back_identically(self):
         config = ORAMConfig(
@@ -262,6 +267,18 @@ class TestHierarchicalAccessMany:
         assert fingerprint(looped) == fingerprint(fused)
         assert looped._rng.getstate() == fused._rng.getstate()
         assert result.accesses == len(trace)
+
+    @pytest.mark.parametrize("storage", STACKS)
+    def test_invalid_address_raises_before_any_access(self, storage, tmp_path):
+        spec = OramSpec(protocol="hierarchical", storage=storage)
+        oram = build_stack(spec, self._hierarchy(), 3, tmp_path)
+        fresh_rng = oram._rng.getstate()
+        with pytest.raises(ConfigurationError):
+            oram.access_many([1, 2, 513])
+        # Up-front validation: no leaf was drawn and no ORAM ran a path op.
+        assert oram._rng.getstate() == fresh_rng
+        assert oram.stats.real_accesses == 0
+        assert all(sub.stats.path_reads == 0 for sub in oram.orams)
 
     def test_dummy_rounds_interleave_identically(self):
         # A tight data stash triggers hierarchy-wide dummy rounds.
@@ -516,6 +533,39 @@ class TestChainCoalescing:
         assert oram.plb_entries_per_level == 0 and oram.plb is None
         oram.access_many(_local_trace(512, 600, seed=1))
         assert sum(o.stats.coalesced_ops for o in oram.orams) == 0
+
+
+class TestReferenceCycles:
+    """A dropped ORAM must be freed by reference counting alone.  A
+    self-reference, such as a stored bound method, keeps the whole tree
+    alive until the cyclic collector runs, which raises peak memory in
+    sweeps that build one ORAM after another."""
+
+    @pytest.mark.parametrize("protocol", ["flat", "hierarchical"])
+    @pytest.mark.parametrize("storage", STACKS)
+    def test_dropped_oram_is_freed_without_the_cycle_collector(
+        self, storage, protocol, tmp_path
+    ):
+        config = ORAMConfig(working_set_blocks=256, z=4, block_bytes=64, stash_capacity=100)
+        if protocol == "hierarchical":
+            config = HierarchyConfig(
+                data_oram=config,
+                position_map_block_bytes=8,
+                position_map_z=3,
+                onchip_position_map_limit_bytes=64,
+            )
+        spec = OramSpec(protocol=protocol, storage=storage, plb_entries_per_level=0)
+        gc.disable()
+        try:
+            oram = build_stack(spec, config, 1, tmp_path)
+            oram.access_many(random_trace(256, 200, seed=1))
+            orams = oram.orams if protocol == "hierarchical" else ()
+            dropped = [weakref.ref(obj) for obj in (oram, *orams)]
+            del oram, orams
+            assert all(ref() is None for ref in dropped)
+        finally:
+            gc.enable()
+
 
 class TestBlockPool:
     def test_extract_recycles_and_creation_reuses(self):

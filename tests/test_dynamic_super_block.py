@@ -30,6 +30,7 @@ from repro.core.super_block import (
     StaticSuperBlockMapper,
     SuperBlockMapper,
 )
+from repro.core.types import Operation
 from repro.errors import ConfigurationError
 from tests.test_access_many import build_stack
 
@@ -534,7 +535,7 @@ class TestDynamicExclusiveInterface:
         with pytest.raises(ConfigurationError):
             oram.access_path(1, 0, 0)
         with pytest.raises(ConfigurationError):
-            oram.access_fixed_leaf(1, 0, 0)
+            oram.access_path(1, 0, 0, Operation.WRITE, b"x")
         with pytest.raises(ConfigurationError):
             oram.extract_path(1, 0, 0)
         with pytest.raises(ConfigurationError):

@@ -19,12 +19,14 @@ level needs touching.  These tests pin the load-bearing invariants:
   logical results.
 """
 
+import itertools
 import random
 
 import pytest
 
 from repro.backends import OramSpec, build_oram, storage_backends
 from repro.core.config import HierarchyConfig, ORAMConfig
+from repro.core.path_oram import PathORAM
 from repro.core.plb import PosMapLookaside
 from repro.core.types import Operation
 from repro.errors import ConfigurationError
@@ -265,6 +267,39 @@ class TestPlbDifferential:
             o.stats.plb_hits for o in fused.orams
         )
         assert sum(o.stats.plb_hits for o in fused.orams) > 0
+
+    @pytest.mark.parametrize("capacity", [0, 8])
+    def test_looped_data_step_runs_the_classified_op(self, capacity, monkeypatch):
+        # On ``flat`` every level of the chain, the data ORAM included,
+        # runs the classified list op: looped ``access`` must never fall
+        # back to the generic engine's op, and must stay bit-identical to
+        # ``access_many`` over the same mixed read/write stream.
+        generic_calls = []
+        generic_op = PathORAM._access_path
+
+        def spy(self, *args):
+            generic_calls.append(args[0])
+            return generic_op(self, *args)
+
+        monkeypatch.setattr(PathORAM, "_access_path", spy)
+        hierarchy = _hierarchy()
+        spec = _spec(plb_entries_per_level=capacity)
+        rng = random.Random(21)
+        stream = [
+            (address, Operation.WRITE if rng.random() < 0.3 else Operation.READ)
+            for address in _local_trace(512, 1200, seed=3)
+        ]
+        looped = build_oram(spec, hierarchy, seed=8)
+        fused = build_oram(spec, hierarchy, seed=8)
+        for address, op in stream:
+            looped.access(address, op, b"w")
+        for op, run in itertools.groupby(stream, key=lambda item: item[1]):
+            fused.access_many([address for address, _ in run], op, b"w")
+        assert generic_calls == []
+        assert fingerprint(looped) == fingerprint(fused)
+        assert looped._rng.getstate() == fused._rng.getstate()
+        if capacity:
+            assert sum(o.stats.plb_hits for o in looped.orams) > 0
 
     def test_plb_off_matches_baseline_bit_identical(self):
         hierarchy = _hierarchy()
