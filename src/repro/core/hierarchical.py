@@ -122,7 +122,19 @@ class HierarchicalPathORAM:
             hierarchy.labels_per_position_block(self._configs[i])
             for i in range(len(self._configs) - 1)
         ]
-        self._child_num_leaves = [config.num_leaves for config in self._configs]
+        # The inward walk's per-level constants, outermost position-map
+        # ORAM first: (level, child level, ORAM, labels per block, child
+        # leaf count).
+        self._inward_steps = tuple(
+            (
+                level,
+                level - 1,
+                self._orams[level],
+                self._labels_per_block[level - 1],
+                self._configs[level - 1].num_leaves,
+            )
+            for level in range(len(self._configs) - 1, 0, -1)
+        )
         outer = self._configs[-1]
         self._onchip_position_map = PositionMap(
             outer.position_map_entries, outer.num_leaves, rng=self._rng
@@ -411,8 +423,14 @@ class HierarchicalPathORAM:
         Returns the data step's result; the caller has validated
         ``address`` and counts the access.
         """
+        # An indexed loop: on this per-access path it is cheaper than
+        # enumerate() or a slice assignment from map().
         new_leaves = self._new_leaves
-        new_leaves[:] = map(self._getrandbits, self._leaf_bits)
+        getrandbits = self._getrandbits
+        index = 0
+        for bits in self._leaf_bits:
+            new_leaves[index] = getrandbits(bits)
+            index += 1
         cache = self._chain_cache
         if cache is None:
             chain = self._chain_for(self._data_group_of(address))
@@ -452,20 +470,17 @@ class HierarchicalPathORAM:
                 outer_group = chain[-1][0] - 1
                 current_leaf = onchip[outer_group]
                 onchip[outer_group] = new_leaves[outer_index]
-            labels_per_block = self._labels_per_block
-            child_num_leaves = self._child_num_leaves
-            for level in range(divergence, 0, -1):
-                child = level - 1
+            steps = self._inward_steps[outer_index - divergence :]
+            for level, child, oram, labels_per_block, child_num_leaves in steps:
                 block_address, slot = chain[child]
-                oram = orams[level]
                 current_leaf, labels = oram.access_position_block(
                     block_address,
                     current_leaf,
                     new_leaves[level],
                     slot,
                     new_leaves[child],
-                    labels_per_block[child],
-                    child_num_leaves[child],
+                    labels_per_block,
+                    child_num_leaves,
                 )
                 if plb is not None:
                     plb.install(level, block_address, labels)
