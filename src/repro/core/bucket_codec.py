@@ -104,16 +104,43 @@ class BucketCodec:
     # Per-bucket encoding
     # ------------------------------------------------------------------
     def encode_blocks(self, blocks: list[Block]) -> list[bytes]:
-        """Serialise a bucket's real blocks, padding with dummies to ``Z``."""
-        slots = [self.encode_block(block) for block in blocks]
+        """Serialise a bucket's real blocks, padding with dummies to ``Z``;
+        ``bytes`` payloads (the hot case) are framed inline."""
+        slots: list[bytes] = []
+        append = slots.append
+        pack = _HEADER.pack
+        for block in blocks:
+            payload = block.data
+            if type(payload) is not bytes or block.address == DUMMY_ADDRESS:
+                append(self.encode_block(block))
+                continue
+            try:
+                append(pack(block.address, block.leaf, _PAYLOAD_BYTES, len(payload)) + payload)
+            except struct.error as exc:
+                message = f"block {block.address} does not fit its slot: {exc}"
+                raise EncryptionError(message) from exc
         slots.extend([_DUMMY_SLOT] * (self._config.z - len(slots)))
         return slots
 
     def decode_blocks(self, plaintexts: list[bytes]) -> list[Block]:
-        """Deserialise a bucket, dropping dummy slots."""
+        """Deserialise a bucket, dropping dummy slots; ``bytes`` payloads are
+        sliced inline."""
         blocks: list[Block] = []
+        append = blocks.append
+        unpack = _HEADER.unpack_from
+        size = _HEADER.size
         for plaintext in plaintexts:
-            block = self.decode_block(plaintext)
-            if block is not None:
-                blocks.append(block)
+            if plaintext == _DUMMY_SLOT:
+                continue
+            if len(plaintext) < size:
+                raise EncryptionError("block plaintext too short")
+            address, leaf, tag, length = unpack(plaintext)
+            if address == DUMMY_ADDRESS:
+                continue
+            if tag == _PAYLOAD_BYTES:
+                if len(plaintext) < size + length:
+                    raise EncryptionError("block payload truncated")
+                append(Block(address, leaf, plaintext[size : size + length]))
+            else:
+                append(self.decode_block(plaintext))
         return blocks

@@ -193,9 +193,6 @@ class NumpyFlatTreeStorage(TreeStorage):
             for address, block_leaf, row in zip(addresses, leaves, rows.tolist())
         ]
 
-    def read_path(self, leaf: int) -> list[Block]:
-        return self.read_path_blocks(leaf)
-
     def write_path_levels(self, leaf: int, level_buckets) -> None:
         """Scatter a whole path back into the columns, level-aligned."""
         z = self._z
@@ -238,12 +235,6 @@ class NumpyFlatTreeStorage(TreeStorage):
             occupancy += count - old
         self.has_payloads = has_payloads
         self._occupancy = occupancy
-
-    def write_path(self, leaf: int, assignments) -> None:
-        path = self.path(leaf)
-        self.write_path_levels(
-            leaf, [assignments.get(bucket_index) for bucket_index in path]
-        )
 
     def occupancy(self) -> int:
         """Real blocks stored in the tree — an O(1) maintained counter."""

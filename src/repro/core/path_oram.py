@@ -1718,10 +1718,10 @@ class PathORAM:
 
     def _place_into_levels(self, leaf: int) -> tuple[int, list[Block], list[Block]]:
         """Generic placement: build per-level buckets and hand them to the
-        storage's batched ``write_path_levels`` (kept for wrapper back-ends
-        such as encrypted or integrity-verifying storage, which intercept
-        whole-path writes).  Chooses exactly the same blocks per level as
-        :meth:`_place_into_slots`."""
+        storage's batched ``write_path_levels`` in one call — the encrypted
+        and integrity-verifying stores seal the whole path there, the
+        latter hashing exactly the ciphertexts it wrote.  Chooses exactly
+        the same blocks per level as :meth:`_place_into_slots`."""
         levels = self._levels
         z = self._z
         by_stash = self._by_deepest_stash

@@ -18,11 +18,14 @@ Three storage back-ends are provided:
   :class:`~repro.crypto.bucket_encryption.BucketCipher`, exercising the full
   randomized-encryption path of Section 2.2.
 
-:class:`TreeStorage` also defines the batched *path* operations the Path
-ORAM protocol drives (:meth:`TreeStorage.read_path_blocks` and
-:meth:`TreeStorage.write_path`) with generic per-bucket default
-implementations, so wrappers such as the integrity-verifying storage keep
-working unchanged while array-backed storage can override them wholesale.
+:class:`TreeStorage` also defines the *path* operations the Path ORAM
+protocol drives, :meth:`TreeStorage.read_path_blocks` and
+:meth:`TreeStorage.write_path_levels` (``read_path`` / ``write_path`` are
+adapters onto them), with per-bucket defaults.  The flat store moves slots
+directly; the encrypted store moves whole paths through
+:meth:`EncryptedTreeStorage.open_path` and
+:meth:`EncryptedTreeStorage.seal_path`, which the integrity-verifying
+storage composes with its authenticator.
 """
 
 from __future__ import annotations
@@ -120,48 +123,29 @@ class TreeStorage(ABC):
         """Overwrite one bucket with up to ``Z`` real blocks (padded with
         dummies by the back-end as needed)."""
 
-    def read_path(self, leaf: int) -> list[Block]:
-        """Read and return all real blocks on the path to ``leaf``."""
+    def read_path_blocks(self, leaf: int) -> list[Block]:
+        """Every real block on the path to ``leaf`` — the protocol's path
+        read.  The default reads bucket by bucket."""
         blocks: list[Block] = []
         for bucket_index in self.path(leaf):
             blocks.extend(self.read_bucket(bucket_index))
         return blocks
 
-    def read_path_blocks(self, leaf: int) -> list[Block]:
-        """Batched path read used by the protocol's hot path.
-
-        Semantically identical to :meth:`read_path`; back-ends that can read
-        a whole path without per-bucket copies override this.  The default
-        delegates to :meth:`read_path` so wrapper storages (e.g. integrity
-        verification) that override ``read_path`` keep intercepting protocol
-        reads.
-        """
-        return self.read_path(leaf)
-
-    def write_path(self, leaf: int, assignments: dict[int, list[Block]]) -> None:
-        """Write back a path.
-
-        ``assignments`` maps bucket index → blocks; buckets on the path that
-        are missing from the mapping are written empty (all dummies), which
-        matches the protocol's requirement that every bucket on the path is
-        re-encrypted and rewritten.
-        """
-        for bucket_index in self.path(leaf):
-            self.write_bucket(bucket_index, assignments.get(bucket_index, []))
+    def read_path(self, leaf: int) -> list[Block]:
+        """Read and return all real blocks on the path to ``leaf``."""
+        return self.read_path_blocks(leaf)
 
     def write_path_levels(self, leaf: int, level_buckets: list[list[Block] | None]) -> None:
-        """Batched path write used by the protocol's hot path.
-
-        ``level_buckets`` is aligned with the path (root first); ``None`` or
-        an empty list writes that bucket empty.  The default converts to the
-        :meth:`write_path` mapping so wrapper storages that override
-        ``write_path`` keep intercepting protocol writes.
-        """
-        assignments: dict[int, list[Block]] = {}
+        """Write back a whole path — the protocol's path write.  ``level_buckets``
+        is aligned with the path, root first; ``None`` or ``[]`` writes that
+        bucket empty (all dummies).  The default writes bucket by bucket."""
         for bucket_index, blocks in zip(self.path(leaf), level_buckets):
-            if blocks:
-                assignments[bucket_index] = blocks
-        self.write_path(leaf, assignments)
+            self.write_bucket(bucket_index, blocks or [])
+
+    def write_path(self, leaf: int, assignments: dict[int, list[Block]]) -> None:
+        """:meth:`write_path_levels` from a bucket index → blocks mapping;
+        path buckets missing from it are written empty."""
+        self.write_path_levels(leaf, [assignments.get(index) for index in self.path(leaf)])
 
     def occupancy(self) -> int:
         """Total number of real blocks currently stored in the tree."""
@@ -258,14 +242,6 @@ class FlatTreeStorage(TreeStorage):
                     blocks.extend(slots[base + 1 : base + 1 + count])
         return blocks
 
-    def write_path(self, leaf: int, assignments: dict[int, list[Block]]) -> None:
-        """Write a whole path directly into the slot array."""
-        path = self.path(leaf)
-        level_buckets: list[list[Block] | None] = [
-            assignments.get(bucket_index) for bucket_index in path
-        ]
-        self.write_path_levels(leaf, level_buckets)
-
     def write_path_levels(self, leaf: int, level_buckets: list[list[Block] | None]) -> None:
         """Write a whole path directly into the slot array, level-aligned."""
         slots = self._slots
@@ -300,7 +276,8 @@ class EncryptedTreeStorage(TreeStorage):
     Each bucket is serialised by :class:`BucketCodec` (real blocks padded
     with dummies up to ``Z``) and encrypted by the supplied cipher, so an
     external observer of this storage sees only ciphertext that changes on
-    every write — the property Section 2.2 requires.
+    every write — the property Section 2.2 requires.  Bucket and path
+    operations run the same codec and cipher calls per bucket.
     """
 
     def __init__(self, config: ORAMConfig, cipher: BucketCipher) -> None:
@@ -319,8 +296,7 @@ class EncryptedTreeStorage(TreeStorage):
             # Uninitialised DRAM: treated as an empty bucket (the paper's
             # integrity layer handles "never written" buckets explicitly).
             return []
-        plaintexts = self._cipher.decrypt(bucket_index, ciphertext)
-        return self._codec.decode_blocks(plaintexts)
+        return self._codec.decode_blocks(self._cipher.decrypt(bucket_index, ciphertext))
 
     def write_bucket(self, bucket_index: int, blocks: list[Block]) -> None:
         if len(blocks) > self._config.z:
@@ -329,6 +305,40 @@ class EncryptedTreeStorage(TreeStorage):
             )
         plaintexts = self._codec.encode_blocks(blocks)
         self._buckets[bucket_index] = self._cipher.encrypt(bucket_index, plaintexts)
+
+    def open_path(self, leaf: int, raw: list[bytes]) -> list[Block]:
+        """The real blocks in the path ciphertexts ``raw`` (as :meth:`raw_path`
+        returns them, root first); never-written buckets (``b""``) are skipped."""
+        decrypt = self._cipher.decrypt
+        decode = self._codec.decode_blocks
+        blocks: list[Block] = []
+        for bucket_index, ciphertext in zip(self.path(leaf), raw):
+            if ciphertext:
+                blocks += decode(decrypt(bucket_index, ciphertext))
+        return blocks
+
+    def seal_path(self, leaf: int, level_buckets: list[list[Block] | None]) -> list[bytes]:
+        """Encode, encrypt and store the path as :meth:`write_path_levels` does,
+        checking every level against ``Z`` first; return the new ciphertexts,
+        root first (what :meth:`raw_path` now reads)."""
+        z = self._config.z
+        for blocks in level_buckets:
+            if blocks and len(blocks) > z:
+                raise ConfigurationError(f"bucket overfilled: {len(blocks)} > Z={z}")
+        encrypt = self._cipher.encrypt
+        encode = self._codec.encode_blocks
+        buckets = self._buckets
+        sealed: list[bytes] = []
+        for bucket_index, blocks in zip(self.path(leaf), level_buckets):
+            ciphertext = buckets[bucket_index] = encrypt(bucket_index, encode(blocks or []))
+            sealed.append(ciphertext)
+        return sealed
+
+    def read_path_blocks(self, leaf: int) -> list[Block]:
+        return self.open_path(leaf, self.raw_path(leaf))
+
+    def write_path_levels(self, leaf: int, level_buckets: list[list[Block] | None]) -> None:
+        self.seal_path(leaf, level_buckets)
 
     def raw_bucket(self, bucket_index: int) -> bytes | None:
         """Ciphertext of one bucket as an adversary would see it."""

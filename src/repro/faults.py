@@ -84,10 +84,9 @@ class FaultInjector(TreeStorage):
       back at the next path read — the moment a real dropped DRAM write
       would surface.
 
-    The read-back the integrity layer performs inside ``write_path`` (to
-    refresh the authentication tree) is recognised and never counted or
-    corrupted — the injector models a device that corrupts *stored* data,
-    not the verifier's own view of what it just wrote.
+    Reads are counted at ``raw_path`` and write-backs at ``seal_path``.  The
+    ciphertexts ``seal_path`` returns are the verifier's record of what it
+    wrote; a device corrupts *stored* data, so that record is never altered.
     """
 
     def __init__(
@@ -114,9 +113,6 @@ class FaultInjector(TreeStorage):
         # First-ever ciphertext seen per bucket before an overwrite — the
         # stale snapshot a replay attack reinstates.
         self._stale: dict[int, bytes | None] = {}
-        # Leaf of a write-back whose follow-up read-back (auth refresh)
-        # must pass through untouched.
-        self._pending_readback: int | None = None
         # (bucket, old ciphertext) reverted at the next path read to model
         # a lost write becoming visible.
         self._pending_revert: tuple[int, bytes | None] | None = None
@@ -193,11 +189,6 @@ class FaultInjector(TreeStorage):
     # TreeStorage interface (device-facing)
     # ------------------------------------------------------------------
     def raw_path(self, leaf: int) -> list[bytes]:
-        if self._pending_readback == leaf:
-            # The integrity layer re-reading the path it just wrote, to
-            # refresh the authentication tree: not a device read.
-            self._pending_readback = None
-            return self._storage.raw_path(leaf)
         op = self.read_ops
         self.read_ops += 1
         path = self.path(leaf)
@@ -212,7 +203,7 @@ class FaultInjector(TreeStorage):
             self._read_faults[op + 1] = kind
         return self._storage.raw_path(leaf)
 
-    def write_path(self, leaf: int, assignments) -> None:
+    def seal_path(self, leaf: int, level_buckets) -> list[bytes]:
         op = self.write_ops
         self.write_ops += 1
         path = self.path(leaf)
@@ -222,13 +213,16 @@ class FaultInjector(TreeStorage):
                 self._stale[index] = buckets[index]
         drop = op in self._write_faults and self._pending_revert is None
         old_root = buckets[path[0]] if drop else None
-        self._storage.write_path(leaf, assignments)
+        sealed = self._storage.seal_path(leaf, level_buckets)
         if drop:
             self._write_faults.discard(op)
             # Lost write-back: remember the pre-write root ciphertext and
             # reinstate it when the device is next read.
             self._pending_revert = (path[0], old_root)
-        self._pending_readback = leaf
+        return sealed
+
+    def open_path(self, leaf: int, raw: list[bytes]):
+        return self._storage.open_path(leaf, raw)
 
     # Plain delegation below: bucket-level ops are used by invariant checks
     # and decoding only, never as the verified device read.

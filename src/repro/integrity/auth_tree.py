@@ -30,9 +30,8 @@ from repro.errors import ConfigurationError, IntegrityError
 HASH_BYTES = 32
 _ZERO_HASH = b"\x00" * HASH_BYTES
 
-
-def _hash(data: bytes) -> bytes:
-    return hashlib.sha256(data).digest()
+#: The two child-valid flags as the byte pair an internal-node hash starts with.
+_FLAG_BYTES = ((b"\x00\x00", b"\x00\x01"), (b"\x01\x00", b"\x01\x01"))
 
 
 @dataclass
@@ -55,9 +54,10 @@ class PathORAMAuthenticator:
         self._hashes: list[bytes] = [_ZERO_HASH] * num_buckets
         self._flags: list[list[int]] = [[0, 0] for _ in range(num_buckets)]
         # On-chip state: the root hash and the root's child-valid flags.
+        # With both flags clear the root hashes its flags and two gated
+        # (all-zero) child hashes.
         self._root_flags = [0, 0]
-        self._root_hash = self._node_hash(b"", [0, 0], _ZERO_HASH, _ZERO_HASH, reachable=False)
-        self._written = [False] * num_buckets
+        self._root_hash = hashlib.sha256(_FLAG_BYTES[0][0] + _ZERO_HASH + _ZERO_HASH).digest()
         self.counters = AuthCounters()
 
     @property
@@ -72,30 +72,6 @@ class PathORAMAuthenticator:
     # ------------------------------------------------------------------
     # Hash computation
     # ------------------------------------------------------------------
-    @staticmethod
-    def _node_hash(bucket: bytes, flags: Sequence[int], left: bytes, right: bytes,
-                   reachable: bool) -> bytes:
-        """Internal-node hash with the paper's flag gating."""
-        gated_bucket = bucket if (flags[0] or flags[1]) and reachable else b""
-        gated_left = left if flags[0] else _ZERO_HASH
-        gated_right = right if flags[1] else _ZERO_HASH
-        return _hash(bytes([flags[0], flags[1]]) + gated_bucket + gated_left + gated_right)
-
-    @staticmethod
-    def _leaf_hash(bucket: bytes) -> bytes:
-        return _hash(bucket)
-
-    def _is_leaf(self, bucket_index: int) -> bool:
-        return 2 * bucket_index + 1 >= self._config.num_buckets
-
-    def _child_direction(self, parent: int, child: int) -> int:
-        """0 if ``child`` is the left child of ``parent``, 1 if the right."""
-        if child == 2 * parent + 1:
-            return 0
-        if child == 2 * parent + 2:
-            return 1
-        raise ConfigurationError(f"bucket {child} is not a child of {parent}")
-
     def _flags_of(self, bucket_index: int) -> list[int]:
         if bucket_index == 0:
             return self._root_flags
@@ -104,34 +80,44 @@ class PathORAMAuthenticator:
     def _reachability(self, path: Sequence[int]) -> list[bool]:
         """Whether each bucket on ``path`` was reachable from the root at the
         start of this access (all valid bits above it are 1), in one
-        top-down pass: reachability holds until the first unset bit."""
+        top-down pass.  An even heap index is a right child (flag 1)."""
+        flags = self._flags
+        node_flags = self._root_flags
         reachable = [True] * len(path)
-        for position in range(len(path) - 1):
-            parent = path[position]
-            if not self._flags_of(parent)[self._child_direction(parent, path[position + 1])]:
-                reachable[position + 1 :] = [False] * (len(path) - position - 1)
+        for position in range(1, len(path)):
+            child = path[position]
+            if not node_flags[not child & 1]:
+                reachable[position:] = [False] * (len(path) - position)
                 break
+            node_flags = flags[child]
         return reachable
 
-    def _compute_path_root(self, path: Sequence[int], buckets: Sequence[bytes],
-                           flags_by_node: Sequence[Sequence[int]],
-                           reachability: Sequence[bool]) -> bytes:
-        """Recompute the root hash from leaf to root along ``path``."""
+    def _fold(self, path: Sequence[int], buckets: Sequence[bytes],
+              reachable: Sequence[bool], store: bool) -> bytes:
+        """Hash ``buckets`` bottom-up along ``path`` (gated as in the module
+        docstring, siblings from the external hash list) and return the root
+        hash; with ``store``, write every non-root hash back to that list."""
+        hashes = self._hashes
+        flags = self._flags
+        sha256 = hashlib.sha256
         levels = len(path) - 1
-        current = self._leaf_hash(buckets[levels])
+        current = sha256(buckets[levels]).digest()
+        if store:
+            hashes[path[levels]] = current
         for position in range(levels - 1, -1, -1):
             node = path[position]
-            child_on_path = path[position + 1]
-            direction = self._child_direction(node, child_on_path)
-            sibling = (2 * node + 1) if direction == 1 else (2 * node + 2)
-            sibling_hash = self._hashes[sibling]
-            self.counters.sibling_hashes_read += 1
-            left = current if direction == 0 else sibling_hash
-            right = current if direction == 1 else sibling_hash
-            current = self._node_hash(
-                buckets[position], flags_by_node[position], left, right,
-                reachable=reachability[position],
-            )
+            child = path[position + 1]
+            f0, f1 = flags[node] if node else self._root_flags
+            if child & 1:
+                left, right = current, hashes[child + 1]
+            else:
+                left, right = hashes[child - 1], current
+            gated = buckets[position] if (f0 or f1) and reachable[position] else b""
+            current = sha256(b"".join((
+                _FLAG_BYTES[f0][f1], gated, left if f0 else _ZERO_HASH, right if f1 else _ZERO_HASH
+            ))).digest()
+            if store and node:
+                hashes[node] = current
         return current
 
     # ------------------------------------------------------------------
@@ -148,10 +134,10 @@ class PathORAMAuthenticator:
         path = path_indices(leaf, self._config.levels)
         if len(buckets) != len(path):
             raise ConfigurationError("bucket count does not match path length")
-        flags_by_node = [list(self._flags_of(index)) for index in path]
-        reachability = self._reachability(path)
-        recomputed = self._compute_path_root(path, buckets, flags_by_node, reachability)
-        self.counters.verifications += 1
+        recomputed = self._fold(path, buckets, self._reachability(path), store=False)
+        counters = self.counters
+        counters.sibling_hashes_read += len(path) - 1
+        counters.verifications += 1
         if recomputed != self._root_hash:
             raise IntegrityError(f"authentication failed on path to leaf {leaf}")
 
@@ -166,55 +152,23 @@ class PathORAMAuthenticator:
         if len(new_buckets) != len(path):
             raise ConfigurationError("bucket count does not match path length")
         levels = len(path) - 1
-
-        reachability = self._reachability(path)
-
-        # Update child-valid flags along the path (top-down).
+        reachable = self._reachability(path)
+        # Set the flag of the direction taken (the leaf's bits, most
+        # significant first).  The other flag is only trustworthy if this
+        # bucket was already reachable; otherwise it is uninitialised memory.
+        flags = self._flags
         for position in range(levels):
             node = path[position]
-            child = path[position + 1]
-            direction = self._child_direction(node, child)
-            flags = self._flags_of(node)
-            new_flags = list(flags)
-            new_flags[direction] = 1
-            # The other flag is only trustworthy if this bucket was already
-            # reachable; otherwise the stored bits are uninitialised memory.
-            if not reachability[position]:
-                new_flags[1 - direction] = 0
-            if node == 0:
-                self._root_flags = new_flags
-            else:
-                self._flags[node] = new_flags
-
-        flags_by_node = [list(self._flags_of(index)) for index in path]
+            node_flags = flags[node] if node else self._root_flags
+            if not reachable[position]:
+                node_flags[0] = node_flags[1] = 0
+            node_flags[(leaf >> (levels - 1 - position)) & 1] = 1
         # Every bucket on the path has now been written, so it is reachable
         # for the purpose of the new hashes.
-        new_reachability = [True] * len(path)
-
-        # Recompute hashes bottom-up and store them.
-        current = self._leaf_hash(new_buckets[levels])
-        self._hashes[path[levels]] = current
-        self.counters.hashes_written += 1
-        for position in range(levels - 1, -1, -1):
-            node = path[position]
-            child_on_path = path[position + 1]
-            direction = self._child_direction(node, child_on_path)
-            sibling = (2 * node + 1) if direction == 1 else (2 * node + 2)
-            sibling_hash = self._hashes[sibling]
-            left = current if direction == 0 else sibling_hash
-            right = current if direction == 1 else sibling_hash
-            current = self._node_hash(
-                new_buckets[position], flags_by_node[position], left, right,
-                reachable=new_reachability[position],
-            )
-            if node == 0:
-                self._root_hash = current
-            else:
-                self._hashes[node] = current
-                self.counters.hashes_written += 1
-        for index in path:
-            self._written[index] = True
-        self.counters.updates += 1
+        self._root_hash = self._fold(path, new_buckets, [True] * len(path), store=True)
+        counters = self.counters
+        counters.hashes_written += max(levels, 1)
+        counters.updates += 1
 
     def tamper_with_hash(self, bucket_index: int, new_hash: bytes) -> None:
         """Testing hook: corrupt a stored (external) hash."""

@@ -6,6 +6,10 @@ bucket bytes) and a :class:`~repro.integrity.auth_tree.PathORAMAuthenticator`
 so that every path read is verified against the on-chip root hash and every
 path write-back refreshes the authentication tree — the integration
 described in Section 5 and Figure 13.
+
+A read verifies the ciphertexts of one ``raw_path`` read and decrypts
+exactly those bytes (``open_path``); a write-back hashes the ciphertexts
+``seal_path`` returns, with no read-back.
 """
 
 from __future__ import annotations
@@ -20,9 +24,10 @@ from repro.integrity.auth_tree import PathORAMAuthenticator
 class IntegrityVerifiedStorage(TreeStorage):
     """Encrypted bucket storage with authentication-tree verification.
 
-    Raises :class:`~repro.errors.IntegrityError` from ``read_path`` if any
+    Raises :class:`~repro.errors.IntegrityError` from a path read if any
     bucket on the path has been tampered with (or replayed) since the ORAM
-    interface last wrote it.
+    interface last wrote it.  The inherited ``read_path`` / ``write_path``
+    adapters run the verified path operations below.
     """
 
     def __init__(self, config: ORAMConfig, cipher: BucketCipher,
@@ -54,24 +59,18 @@ class IntegrityVerifiedStorage(TreeStorage):
     def write_bucket(self, bucket_index: int, blocks: list[Block]) -> None:
         self._inner.write_bucket(bucket_index, blocks)
 
-    def read_path(self, leaf: int) -> list[Block]:
-        """Verify then decrypt every bucket on the path to ``leaf``."""
-        path = self.path(leaf)
-        # ``raw_path`` is the device-facing read: a fault-injecting inner
-        # storage applies its scheduled corruption there, so verification
-        # sees exactly what "the DRAM" returned.
+    def read_path_blocks(self, leaf: int) -> list[Block]:
+        """Verify, then decrypt, the path to ``leaf``.  ``raw_path`` is the
+        device-facing read (where a fault injector corrupts), so the blocks
+        come from exactly the bytes that were verified."""
         raw = self._inner.raw_path(leaf)
         self._auth.verify_path(leaf, raw)
-        blocks: list[Block] = []
-        for index in path:
-            blocks.extend(self._inner.read_bucket(index))
-        return blocks
+        return self._inner.open_path(leaf, raw)
 
-    def write_path(self, leaf: int, assignments: dict[int, list[Block]]) -> None:
-        """Re-encrypt and write the path, then refresh the authentication tree."""
-        self._inner.write_path(leaf, assignments)
-        raw = self._inner.raw_path(leaf)
-        self._auth.update_path(leaf, raw)
+    def write_path_levels(self, leaf: int, level_buckets: list[list[Block] | None]) -> None:
+        """Re-encrypt and write the path, then refresh the authentication tree
+        from the ciphertexts just written."""
+        self._auth.update_path(leaf, self._inner.seal_path(leaf, level_buckets))
 
     # ------------------------------------------------------------------
     # Adversarial hooks for tests

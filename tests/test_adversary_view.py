@@ -34,6 +34,10 @@ PINS = {
     ),
 }
 
+#: SHA-256 of the same 8 raw paths after the same seeded flat workload on
+#: ``storage="encrypted"``: the path primitives carry this stack too.
+ENCRYPTED_PATHS = "7720c95a0c9bbb0d060098e3cb10b0ba7953e9e46e58a9a66b16c93f52f45b1b"
+
 
 def _config(protocol: str) -> ORAMConfig | HierarchyConfig:
     data = ORAMConfig(working_set_blocks=256, z=4, block_bytes=64, stash_capacity=150)
@@ -47,10 +51,10 @@ def _config(protocol: str) -> ORAMConfig | HierarchyConfig:
     )
 
 
-def adversary_view(protocol: str) -> tuple[tuple[str, ...], str]:
-    """Run the seeded workload; return root hashes and a digest of 8 paths."""
+def seeded_run(protocol: str, storage: str):
+    """The seeded workload of mixed reads and writes; returns the ORAM."""
     oram = open_oram(
-        OramSpec(protocol=protocol, storage="integrity", key_seed=7), _config(protocol), seed=11
+        OramSpec(protocol=protocol, storage=storage, key_seed=7), _config(protocol), seed=11
     )
     rng = random.Random(3)
     for step in range(ACCESSES):
@@ -59,17 +63,31 @@ def adversary_view(protocol: str) -> tuple[tuple[str, ...], str]:
             oram.access(address, Operation.WRITE, data=step.to_bytes(4, "little") * 16)
         else:
             oram.access(address, Operation.READ)
-    orams = oram.orams if protocol == "hierarchical" else (oram,)
-    roots = tuple(level.storage.authenticator.root_hash.hex() for level in orams)
-    device = orams[0].storage.inner
-    num_leaves = orams[0].config.num_leaves
+    return oram
+
+
+def raw_paths_digest(device, num_leaves: int) -> str:
+    """SHA-256 over the raw ciphertexts of 8 evenly spaced paths."""
     digest = hashlib.sha256()
     for leaf in (i * num_leaves // 8 for i in range(8)):
         for ciphertext in device.raw_path(leaf):
             digest.update(len(ciphertext).to_bytes(4, "little") + ciphertext)
-    return roots, digest.hexdigest()
+    return digest.hexdigest()
+
+
+def adversary_view(protocol: str) -> tuple[tuple[str, ...], str]:
+    """Run the seeded workload; return root hashes and a digest of 8 paths."""
+    oram = seeded_run(protocol, "integrity")
+    orams = oram.orams if protocol == "hierarchical" else (oram,)
+    roots = tuple(level.storage.authenticator.root_hash.hex() for level in orams)
+    return roots, raw_paths_digest(orams[0].storage.inner, orams[0].config.num_leaves)
 
 
 @pytest.mark.parametrize("protocol", sorted(PINS))
 def test_dram_bytes_after_run_are_pinned(protocol):
     assert adversary_view(protocol) == PINS[protocol]
+
+
+def test_encrypted_stack_dram_bytes_are_pinned():
+    oram = seeded_run("flat", "encrypted")
+    assert raw_paths_digest(oram.storage, oram.config.num_leaves) == ENCRYPTED_PATHS

@@ -185,3 +185,36 @@ class TestBucketCodec:
     def test_truncated_plaintext_rejected(self, codec):
         with pytest.raises(EncryptionError):
             codec.decode_block(b"short")
+
+    def test_bucket_loops_match_the_slot_helpers(self, codec, small_config):
+        # encode_blocks / decode_blocks frame bytes payloads inline; every
+        # slot must still equal what the per-slot helpers produce.
+        blocks = [
+            Block(address=4, leaf=2, data=b"\x00abc\xff"),
+            Block(address=5, leaf=1, data=bytearray(b"xyz")),
+            Block(address=6, leaf=3, data=-7),
+            Block(address=7, leaf=0, data=[1, 2]),
+        ][: small_config.z]
+        slots = codec.encode_blocks(blocks)
+        assert slots[: len(blocks)] == [codec.encode_block(block) for block in blocks]
+        decoded = [codec.decode_block(slot) for slot in slots[: len(blocks)]]
+        assert codec.decode_blocks(slots) == decoded
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            Block(address=1 << 64, leaf=0, data=b"x"),
+            Block(address=1, leaf=-1, data=b"x"),
+        ],
+        ids=["wide_address", "negative_leaf"],
+    )
+    def test_bucket_encode_rejects_out_of_range_bytes_block(self, codec, block):
+        with pytest.raises(EncryptionError, match="does not fit its slot"):
+            codec.encode_blocks([block])
+
+    def test_bucket_decode_rejects_truncated_slots(self, codec):
+        slot = codec.encode_block(Block(address=1, leaf=0, data=b"payload"))
+        with pytest.raises(EncryptionError, match="payload truncated"):
+            codec.decode_blocks([slot[:-1]])
+        with pytest.raises(EncryptionError, match="too short"):
+            codec.decode_blocks([b"short"])

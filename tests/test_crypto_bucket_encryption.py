@@ -1,5 +1,6 @@
 """Bucket encryption scheme tests (Section 2.2)."""
 
+import pickle
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from repro.crypto.bucket_encryption import (
     strawman_bucket_bits,
 )
 from repro.crypto.keys import ProcessorKey
+from repro.crypto.prf import Prf
 from repro.errors import EncryptionError
 
 
@@ -63,6 +65,34 @@ class TestCounterScheme:
         ciphertext = ciphertext[: len(ciphertext) // 2]
         with pytest.raises(EncryptionError):
             cipher.decrypt(0, bytes(ciphertext))
+
+    @pytest.mark.parametrize("backend", ["shake128", "aes"])
+    def test_body_is_plaintext_xor_prf_keystream(self, key, backend):
+        # The pad is PRF_K(BucketID || BucketCounter) on either backend;
+        # the frame is the block count then each length.
+        cipher = CounterBucketCipher(key, backend=backend)
+        cipher.encrypt(6, [b"first"])
+        ciphertext = cipher.encrypt(6, [b"ab", b"cde"])
+        plaintext = bytes([2, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0]) + b"abcde"
+        pad = Prf(key.key_bytes, backend=backend).keystream(len(plaintext), 6, 2)
+        assert ciphertext[:8] == (2).to_bytes(8, "little")
+        assert ciphertext[8:] == bytes(a ^ b for a, b in zip(plaintext, pad))
+        assert cipher.decrypt(6, ciphertext) == [b"ab", b"cde"]
+
+    def test_seed_outside_u64_raises_overflow_error(self, key):
+        cipher = CounterBucketCipher(key)
+        with pytest.raises(OverflowError, match="not unsigned 64-bit"):
+            cipher.encrypt(-1, [b"x"])
+        with pytest.raises(OverflowError, match="not unsigned 64-bit"):
+            cipher.decrypt(1 << 64, cipher.encrypt(0, [b"x"]))
+
+    @pytest.mark.parametrize("backend", ["shake128", "aes"])
+    def test_pickled_cipher_keeps_its_pad(self, key, backend):
+        cipher = CounterBucketCipher(key, backend=backend)
+        ciphertext = cipher.encrypt(4, [b"payload"])
+        clone = pickle.loads(pickle.dumps(cipher))
+        assert clone.decrypt(4, ciphertext) == [b"payload"]
+        assert clone.encrypt(4, [b"next"]) == cipher.encrypt(4, [b"next"])
 
     def test_different_runs_use_different_keys(self):
         # A fresh processor key per program start defends replay attacks.

@@ -7,7 +7,8 @@ import pytest
 
 from repro.core.config import ORAMConfig
 from repro.core.path_oram import PathORAM
-from repro.core.tree import path_indices
+from repro.core.tree import EncryptedTreeStorage, path_indices
+from repro.core.types import Block
 from repro.crypto.bucket_encryption import CounterBucketCipher
 from repro.crypto.keys import ProcessorKey
 from repro.errors import IntegrityError
@@ -190,3 +191,29 @@ class TestIntegrityVerifiedStorage:
         with pytest.raises(IntegrityError):
             for address in range(1, 40):
                 oram.read(address)
+
+    def test_verified_read_decrypts_the_bytes_it_verified(self, auth_config):
+        # A device whose path read hands back the current ciphertexts and
+        # then reinstates a stale root: a second, unverified read of the
+        # root would decrypt the stale bucket without any error.
+        class StaleAfterRead(EncryptedTreeStorage):
+            stale_root = None
+
+            def raw_path(self, leaf):
+                raw = super().raw_path(leaf)
+                if self.stale_root is not None:
+                    self._buckets[0] = self.stale_root
+                return raw
+
+        cipher = CounterBucketCipher(ProcessorKey(seed=4))
+        device = StaleAfterRead(auth_config, cipher)
+        storage = IntegrityVerifiedStorage(auth_config, cipher, inner=device)
+        def write_root(version):
+            storage.write_path(0, {0: [Block(address=1, leaf=0, data=bytes([version]))]})
+
+        write_root(0)
+        captured = device.raw_bucket(0)
+        write_root(1)
+        write_root(2)
+        device.stale_root = captured
+        assert storage.read_path_blocks(0) == [Block(address=1, leaf=0, data=bytes([2]))]
