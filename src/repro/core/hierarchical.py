@@ -305,7 +305,7 @@ class HierarchicalPathORAM:
         same fresh-leaf install), but the data ORAM's per-address mirror is
         authoritative for where the block truly is — the chain's stored
         label can be stale for members a merge retargeted while they sat in
-        the stash; see :meth:`PathORAM.access_dynamic_path`.
+        the stash, so :meth:`PathORAM.access_path` treats it as advisory.
         """
         self._check_address(address)
         result = self._chain_access(address, op, data, False)
@@ -364,10 +364,10 @@ class HierarchicalPathORAM:
         Under dynamic super-block merging the position-map chain is walked
         for its access pattern exactly as usual, but the data ORAM's own
         per-address mirror decides which path holds each member (chain
-        labels go stale when the merge policy regroups addresses), so the
-        extraction routes through
-        :meth:`PathORAM.extract_dynamic_path`, with the chain's fresh data
-        leaf used only when the merge plan wants a fresh draw.
+        labels go stale when the merge policy regroups addresses):
+        :meth:`PathORAM.extract_path` treats the chain's label as advisory
+        and uses the chain's fresh data leaf only when the merge plan wants
+        a fresh draw.
         """
         self._check_address(address)
         extracted = self._chain_access(address, Operation.READ, None, True)
@@ -418,10 +418,11 @@ class HierarchicalPathORAM:
         :meth:`PathORAM.access_position_block`, each physical op
         installing its block's live label list in the PLB.  The data step
         is :meth:`PathORAM.access_path` (``extract``:
-        :meth:`PathORAM.extract_path`), or the ``*_dynamic_path`` twin
-        under dynamic super blocks, where the chain-read leaf is advisory.
-        Returns the data step's result; the caller has validated
-        ``address`` and counts the access.
+        :meth:`PathORAM.extract_path`) for every data mapper; under dynamic
+        super blocks the chain-read leaf is advisory there, and
+        :meth:`_plb_dynamic_recheck` then drops a PLB entry the data step
+        made stale.  Returns the data step's result; the caller has
+        validated ``address`` and counts the access.
         """
         # An indexed loop: on this per-access path it is cheaper than
         # enumerate() or a slice assignment from map().
@@ -487,16 +488,13 @@ class HierarchicalPathORAM:
                     oram._stats.plb_misses += 1  # noqa: SLF001
 
         data_oram = orams[0]
-        if self._dynamic_data:
-            if extract:
-                result = data_oram.extract_dynamic_path(address, new_leaves[0])
-            else:
-                result = data_oram.access_dynamic_path(address, new_leaves[0], op, data)
-            self._plb_dynamic_recheck(address)
-            return result
         if extract:
-            return data_oram.extract_path(address, current_leaf, new_leaves[0])
-        return data_oram.access_path(address, current_leaf, new_leaves[0], op, data)
+            result = data_oram.extract_path(address, current_leaf, new_leaves[0])
+        else:
+            result = data_oram.access_path(address, current_leaf, new_leaves[0], op, data)
+        if self._dynamic_data:
+            self._plb_dynamic_recheck(address)
+        return result
 
     def _plb_dynamic_recheck(self, address: int) -> None:
         """Post-data-access coherence check under dynamic super blocks.

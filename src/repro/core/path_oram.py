@@ -36,6 +36,12 @@ freeing its tree until the cyclic collector runs.)  The ops:
   Super-block groups on the classified storage keep the classified op for
   dummies, which move no block.
 
+Both super-block mappers run that one op and one span move
+(:meth:`PathORAM._retarget_group`); they differ only in the leaf choice
+each real access makes first (:meth:`PathORAM._choose_leaves`), where
+dynamic merging's per-address map is authoritative and a caller's
+``current_leaf`` only advisory.
+
 The write-back buckets candidates once by the deepest level they may
 occupy (one precomputed-table lookup per distinct stash leaf and per path
 block) and places them deepest-first in a single walk over the path.
@@ -200,8 +206,8 @@ class PathORAM:
         )
         self._single_member_groups = self._mapper.group_size == 1
         # Dynamic super-block merging: the mapper keeps the position map at
-        # per-address granularity and drives runtime merge/split decisions;
-        # accesses route through the dedicated _dynamic_path_op.
+        # per-address granularity and plans every real access's merge/split
+        # decisions in _choose_leaves.
         self._dynamic = isinstance(self._mapper, DynamicSuperBlockMapper)
         self._group_of = self._mapper.group_of
         num_groups = self._mapper.num_groups(config.working_set_blocks)
@@ -417,25 +423,24 @@ class PathORAM:
         super-block group to a fresh random leaf, writes the path back, and
         finally lets the background-eviction policy issue dummy accesses.
         """
-        if self._dynamic:
-            result = self._dynamic_path_op(address, op, data, None)
-        elif not 1 <= address <= self._working_set:
+        if not 1 <= address <= self._working_set:
             raise ConfigurationError(
                 f"address {address} outside [1, {self._working_set}]"
             )
-        else:
-            group = address - 1 if self._single_member_groups else self._group_of(address)
+        if self._single_member_groups:
             leaves = self._pm_leaves
-            old_leaf = leaves[group]
+            old_leaf = leaves[address - 1]
             bits = self._draw_bits
             new_leaf = self._getrandbits(bits) if bits else self._random_leaf()
-            leaves[group] = new_leaf
-            result_data, found = self._path_op(
-                self, address, old_leaf, new_leaf,
-                op is _WRITE, data, self._create_on_miss,
-                None, 0, 0, 0,
-            )
-            result = AccessResult(address, result_data, found)
+            leaves[address - 1] = new_leaf
+        else:
+            old_leaf, new_leaf = self._choose_leaves(address, None, None)
+        result_data, found = self._path_op(
+            self, address, old_leaf, new_leaf,
+            op is _WRITE, data, self._create_on_miss,
+            None, 0, 0, 0,
+        )
+        result = AccessResult(address, result_data, found)
         stats = self._stats
         stats.real_accesses += 1
         if stats.record_occupancy:
@@ -467,13 +472,12 @@ class PathORAM:
 
         Bit-for-bit identical to ``for a in addresses: self.access(a, op,
         data)`` — same RNG stream, same stash/tree/position-map state, same
-        statistics.  With single-member groups, every engine runs one thin
-        loop that calls this ORAM's path op directly, with the address
-        validation, leaf draws and eviction checks hoisted out of
-        :meth:`access` and the real-access counter flushed to :attr:`stats`
-        once at the end.  Dynamic super blocks have their own loop; static
-        super blocks and single-leaf trees fall back to a plain ``access``
-        loop.
+        statistics.  Every mapper and engine runs the one loop, which calls
+        this ORAM's path op directly, with the address validation, leaf
+        draws and eviction checks hoisted out of :meth:`access` and the
+        real-access counter flushed to :attr:`stats` once at the end.
+        Super-block groups (static or dynamic) and single-leaf trees take
+        their leaves from :meth:`_choose_leaves`, like :meth:`access`.
 
         One deliberate divergence: the loop validates the whole trace up
         front, so an out-of-range address raises *before* any access runs,
@@ -481,16 +485,12 @@ class PathORAM:
         (the contract the differential tests pin) behaviour is exactly
         identical.
         """
-        if self._dynamic:
-            return self._access_many_dynamic(addresses, op, data)
-        if not (self._single_member_groups and self._draw_bits):
-            return self._access_many_slow(addresses, op, data)
-
         # -- hoisted loop state (one lookup each for the whole trace) --
         working_set = self._working_set
         leaves = self._pm_leaves
         bits = self._draw_bits
         getrandbits = self._getrandbits
+        choose = None if self._single_member_groups and bits else self._choose_leaves
         path_op = self._path_op
         stash_blocks = self._stash_blocks
         create = self._create_on_miss
@@ -517,10 +517,13 @@ class PathORAM:
         real = found_count = dummy_total = 0
         try:
             for address in addresses:
-                index = address - 1
-                leaf = leaves[index]
-                new_leaf = getrandbits(bits)
-                leaves[index] = new_leaf
+                if choose is None:
+                    index = address - 1
+                    leaf = leaves[index]
+                    new_leaf = getrandbits(bits)
+                    leaves[index] = new_leaf
+                else:
+                    leaf, new_leaf = choose(address, None, None)
                 if path_op(
                     self, address, leaf, new_leaf, is_write, data, create, None, 0, 0, 0
                 )[1]:
@@ -542,199 +545,42 @@ class PathORAM:
             stats.real_accesses += real
         return TraceResult(accesses=real, found=found_count, dummy_accesses=dummy_total)
 
-    def _access_many_slow(
-        self, addresses: Any, op: Operation, data: Any
-    ) -> TraceResult:
-        """Per-access fallback for configurations the loop cannot take
-        (static super blocks, single-leaf ORAMs)."""
-        access = self.access
-        real = found_count = dummy_total = 0
-        for address in addresses:
-            result = access(address, op, data)
-            real += 1
-            found_count += result.found
-            dummy_total += result.dummy_accesses
-        return TraceResult(accesses=real, found=found_count, dummy_accesses=dummy_total)
+    def _choose_leaves(
+        self, address: int, current_leaf: int | None, new_leaf: int | None
+    ) -> tuple[int, int]:
+        """Return ``(leaf to read, leaf to remap to)`` for one grouped (or
+        single-leaf) real access and point the position map at the second;
+        ``None`` asks for this ORAM's own entry or a fresh draw.
 
-    def _access_many_dynamic(
-        self, addresses: Any, op: Operation, data: Any
-    ) -> TraceResult:
-        """Fused trace loop for the dynamic super-block path.
-
-        Same contract as the static loop: bit-for-bit identical to a
-        per-access :meth:`access` loop (same RNG stream, same mapper
-        decisions, same stash/tree state, same statistics), with the
-        per-access bookkeeping hoisted out — one attribute lookup per
-        trace instead of per access, up-front trace validation, and the
-        real-access counter flushed to :attr:`stats` once at the end.
-        The path operation itself stays :meth:`_dynamic_path_op`: the
-        mapper's merge/split planning is inherently per-access state, so
-        the fusion wins come from the loop body around it, not from
-        batching path operations.
+        Under dynamic merging ``current_leaf`` is ignored: the mapper plans
+        the access (any due merge or split), which moves to the plan's
+        target — the anchor a straggler converges onto — or else to the
+        fresh leaf, which becomes the group's anchor.
         """
-        working_set = self._working_set
-        if type(addresses) is not list:
-            addresses = list(addresses)
-        if addresses and (min(addresses) < 1 or max(addresses) > working_set):
-            bad = next(a for a in addresses if not 1 <= a <= working_set)
-            raise ConfigurationError(f"address {bad} outside [1, {working_set}]")
-        path_op = self._dynamic_path_op
-        stash_blocks = self._stash_blocks
-        stats = self._stats
-        record_occupancy = stats.record_occupancy
-        samples_append = stats.stash_occupancy_samples.append
-        gate = self._eviction_gate
-        after_access = self._eviction.after_access
-        check_bound = self._check_stash_bound
-        real = found_count = dummy_total = 0
-        try:
-            for address in addresses:
-                result = path_op(address, op, data, None)
-                real += 1
-                found_count += result.found
-                if record_occupancy:
-                    samples_append(len(stash_blocks))
-                if gate is not None and len(stash_blocks) <= gate:
-                    continue
-                dummy_total += after_access(self)
-                check_bound()
-        finally:
-            stats.real_accesses += real
-        return TraceResult(accesses=real, found=found_count, dummy_accesses=dummy_total)
-
-    # ------------------------------------------------------------------
-    # Dynamic super-block merging (Section 3.2's future work)
-    # ------------------------------------------------------------------
-    def _dynamic_path_op(
-        self,
-        address: int,
-        op: Operation,
-        data: Any,
-        fresh_leaf: int | None,
-    ) -> AccessResult:
-        """One dynamic-super-block path operation (read to write-back).
-
-        The shared body behind :meth:`access` (flat protocol) and
-        :meth:`access_dynamic_path` (recursive construction).  Exactly one
-        path is read and written, like every other access.  The mapper's
-        :meth:`~repro.core.super_block.DynamicSuperBlockMapper.plan_access`
-        applies any due merge/split and names the span and target leaf; the
-        reachable span members — the stash's ``current_leaf`` bucket, moved
-        by one :meth:`~repro.core.stash.Stash.retarget_range_collect`
-        split, plus the pending path buffer — follow in one batch, and
-        their per-address position-map entries move with them, so a member
-        left behind (not in the stash, not on this path) keeps its own
-        entry and simply joins the group on its own next access.
-
-        ``fresh_leaf`` is the pre-drawn uniformly random leaf supplied by
-        the recursive chain walk (``None`` on the flat protocol, which
-        draws lazily — only when the plan calls for a fresh leaf).
-        """
-        if not 1 <= address <= self._working_set:
-            raise ConfigurationError(
-                f"address {address} outside [1, {self._working_set}]"
-            )
+        if not self._dynamic:
+            group = self._group_of(address)
+            if current_leaf is None:
+                current_leaf = self._pm_leaves[group]
+            if new_leaf is None:
+                new_leaf = self._random_leaf()
+            self._position_map.assign(group, new_leaf)
+            return current_leaf, new_leaf
         leaves = self._pm_leaves
-        old_leaf = leaves[address - 1]
+        current_leaf = leaves[address - 1]
         mapper = self._mapper
-        plan = mapper.plan_access(address, old_leaf, leaves)
+        plan = mapper.plan_access(address, current_leaf, leaves)
         if plan.target_leaf is not None:
             new_leaf = plan.target_leaf
-        elif fresh_leaf is not None:
-            new_leaf = fresh_leaf
         else:
-            bits = self._draw_bits
-            new_leaf = self._getrandbits(bits) if bits else self._random_leaf()
-        if plan.target_leaf is None:
+            if new_leaf is None:
+                new_leaf = self._random_leaf()
             mapper.set_anchor(plan.lo, new_leaf)
-
-        self._read_path_into_stash(old_leaf)
-        block = self._stash_blocks.get(address)
-        buffer = self._path_buffer
-        if block is None:
-            for position, candidate in enumerate(buffer):
-                if candidate.address == address:
-                    # Accessed block classifies last in its class pool: the
-                    # same tie-break as the other protocol paths.
-                    block = candidate
-                    del buffer[position]
-                    buffer.append(candidate)
-                    break
-        found = block is not None
-        if block is None and (op is Operation.WRITE or self._create_on_miss):
-            pool = self._block_pool
-            if pool:
-                block = pool.pop()
-                block.address = address
-                block.leaf = new_leaf
-                block.data = None
-            else:
-                block = Block(address=address, leaf=new_leaf, data=None)
-            self._stash.add(block)
-        if block is not None and op is Operation.WRITE:
-            block.data = data
-
-        # Batched group move: one leaf-bucket split for the stash-resident
-        # cohort, one scan of the pending path buffer — and every moved
-        # member's position-map entry follows, which is what lets members
-        # *not* moved here retarget lazily on their own next access.
-        lo, hi = plan.lo, plan.hi
-        if new_leaf != old_leaf:
-            for moved in self._stash.retarget_range_collect(old_leaf, lo, hi, new_leaf):
-                leaves[moved.address - 1] = new_leaf
-            for candidate in buffer:
-                candidate_address = candidate.address
-                if lo <= candidate_address < hi:
-                    # Covers stragglers that happen to lie on a shared
-                    # bucket of this path as well: anything in hand joins
-                    # the cohort now instead of on its own next access.
-                    candidate.leaf = new_leaf
-                    leaves[candidate_address - 1] = new_leaf
-            observer = self._retarget_observer
-            if observer is not None:
-                # The cohort move re-assigned leaves behind the recursive
-                # chain's back: the PLB must drop any cached position-map
-                # labels covering [lo, hi) before they can be served stale.
-                observer(lo, hi)
-        leaves[address - 1] = new_leaf
-
-        result_data = block.data if block is not None else None
-        self._write_back_path(old_leaf)
+        self._position_map.assign(address - 1, new_leaf)
         stats = self._stats
-        if plan.merged:
-            stats.super_block_merges += 1
-        if plan.split:
-            stats.super_block_splits += 1
-        if plan.hit:
-            stats.super_block_hits += 1
-        return AccessResult(address, result_data, found)
-
-    def access_dynamic_path(
-        self,
-        address: int,
-        fresh_leaf: int,
-        op: Operation = Operation.READ,
-        data: Any = None,
-    ) -> AccessResult:
-        """The recursive construction's data-ORAM step under dynamic merging.
-
-        The chain walk has already performed its position-map ORAM accesses
-        and installed ``fresh_leaf`` for ``address``; this ORAM's own
-        per-address position map is the authoritative mirror of where each
-        block truly is (architecturally: a small on-chip override table for
-        members whose position-map ORAM entry is stale — every entry
-        self-clears on the member's next access, when the chain installs
-        the leaf actually used).  The path read therefore follows the
-        mirror, and ``fresh_leaf`` is used only when the plan calls for a
-        fresh uniformly random leaf.
-        """
-        result = self._dynamic_path_op(address, op, data, fresh_leaf)
-        stats = self._stats
-        stats.real_accesses += 1
-        if stats.record_occupancy:
-            stats.stash_occupancy_samples.append(len(self._stash_blocks))
-        result.dummy_accesses = 0
-        return result
+        stats.super_block_merges += plan.merged
+        stats.super_block_splits += plan.split
+        stats.super_block_hits += plan.hit
+        return current_leaf, new_leaf
 
     def access_path(
         self,
@@ -748,18 +594,20 @@ class PathORAM:
         leaves, as required by the hierarchical construction where the leaf
         comes from the parent position-map ORAM.  Runs this ORAM's path op,
         like :meth:`access`.
+
+        Under dynamic super-block merging ``current_leaf`` is advisory (a
+        member moved while in the stash has a stale chain label): the read
+        follows this ORAM's per-address map, and ``new_leaf`` is used only
+        when the plan wants a fresh leaf (see :meth:`_choose_leaves`).
         """
-        if self._dynamic:
-            raise ConfigurationError(
-                "dynamic super-block merging routes externally-leafed "
-                "accesses through access_dynamic_path"
-            )
         if not 1 <= address <= self._working_set:
             raise ConfigurationError(
                 f"address {address} outside [1, {self._working_set}]"
             )
-        group = address - 1 if self._single_member_groups else self._group_of(address)
-        self._position_map.assign(group, new_leaf)
+        if self._single_member_groups:
+            self._position_map.assign(address - 1, new_leaf)
+        else:
+            current_leaf, new_leaf = self._choose_leaves(address, current_leaf, new_leaf)
         result_data, found = self._path_op(
             self, address, current_leaf, new_leaf,
             op is _WRITE, data, self._create_on_miss,
@@ -820,37 +668,32 @@ class PathORAM:
 
         Like :meth:`extract`, but the current and new leaves come from the
         caller (the hierarchical ORAM's position-map chain) instead of this
-        ORAM's own position map.
+        ORAM's own position map, and no background eviction runs (that is
+        the hierarchy's job).  Under dynamic super-block merging
+        ``current_leaf`` is advisory, as in :meth:`access_path`.
         """
-        if self._dynamic:
-            raise ConfigurationError(
-                "the exclusive-ORAM interface with dynamic super blocks is "
-                "only supported on the flat protocol (see extract)"
-            )
-        self._check_address(address)
-        group = self._mapper.group_of(address)
-        self._position_map.assign(group, new_leaf)
-        self._read_path_into_stash(current_leaf)
-        extracted = self._collect_group(address, group, current_leaf)
-        self._write_back_path(current_leaf)
-        self._stats.record_real_access()
-        self._stats.sample_stash_occupancy(self._stash.occupancy)
-        return extracted
+        return self._extract(address, current_leaf, new_leaf)
 
-    def _collect_group(self, address: int, group: int, current_leaf: int) -> dict[int, Any]:
-        """Remove the requested super-block group from the stash.
+    def _collect_group(self, address: int, current_leaf: int, new_leaf: int) -> dict[int, Any]:
+        """Remove the requested block's group from the stash and the path.
 
         By the super-block invariant every stash-resident member sits in the
-        ``current_leaf`` bucket of the stash's leaf index, so the whole group
+        ``current_leaf`` bucket of the stash's leaf index, so the group
         comes out as one bucket split (:meth:`Stash.pop_range`) plus a single
-        pass over the pending path buffer — not one lookup per member.
+        pass over the pending path buffer — not one lookup per member.  The
+        removed members' position-map entries follow the group to
+        ``new_leaf``, so a later :meth:`insert` lands them co-resident.
 
-        With ``create_on_miss`` (the secure-processor setting, where the
-        whole address space logically lives in the ORAM) members that have
-        never been written are still returned, with an empty payload, so
-        super-block prefetching moves the entire group into the cache as
-        Section 3.2 prescribes.
+        Static groups return every member: with ``create_on_miss`` (the
+        secure-processor setting, where the whole address space logically
+        lives in the ORAM) members that have never been written come back
+        with an empty payload, so super-block prefetching moves the entire
+        group into the cache as Section 3.2 prescribes.  A dynamic group
+        returns only the members found here, plus ``address``: members
+        still converging elsewhere live on other paths and stay in the ORAM
+        under their own entries.
         """
+        group = self._group_of(address)
         span = self._mapper.group_span(group)
         if span is None:
             return self._collect_group_generic(address, group)
@@ -870,14 +713,25 @@ class PathORAM:
                 keep(candidate)
         if len(kept) != len(buffer):
             self._path_buffer = kept
-        extracted: dict[int, Any] = {}
+        leaves = self._pm_leaves
+        group_of = self._group_of
+        for member in found:
+            leaves[group_of(member)] = new_leaf
+        observer = self._retarget_observer
+        if observer is not None and new_leaf != current_leaf:
+            # The removed members were re-leafed behind the recursive
+            # chain's back (see _retarget_group).
+            observer(lo, hi)
         create = self._create_on_miss
-        for member in range(lo, min(hi, self._working_set + 1)):
-            if member in found:
-                extracted[member] = found[member]
-            elif create:
-                extracted[member] = None
-        return extracted
+        if self._dynamic:
+            if create and address not in found:
+                found[address] = None
+            return found
+        return {
+            member: found.get(member)
+            for member in range(lo, min(hi, self._working_set + 1))
+            if create or member in found
+        }
 
     def _collect_group_generic(self, address: int, group: int) -> dict[int, Any]:
         """Member-at-a-time collection for custom (non-contiguous) mappers."""
@@ -958,124 +812,31 @@ class PathORAM:
     # Exclusive-ORAM API used by the processor integration
     # ------------------------------------------------------------------
     def extract(self, address: int) -> dict[int, Any]:
-        """Remove the requested block's entire super-block group from the
-        ORAM and return ``{address: payload}`` for every member found.
+        """Remove the requested block's super-block group (under dynamic
+        merging, its reachable members) from the ORAM and return
+        ``{address: payload}`` for every member found.
 
         The group is remapped so that members re-inserted later (on cache
         eviction) share a fresh path.  Background eviction runs afterwards.
         """
-        self._check_address(address)
-        if self._dynamic:
-            return self._extract_dynamic(address)
-        group = self._mapper.group_of(address)
-        old_leaf = self._position_map.lookup(group)
-        new_leaf = self._random_leaf()
-        self._position_map.assign(group, new_leaf)
-        self._read_path_into_stash(old_leaf)
-        extracted = self._collect_group(address, group, old_leaf)
-        self._write_back_path(old_leaf)
-        self._stats.record_real_access()
-        self._stats.sample_stash_occupancy(self._stash.occupancy)
+        extracted = self._extract(address, None, None)
         self._eviction.after_access(self)
         self._check_stash_bound()
         return extracted
 
-    def _extract_dynamic(self, address: int) -> dict[int, Any]:
-        """Exclusive-ORAM extraction under dynamic super-block merging."""
-        found = self._extract_dynamic_core(address, None)
-        self._eviction.after_access(self)
-        self._check_stash_bound()
-        return found
-
-    def extract_dynamic_path(self, address: int, fresh_leaf: int) -> dict[int, Any]:
-        """Exclusive-ORAM extraction under dynamic merging with an
-        externally drawn fresh leaf.
-
-        The recursive construction's counterpart of :meth:`extract_path`:
-        the hierarchical chain walk has already performed its position-map
-        ORAM accesses and installed ``fresh_leaf`` for ``address``, and
-        this ORAM's per-address mirror is authoritative for where each
-        member truly is (see :meth:`access_dynamic_path`).  ``fresh_leaf``
-        is used only when the plan calls for a fresh uniformly random
-        leaf.  Background eviction is the hierarchy's job, so none runs
-        here.
-        """
-        self._check_address(address)
-        return self._extract_dynamic_core(address, fresh_leaf)
-
-    def _extract_dynamic_core(
-        self, address: int, fresh_leaf: int | None
+    def _extract(
+        self, address: int, current_leaf: int | None, new_leaf: int | None
     ) -> dict[int, Any]:
-        """The shared dynamic extraction body (read to stats update).
-
-        Observes the access like any other (so cache-miss streams drive the
-        merge/split policy too), reads the accessed member's own path, and
-        removes the *reachable* part of the group — the ``current_leaf``
-        stash bucket via one :meth:`~repro.core.stash.Stash.pop_range`
-        split plus a pass over the pending path buffer.  Members still
-        converging elsewhere stay in the ORAM under their own position-map
-        entries (they are only ever reported when actually extracted, never
-        fabricated, since their blocks still live on other paths); the
-        extracted members' entries move to the group's next leaf so a later
-        :meth:`insert` lands them co-resident again.
-
-        ``fresh_leaf`` is the pre-drawn leaf supplied by the recursive
-        chain walk (``None`` on the flat protocol, which draws lazily —
-        only when the plan calls for a fresh leaf).
-        """
-        leaves = self._pm_leaves
-        old_leaf = leaves[address - 1]
-        plan = self._mapper.plan_access(address, old_leaf, leaves)
-        if plan.target_leaf is not None:
-            new_leaf = plan.target_leaf
-        else:
-            if fresh_leaf is not None:
-                new_leaf = fresh_leaf
-            else:
-                new_leaf = self._random_leaf()
-            self._mapper.set_anchor(plan.lo, new_leaf)
-        self._read_path_into_stash(old_leaf)
-        lo, hi = plan.lo, plan.hi
-        found: dict[int, Any] = {}
-        for block in self._stash.pop_range(old_leaf, lo, hi):
-            found[block.address] = block.data
-            self._recycle_block(block)
-        buffer = self._path_buffer
-        kept: list[Block] = []
-        keep = kept.append
-        for candidate in buffer:
-            if lo <= candidate.address < hi:
-                found[candidate.address] = candidate.data
-                self._recycle_block(candidate)
-            else:
-                keep(candidate)
-        if len(kept) != len(buffer):
-            self._path_buffer = kept
-        for member in found:
-            leaves[member - 1] = new_leaf
-        leaves[address - 1] = new_leaf
-        if new_leaf != old_leaf:
-            observer = self._retarget_observer
-            if observer is not None:
-                # Same coherence rule as _dynamic_path_op: the extracted
-                # cohort's members were re-leafed without a chain walk.
-                observer(lo, hi)
-        if address not in found and self._create_on_miss:
-            found[address] = None
-        self._write_back_path(old_leaf)
-        stats = self._stats
-        stats.real_accesses += 1
-        if plan.merged:
-            stats.super_block_merges += 1
-        if plan.split:
-            stats.super_block_splits += 1
-        if plan.hit:
-            stats.super_block_hits += 1
-        if stats.record_occupancy:
-            stats.stash_occupancy_samples.append(len(self._stash_blocks))
-        self._eviction.after_access(self)
-        self._check_stash_bound()
-        return found
+        """One extraction's path op: the leaf choice, one path read, the
+        group's removal and one write-back."""
+        self._check_address(address)
+        current_leaf, new_leaf = self._choose_leaves(address, current_leaf, new_leaf)
+        self._read_path_into_stash(current_leaf)
+        extracted = self._collect_group(address, current_leaf, new_leaf)
+        self._write_back_path(current_leaf)
+        self._stats.record_real_access()
+        self._stats.sample_stash_occupancy(self._stash.occupancy)
+        return extracted
 
     def insert(self, address: int, data: Any = None) -> int:
         """Put a block back into the ORAM stash without a path access
@@ -1125,8 +886,9 @@ class PathORAM:
 
         Same contract, modes and returns as :meth:`_fused_single_access`,
         over the pending path buffer and :meth:`_write_back_path`, so it
-        serves every storage and every static super-block mapper (the whole
-        group follows the accessed block to ``new_leaf``).  In
+        serves every storage and every super-block mapper, static or
+        dynamic (:meth:`_retarget_group` moves the group with the accessed
+        block to ``new_leaf``).  In
         position-map mode it returns ``(displaced_child_leaf, None)``: the
         storage may re-materialise payloads on the next read, so no live
         label list is handed out.
@@ -1193,7 +955,7 @@ class PathORAM:
         labels_per_block: int,
         child_num_leaves: int,
     ):
-        """Path op for static super-block groups on the classified storage.
+        """Path op for super-block groups on the classified storage.
 
         The classified op moves only the accessed block, so real accesses
         take the generic op, which moves the whole group; a dummy moves no
@@ -1206,30 +968,47 @@ class PathORAM:
         )
 
     def _retarget_group(self, group: int, current_leaf: int, new_leaf: int) -> None:
-        """Point every resident member of ``group`` at ``new_leaf``.
+        """Move every reachable member of ``group`` to ``new_leaf``.
 
-        By the super-block invariant all members share ``current_leaf``, so
-        the stash-resident part of the group moves as one leaf-bucket split
-        (:meth:`Stash.retarget_range`); members still in the pending path
-        buffer (just read, not yet written back) are caught by a single scan.
+        By the super-block invariant all stash-resident members share
+        ``current_leaf``, so that part of the group moves as one leaf-bucket
+        split (:meth:`Stash.retarget_range_collect`); members still in the
+        pending path buffer (just read, not yet written back) are caught by
+        a single scan.  Every moved member's position-map entry follows —
+        a no-op for static groups, whose one entry the caller already set;
+        under dynamic merging it is what lets members *not* moved here join
+        the group lazily on their own next access.
         """
-        span = self._mapper.group_span(group)
-        if span is not None:
-            lo, hi = span
-            self._stash.retarget_range(current_leaf, lo, hi, new_leaf)
-            for candidate in self._path_buffer:
-                if lo <= candidate.address < hi:
-                    candidate.leaf = new_leaf
+        if new_leaf == current_leaf:
             return
-        # Custom (non-contiguous) mappers: member-at-a-time fallback.
-        retarget = self._stash.retarget
-        buffer = self._path_buffer
-        for member in self._mapper.addresses_in_group(group):
-            if retarget(member, new_leaf) is None:
-                for candidate in buffer:
-                    if candidate.address == member:
-                        candidate.leaf = new_leaf
-                        break
+        span = self._mapper.group_span(group)
+        if span is None:
+            # Custom (non-contiguous) mappers: member-at-a-time fallback.
+            retarget = self._stash.retarget
+            buffer = self._path_buffer
+            for member in self._mapper.addresses_in_group(group):
+                if retarget(member, new_leaf) is None:
+                    for candidate in buffer:
+                        if candidate.address == member:
+                            candidate.leaf = new_leaf
+                            break
+            return
+        lo, hi = span
+        leaves = self._pm_leaves
+        group_of = self._group_of
+        for moved in self._stash.retarget_range_collect(current_leaf, lo, hi, new_leaf):
+            leaves[group_of(moved.address)] = new_leaf
+        for candidate in self._path_buffer:
+            candidate_address = candidate.address
+            if lo <= candidate_address < hi:
+                candidate.leaf = new_leaf
+                leaves[group_of(candidate_address)] = new_leaf
+        observer = self._retarget_observer
+        if observer is not None:
+            # The move re-assigned leaves behind the recursive chain's back:
+            # the PLB must drop any cached position-map labels covering
+            # [lo, hi) before they can be served stale.
+            observer(lo, hi)
 
     def _read_path_into_stash(self, leaf: int) -> None:
         """Read the path into the transient buffer (logically, the stash).

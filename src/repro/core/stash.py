@@ -21,7 +21,7 @@ class Stash:
     it do that per *distinct leaf* instead of rescanning every block.  The
     same index makes the super-block operations batched: all members of a
     super block share one leaf, so an entire group can be retargeted or
-    extracted by splitting one leaf bucket (:meth:`retarget_range`,
+    extracted by splitting one leaf bucket (:meth:`retarget_range_collect`,
     :meth:`pop_range`) instead of touching the index once per member.
 
     The index is maintained incrementally by :meth:`add`, :meth:`pop` and
@@ -140,24 +140,17 @@ class Stash:
     # ------------------------------------------------------------------
     # Batched super-block operations
     # ------------------------------------------------------------------
-    def retarget_range(self, leaf: int, lo: int, hi: int, new_leaf: int) -> int:
-        """Retarget every stash block with address in ``[lo, hi)`` currently
-        mapped to ``leaf`` onto ``new_leaf``, in one split of the leaf bucket.
-
-        This is the super-block remap: all stash-resident members of a group
-        share the group's leaf, so one pass over that leaf's bucket moves the
-        whole group.  Returns the number of blocks moved.
-        """
-        return len(self.retarget_range_collect(leaf, lo, hi, new_leaf))
-
     def retarget_range_collect(
         self, leaf: int, lo: int, hi: int, new_leaf: int
     ) -> list[Block]:
-        """Like :meth:`retarget_range`, but returns the moved blocks.
+        """Retarget every stash block with address in ``[lo, hi)`` currently
+        mapped to ``leaf`` onto ``new_leaf``, in one split of the leaf bucket,
+        and return the moved blocks.
 
-        The dynamic super-block protocol needs the identities of the moved
-        members (their per-address position-map entries must follow), so the
-        one-bucket-split retarget also collects what it moved.
+        This is the super-block remap: all stash-resident members of a group
+        share the group's leaf, so one pass over that leaf's bucket moves the
+        whole group.  The moved blocks come back because their position-map
+        entries must follow (per address, under dynamic merging).
         """
         if leaf == new_leaf:
             return []

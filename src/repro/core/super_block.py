@@ -129,7 +129,7 @@ class DynamicSuperBlockMapper(SuperBlockMapper):
     including the recursive construction's position-map ORAM blocks.  A
     group instead has an *anchor* leaf where its settled cohort lives:
     an access to a settled member draws a fresh leaf and drags the whole
-    co-located cohort along (one ``retarget_range`` bucket split, exactly
+    co-located cohort along (one ``retarget_range_collect`` bucket split, exactly
     like the static scheme), while an access to a member not yet at the
     anchor — a fresh merge, or a straggler left behind by an earlier
     partial retarget — converges it *onto* the anchor.  Every member's

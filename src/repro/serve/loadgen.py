@@ -114,6 +114,10 @@ def percentile(samples: list[float], fraction: float) -> float:
     return ordered[rank - 1]
 
 
+def _mean(samples: list[float]) -> float:
+    return sum(samples) / len(samples) if samples else 0.0
+
+
 async def _client(
     service: OramService,
     tenant: str,
@@ -133,10 +137,14 @@ async def _client(
 
 
 async def generate_load(service: OramService, load: LoadGenConfig) -> LoadReport:
-    """Run one closed-loop load against an already-started service."""
-    latencies: list[float] = []
+    """Run one closed-loop load against an already-started service.
+
+    Latencies are the ones each client's results carry, kept per tenant
+    for this run only.
+    """
+    by_tenant: dict[str, list[float]] = {name: [] for name in load.tenant_names()}
     clients = [
-        _client(service, tenant, client_index, load, latencies)
+        _client(service, tenant, client_index, load, by_tenant[tenant])
         for tenant in load.tenant_names()
         for client_index in range(load.clients_per_tenant)
     ]
@@ -148,20 +156,21 @@ async def generate_load(service: OramService, load: LoadGenConfig) -> LoadReport
     per_tenant = {
         name: {
             "requests": float(tenant.requests),
-            "mean_ms": tenant.mean_latency * 1e3,
-            "p50_ms": percentile(tenant.latency_samples, 0.50) * 1e3,
-            "p99_ms": percentile(tenant.latency_samples, 0.99) * 1e3,
+            "mean_ms": _mean(by_tenant.get(name, [])) * 1e3,
+            "p50_ms": percentile(by_tenant.get(name, []), 0.50) * 1e3,
+            "p99_ms": percentile(by_tenant.get(name, []), 0.99) * 1e3,
             "throttled": float(tenant.throttled),
         }
         for name, tenant in sorted(stats.tenants.items())
     }
+    latencies = [latency for samples in by_tenant.values() for latency in samples]
     return LoadReport(
         requests=len(latencies),
         duration=duration,
         throughput_rps=len(latencies) / duration if duration > 0 else 0.0,
         p50_ms=percentile(latencies, 0.50) * 1e3,
         p99_ms=percentile(latencies, 0.99) * 1e3,
-        mean_ms=(sum(latencies) / len(latencies) * 1e3) if latencies else 0.0,
+        mean_ms=_mean(latencies) * 1e3,
         max_ms=max(latencies, default=0.0) * 1e3,
         rounds=stats.rounds,
         batches=stats.batches,

@@ -5,7 +5,8 @@ many logical clients submit reads/writes against *named* ORAM instances
 (each built from an :class:`~repro.backends.OramSpec` through the backend
 registry), a background scheduler task coalesces everything pending into
 fused ``access_many`` micro-batches per instance, and per-tenant
-accounting tracks request counts, latency and fair-share throttling.
+accounting tracks request counts and fair-share throttling; every result
+carries its own submit-to-completion latency.
 
 Determinism guarantee
 ---------------------
@@ -364,7 +365,6 @@ class OramService:
                     tenant.found += 1
                 if pending.submitted_at is not None:
                     outcome.latency = now - pending.submitted_at
-                    tenant.record_latency(outcome.latency)
                 if pending.future is not None:
                     pending.future.set_result(outcome)
             elif pending.future is not None:

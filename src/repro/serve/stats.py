@@ -5,20 +5,20 @@ an :class:`~repro.core.stats.AccessStats` reachable through the uniform
 ``stats`` property, and the service exposes those unchanged per instance.
 This module adds the *request-plane* view on top: how many requests each
 tenant submitted, how they were executed (individually or inside a fused
-``access_many`` run), how often the fair-share quota throttled a tenant,
-and the user-facing latency samples the load generator summarises into
-p50/p99.
+``access_many`` run), and how often the fair-share quota throttled a tenant.  Latency is not
+kept here: each :class:`~repro.serve.request.ServeResult` carries its own,
+and the load generator summarises the ones its clients receive, so the
+service's memory does not grow with the number of requests served.
 
-Determinism note: every integer counter here is a pure function of the
-admission schedule, so replaying a recorded script yields bit-identical
-counter fingerprints (:meth:`TenantStats.fingerprint`) in the async
-service and the synchronous reference.  Latency fields are wall-clock
-measurements and deliberately excluded from fingerprints.
+Determinism note: every counter here is a pure function of the admission
+schedule, so replaying a recorded script yields bit-identical counter
+fingerprints (:meth:`TenantStats.fingerprint`) in the async service and
+the synchronous reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(slots=True)
@@ -41,9 +41,6 @@ class TenantStats:
     throttled:
         Admission rounds in which the fair-share quota deferred at least
         one pending request of this tenant to a later round.
-    latency_total / latency_samples:
-        Wall-clock submit-to-completion seconds (live serving only; the
-        synchronous reference records none).  Excluded from fingerprints.
     """
 
     requests: int = 0
@@ -53,27 +50,14 @@ class TenantStats:
     found: int = 0
     batches: int = 0
     throttled: int = 0
-    latency_total: float = 0.0
-    latency_samples: list = field(default_factory=list)
-
-    def record_latency(self, seconds: float) -> None:
-        self.latency_total += seconds
-        self.latency_samples.append(seconds)
-
-    @property
-    def mean_latency(self) -> float:
-        if not self.latency_samples:
-            return 0.0
-        return self.latency_total / len(self.latency_samples)
 
     def fingerprint(self) -> tuple:
         """Deterministic tuple of the schedule-derived counters.
 
         Covers exactly the fields that are invariant to the *execution
-        strategy*: latency fields are wall-clock measurements, and
-        ``fused``/``found`` depend on whether reads were coalesced (the
-        serial reference executes everything individually) — all three are
-        excluded.  What remains must replay bit-identically from a
+        strategy*: ``fused``/``found`` depend on whether reads were
+        coalesced (the serial reference executes everything individually)
+        and are excluded.  What remains must replay bit-identically from a
         recorded script whether the batches were fused or not.
         """
         return (
@@ -109,13 +93,6 @@ class ServiceStats:
     @property
     def total_requests(self) -> int:
         return sum(stats.requests for stats in self.tenants.values())
-
-    def latencies(self) -> list[float]:
-        """All recorded latency samples, unsorted."""
-        samples: list[float] = []
-        for stats in self.tenants.values():
-            samples.extend(stats.latency_samples)
-        return samples
 
     def fingerprint(self) -> tuple:
         """Deterministic tuple over scheduler counters and every tenant.

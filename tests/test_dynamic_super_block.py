@@ -22,6 +22,7 @@ import random
 import pytest
 
 from repro.backends import OramSpec, build_oram, storage_backends
+from repro.core.background_eviction import EvictionPolicy
 from repro.core.config import HierarchyConfig, ORAMConfig
 from repro.core.interface import ORAMMemoryInterface
 from repro.core.path_oram import PathORAM
@@ -528,18 +529,53 @@ class TestDynamicExclusiveInterface:
             recovered.update(interface.fetch(address).keys())
         assert recovered == set(range(1, 129))
 
-    def test_access_path_and_remap_rejected(self):
+    def test_remap_access_rejected(self):
         spec = OramSpec(protocol="flat", eviction="none", **DYNAMIC_KNOBS)
         config = ORAMConfig(working_set_blocks=64, utilization=0.5, z=4, stash_capacity=None)
         oram = build_oram(spec, config, seed=97)
         with pytest.raises(ConfigurationError):
-            oram.access_path(1, 0, 0)
-        with pytest.raises(ConfigurationError):
-            oram.access_path(1, 0, 0, Operation.WRITE, b"x")
-        with pytest.raises(ConfigurationError):
-            oram.extract_path(1, 0, 0)
-        with pytest.raises(ConfigurationError):
             oram.remap_access(1)
+
+    def test_access_path_follows_the_mirror(self):
+        # The per-address map is authoritative and the caller's current
+        # leaf only advisory: a wrong one still reads the right path, and
+        # the caller's fresh leaf stands in for the draw access makes.
+        spec = OramSpec(protocol="flat", eviction="none", **DYNAMIC_KNOBS)
+        config = ORAMConfig(working_set_blocks=64, utilization=0.5, z=4, stash_capacity=None)
+        reference = build_oram(spec, config, seed=97)
+        external = build_oram(spec, config, seed=97)
+        for index, address in enumerate(locality_trace(random.Random(101), 64, 300)):
+            op = Operation.WRITE if index % 3 == 0 else Operation.READ
+            wrong = (external.position_map.lookup(address - 1) + 1) % config.num_leaves
+            expected = reference.access(address, op, index)
+            fresh = reference.position_map.lookup(address - 1)
+            result = external.access_path(address, wrong, fresh, op, index)
+            assert (result.data, result.found) == (expected.data, expected.found)
+        wrong = (external.position_map.lookup(4) + 1) % config.num_leaves
+        extracted = reference.extract(5)
+        fresh = reference.position_map.lookup(4)
+        assert external.extract_path(5, wrong, fresh) == extracted
+        assert state_fingerprint(external) == state_fingerprint(reference)
+        assert reference.stats.super_block_merges > 0
+
+    def test_flat_extract_runs_the_eviction_policy_once(self):
+        class CountingEviction(EvictionPolicy):
+            calls = 0
+
+            def after_access(self, oram):
+                self.calls += 1
+                return 0
+
+        policy = CountingEviction()
+        config = ORAMConfig(working_set_blocks=64, utilization=0.5, z=4, stash_capacity=None)
+        oram = PathORAM(
+            config,
+            eviction_policy=policy,
+            super_block_mapper=DynamicSuperBlockMapper(max_group_size=4),
+            rng=random.Random(103),
+        )
+        oram.extract(5)
+        assert policy.calls == 1
 
 
 # ----------------------------------------------------------------------

@@ -253,10 +253,13 @@ class TestQoS:
         for request in script:
             by_hand[request.tenant] = by_hand.get(request.tenant, 0) + 1
         assert {name: t.requests for name, t in tenants.items()} == by_hand
-        for t in tenants.values():
+        latencies = {}
+        for request, result in zip(script, outcome.results):
+            latencies.setdefault(request.tenant, []).append(result.latency)
+        for name, t in tenants.items():
             assert t.reads + t.writes == t.requests
-            assert len(t.latency_samples) == t.requests
-            assert t.mean_latency > 0.0
+            assert len(latencies[name]) == t.requests
+            assert sum(latencies[name]) > 0.0
 
 
 class TestLifecycle:
