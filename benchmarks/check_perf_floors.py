@@ -39,11 +39,13 @@ def load(bench_path: Path, floors_path: Path):
 
 
 def section_rows(bench: dict, floors: dict) -> list[dict]:
-    """One row per committed floor: recorded speedup, floor, margin, verdict."""
+    """One row per committed floor: recorded speedup, floor, margin, verdict,
+    and the section's min/median/max paired-window ratios when recorded."""
     rows = []
     for section, floor in sorted(floors.items()):
         record = bench.get(section)
         speedup = record.get("speedup") if isinstance(record, dict) else None
+        ratios = record.get("paired_ratios") if isinstance(record, dict) else None
         if isinstance(speedup, (int, float)):
             rows.append({
                 "section": section,
@@ -51,6 +53,7 @@ def section_rows(bench: dict, floors: dict) -> list[dict]:
                 "floor": float(floor),
                 "margin": float(speedup) - float(floor),
                 "ok": speedup >= floor,
+                "ratios": ratios,
             })
         else:
             rows.append({
@@ -59,8 +62,16 @@ def section_rows(bench: dict, floors: dict) -> list[dict]:
                 "floor": float(floor),
                 "margin": None,
                 "ok": False,
+                "ratios": None,
             })
     return rows
+
+
+def spread_text(ratios) -> str:
+    """``min/median/max`` of a section's paired ratios, or ``—``."""
+    if not isinstance(ratios, dict):
+        return "—"
+    return "/".join(f"{ratios[key]:.2f}x" for key in ("min", "median", "max"))
 
 
 def markdown_table(rows: list[dict]) -> str:
@@ -68,17 +79,20 @@ def markdown_table(rows: list[dict]) -> str:
     lines = [
         "### Perf-floor headroom",
         "",
-        "| Section | Recorded | Floor | Margin | Status |",
-        "| --- | ---: | ---: | ---: | :---: |",
+        "| Section | Recorded | Floor | Margin | Pairs min/median/max | Status |",
+        "| --- | ---: | ---: | ---: | ---: | :---: |",
     ]
     for row in rows:
         if row["speedup"] is None:
-            lines.append(f"| `{row['section']}` | *missing* | {row['floor']:.2f}x | — | ❌ |")
+            lines.append(
+                f"| `{row['section']}` | *missing* | {row['floor']:.2f}x | — | — | ❌ |"
+            )
         else:
             status = "✅" if row["ok"] else "❌"
             lines.append(
                 f"| `{row['section']}` | {row['speedup']:.2f}x "
-                f"| {row['floor']:.2f}x | {row['margin']:+.2f}x | {status} |"
+                f"| {row['floor']:.2f}x | {row['margin']:+.2f}x "
+                f"| {spread_text(row['ratios'])} | {status} |"
             )
     return "\n".join(lines) + "\n"
 
@@ -100,7 +114,8 @@ def check(bench_path: Path, floors_path: Path, diff: bool = False) -> int:
             verdict = "ok" if row["ok"] else "FAIL"
             print(
                 f"{verdict}: {row['section']} speedup {row['speedup']:.2f}x "
-                f"(floor {row['floor']:.2f}x, margin {row['margin']:+.2f}x)"
+                f"(floor {row['floor']:.2f}x, margin {row['margin']:+.2f}x, "
+                f"pairs min/median/max {spread_text(row['ratios'])})"
             )
             if not row["ok"]:
                 status = 1

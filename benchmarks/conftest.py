@@ -146,24 +146,31 @@ def paired_throughput(
     engine_window=measure_window_many,
     reference_window=measure_window,
 ):
-    """Alternate engine/reference windows; return the median-ratio pair.
+    """Alternate engine/reference windows; return the median pair and spread.
 
-    The shared paired-window harness of both perf benchmarks: each of the
-    ``windows`` rounds runs one engine window then one reference window
+    The shared paired-window harness of the perf benchmarks: each of the
+    ``windows`` rounds runs one engine window and one reference window
     back to back over the same workload stream (two RNGs from one
     ``trace_seed``), so a machine-load swing hits both comparably and the
-    per-pair ratio stays meaningful.  Returns the
-    ``(engine_rate, reference_rate)`` pair with the median ratio.
+    per-pair ratio stays meaningful.  The side that runs first alternates
+    from round to round (engine first, then reference first, ...), so a
+    slow first window after heavy earlier work does not always land on
+    the same side.  Returns the ``(engine_rate, reference_rate)`` pair with
+    the median ratio and the :func:`ratio_spread` of all pairs.
     """
     import random
 
     engine_rng, reference_rng = random.Random(trace_seed), random.Random(trace_seed)
     pairs = []
-    for _ in range(windows):
-        engine_rate = engine_window(engine, engine_rng, measured, working_set)
-        reference_rate = reference_window(reference, reference_rng, measured, working_set)
+    for index in range(windows):
+        if index % 2:
+            reference_rate = reference_window(reference, reference_rng, measured, working_set)
+            engine_rate = engine_window(engine, engine_rng, measured, working_set)
+        else:
+            engine_rate = engine_window(engine, engine_rng, measured, working_set)
+            reference_rate = reference_window(reference, reference_rng, measured, working_set)
         pairs.append((engine_rate, reference_rate))
-    return median_pair(pairs)
+    return median_pair(pairs), ratio_spread(pairs)
 
 
 def median_pair(pairs):
@@ -176,6 +183,16 @@ def median_pair(pairs):
     """
     ordered = sorted(pairs, key=lambda pair: pair[0] / pair[1])
     return ordered[(len(ordered) - 1) // 2]
+
+
+def ratio_spread(pairs) -> dict:
+    """Min, median (the :func:`median_pair` ratio) and max paired ratio."""
+    ratios = sorted(first / second for first, second in pairs)
+    return {
+        "min": round(ratios[0], 3),
+        "median": round(ratios[(len(ratios) - 1) // 2], 3),
+        "max": round(ratios[-1], 3),
+    }
 
 
 def record_perf(section: str, record: dict, title: str) -> None:

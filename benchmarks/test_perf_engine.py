@@ -67,14 +67,14 @@ def test_engine_throughput_vs_seed_reference(benchmark):
             ),
             WORKING_SET_BLOCKS,
         )
-        pair = paired_throughput(
+        paired = paired_throughput(
             engine, seed, WINDOWS, measured, WORKING_SET_BLOCKS, trace_seed=11
         )
         # Both engines must agree on the functional outcome of the run.
         assert engine.total_blocks_stored() == seed.total_blocks_stored()
-        return pair
+        return paired
 
-    engine_rate, seed_rate = benchmark.pedantic(_run, rounds=1, iterations=1)
+    (engine_rate, seed_rate), spread = benchmark.pedantic(_run, rounds=1, iterations=1)
     speedup = engine_rate / seed_rate
 
     record = {
@@ -88,6 +88,7 @@ def test_engine_throughput_vs_seed_reference(benchmark):
         "window_pairs": WINDOWS,
         "engine_accesses_per_sec": round(engine_rate, 1),
         "seed_reference_accesses_per_sec": round(seed_rate, 1),
+        "paired_ratios": spread,
         "speedup": round(speedup, 2),
     }
     record_perf(

@@ -65,7 +65,7 @@ def test_hierarchy_throughput_vs_seed_reference(benchmark):
             SeedReferenceHierarchicalORAM(hierarchy, rng=random.Random(7)),
             WORKING_SET_BLOCKS,
         )
-        pair = paired_throughput(
+        paired = paired_throughput(
             engine, seed, WINDOWS, measured, WORKING_SET_BLOCKS, trace_seed=11
         )
         # Both constructions must agree on the functional outcome.
@@ -73,9 +73,9 @@ def test_hierarchy_throughput_vs_seed_reference(benchmark):
             oram.stash_occupancy + oram.storage.occupancy() for oram in engine.orams
         )
         assert engine_stored == seed.total_blocks_stored()
-        return pair
+        return paired
 
-    engine_rate, seed_rate = benchmark.pedantic(_run, rounds=1, iterations=1)
+    (engine_rate, seed_rate), spread = benchmark.pedantic(_run, rounds=1, iterations=1)
     speedup = engine_rate / seed_rate
 
     record = {
@@ -92,6 +92,7 @@ def test_hierarchy_throughput_vs_seed_reference(benchmark):
         "window_pairs": WINDOWS,
         "engine_accesses_per_sec": round(engine_rate, 1),
         "seed_reference_accesses_per_sec": round(seed_rate, 1),
+        "paired_ratios": spread,
         "speedup": round(speedup, 2),
     }
     record_perf(

@@ -84,7 +84,7 @@ def test_memmap_capacity_vs_numpy_flat(benchmark, tmp_path):
         assert volatile._column_engine is not None  # noqa: SLF001
         durable.access_many(range(1, prefill + 1))
         volatile.access_many(range(1, prefill + 1))
-        pair = paired_throughput(
+        paired = paired_throughput(
             durable,
             volatile,
             WINDOWS,
@@ -129,10 +129,10 @@ def test_memmap_capacity_vs_numpy_flat(benchmark, tmp_path):
         strict_measured = max(100, measured // 4)
         strict_rate = measure_window_many(strict, random.Random(11), strict_measured, WORKING_SET)
         strict.storage.abandon()
-        return pair, commit_ms, reopen_ms, file_bytes, strict_rate
+        return paired, commit_ms, reopen_ms, file_bytes, strict_rate
 
     (
-        (memmap_rate, numpy_rate),
+        ((memmap_rate, numpy_rate), spread),
         commit_ms,
         reopen_ms,
         file_bytes,
@@ -158,6 +158,7 @@ def test_memmap_capacity_vs_numpy_flat(benchmark, tmp_path):
         "commit_ms": round(commit_ms, 2),
         "reopen_verify_ms": round(reopen_ms, 2),
         "target": "durability tax bounded at 5x (floor 0.2x)",
+        "paired_ratios": spread,
         "speedup": round(speedup, 3),
     }
     record_perf(

@@ -37,7 +37,7 @@ import gc
 import random
 import time
 
-from conftest import paired_throughput, perf_floor, record_perf, scaled
+from conftest import paired_throughput, perf_floor, ratio_spread, record_perf, scaled
 from seed_reference import SeedReferenceHierarchicalORAM
 
 from repro.backends import OramSpec, build_oram
@@ -135,7 +135,7 @@ def test_chain_coalescing_spec_replay_vs_seed(benchmark):
             seed.access(address)
         before_coalesced = sum(o.stats.coalesced_ops for o in engine.orams)
         before_real = engine.stats.real_accesses
-        pair = paired_throughput(
+        paired = paired_throughput(
             engine,
             seed,
             WINDOWS,
@@ -151,10 +151,10 @@ def test_chain_coalescing_spec_replay_vs_seed(benchmark):
             oram.stash_occupancy + oram.storage.occupancy() for oram in engine.orams
         )
         assert engine_stored == seed.total_blocks_stored()
-        return pair, coalesced / accesses, hierarchy.num_orams
+        return paired, coalesced / accesses, hierarchy.num_orams
 
-    (engine_rate, seed_rate), coalesced_per_access, num_orams = benchmark.pedantic(
-        _run, rounds=1, iterations=1
+    ((engine_rate, seed_rate), spread), coalesced_per_access, num_orams = (
+        benchmark.pedantic(_run, rounds=1, iterations=1)
     )
     speedup = engine_rate / seed_rate
 
@@ -176,6 +176,7 @@ def test_chain_coalescing_spec_replay_vs_seed(benchmark):
         "seed_reference_accesses_per_sec": round(seed_rate, 1),
         "position_map_ops_coalesced_per_access": round(coalesced_per_access, 2),
         "position_map_ops_per_access_uncoalesced": num_orams - 1,
+        "paired_ratios": spread,
         "speedup": round(speedup, 2),
     }
     record_perf(
@@ -226,6 +227,7 @@ def test_plb_spec_replay_vs_uncoalesced_chain(benchmark):
                 acc1, pm1, co1, hit1 = _pm_counters(oram)
                 accesses = acc1 - acc0
                 stats[capacity] = {
+                    "rates": rates[capacity],
                     "rate": sum(rates[capacity]) / WINDOWS,
                     "pm_ops_per_access": (pm1 - pm0) / accesses,
                     "saved_per_access": (co1 - co0) / accesses,
@@ -267,6 +269,9 @@ def test_plb_spec_replay_vs_uncoalesced_chain(benchmark):
         "libquantum_accesses_per_sec_plb8": round(libq8["rate"], 1),
         "libquantum_accesses_per_sec_uncoalesced": round(
             results["libquantum"][0]["rate"], 1
+        ),
+        "paired_ratios": ratio_spread(
+            list(zip(libq8["rates"], results["libquantum"][0]["rates"]))
         ),
         "speedup": round(speedup, 2),
     }

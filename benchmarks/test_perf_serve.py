@@ -12,7 +12,7 @@ into the ``serving`` section of ``BENCH_engine.json`` behind a committed
 floor.
 """
 
-from conftest import median_pair, perf_floor, record_perf, scaled  # noqa: E402
+from conftest import median_pair, perf_floor, ratio_spread, record_perf, scaled  # noqa: E402
 
 from repro.backends import OramSpec
 from repro.core.config import ORAMConfig
@@ -61,9 +61,11 @@ def test_serving_batched_vs_unbatched(benchmark):
             reports.append(batched)
         batched_rps, unbatched_rps = median_pair(pairs)
         median_report = reports[[pair[0] for pair in pairs].index(batched_rps)]
-        return batched_rps, unbatched_rps, median_report
+        return batched_rps, unbatched_rps, median_report, ratio_spread(pairs)
 
-    batched_rps, unbatched_rps, report = benchmark.pedantic(_run, rounds=1, iterations=1)
+    batched_rps, unbatched_rps, report, spread = benchmark.pedantic(
+        _run, rounds=1, iterations=1
+    )
     speedup = batched_rps / unbatched_rps
 
     record = {
@@ -87,6 +89,7 @@ def test_serving_batched_vs_unbatched(benchmark):
         "rounds": report.rounds,
         "batches": report.batches,
         "fused_runs": report.fused_runs,
+        "paired_ratios": spread,
         "speedup": round(speedup, 3),
     }
     record_perf(

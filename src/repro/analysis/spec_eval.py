@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from dataclasses import replace as dataclass_replace
 
-from repro.analysis.sweep import PlbCounters, plb_chain_counters
+from repro.analysis.sweep import SUPER_BLOCK_MODES, super_block_variant
 from repro.backends import OramSpec, build_memory_backend, build_oram
 from repro.core.config import HierarchyConfig
 from repro.core.overhead import onchip_storage
@@ -32,9 +33,7 @@ from repro.runner import (
     ExperimentRunner,
     ExperimentSpec,
     ProgressCallback,
-    WindowPlan,
     derive_seed,
-    run_windows,
 )
 from repro.workloads.spec_like import benchmark_trace
 
@@ -189,58 +188,6 @@ def run_oram_configuration(benchmark: str, configuration: Figure12Config,
 
 
 @dataclass(frozen=True)
-class TraceReplayResult:
-    """ORAM-level replay of one benchmark trace (no cache model)."""
-
-    benchmark: str
-    configuration: str
-    accesses: int
-    found: int
-    dummy_rounds: int
-
-    @property
-    def dummy_factor(self) -> float:
-        """``(RA + DA) / RA`` of the replay."""
-        if not self.accesses:
-            return 1.0
-        return (self.accesses + self.dummy_rounds) / self.accesses
-
-
-def run_oram_trace_replay(benchmark: str, configuration: Figure12Config,
-                          num_memory_ops: int, seed: int = 0,
-                          line_bytes: int = 128,
-                          oram_spec: OramSpec = FIGURE12_SPEC) -> TraceReplayResult:
-    """Replay one benchmark's memory-op stream straight at the ORAM level.
-
-    Every memory operation of the SPEC-like trace becomes one hierarchical
-    ORAM access (the cache hierarchy is bypassed — this isolates the
-    ORAM-side behaviour of the workload's address stream), consumed in one
-    fused :meth:`~repro.core.hierarchical.HierarchicalPathORAM.access_many`
-    call.  Line addresses fold into the data ORAM's block space exactly as
-    the processor model's ORAM backend folds them.
-    """
-    trace = benchmark_trace(benchmark, num_memory_ops, seed=seed)
-    hierarchy = configuration.hierarchy
-    oram = build_oram(
-        oram_spec,
-        hierarchy,
-        seed=derive_seed(seed, ("spec-replay", benchmark, configuration.name)),
-    )
-    working_set = hierarchy.data_oram.working_set_blocks
-    addresses = [
-        (record.address // line_bytes) % working_set + 1 for record in trace
-    ]
-    result = oram.access_many(addresses)
-    return TraceReplayResult(
-        benchmark=benchmark,
-        configuration=configuration.name,
-        accesses=result.accesses,
-        found=result.found,
-        dummy_rounds=oram.stats.dummy_accesses,
-    )
-
-
-@dataclass(frozen=True)
 class SuperBlockReplayResult:
     """One (benchmark, super-block mode) ORAM-level SPEC replay."""
 
@@ -272,19 +219,17 @@ def run_super_block_trace_replay(benchmark: str, configuration: Figure12Config,
                                  ) -> SuperBlockReplayResult:
     """Replay one benchmark at the ORAM level under one super-block mode.
 
-    The dynamic-vs-static-vs-off axis of the SPEC evaluation: the same
-    derived-seed trace as :func:`run_oram_trace_replay`, with the
-    configuration's data ORAM regrouped per ``mode`` (``off`` ungrouped,
-    ``static`` at ``group_size``, ``dynamic`` with the runtime-merging
-    policy knobs on the spec) and consumed through one fused
+    The dynamic-vs-static-vs-off axis of the SPEC evaluation: every memory
+    operation of the benchmark's derived-seed trace (the stream
+    :func:`run_dram_baseline` replays) becomes one hierarchical ORAM
+    access, bypassing the cache hierarchy, with the configuration's data
+    ORAM regrouped per ``mode`` (``off`` ungrouped, ``static`` at
+    ``group_size``, ``dynamic`` with the runtime-merging policy knobs on
+    the spec) and consumed through one fused
     :meth:`~repro.core.hierarchical.HierarchicalPathORAM.access_many`
     call.  Returns the replay counters plus the data ORAM's merge / split /
     hit statistics.
     """
-    from dataclasses import replace as dataclass_replace
-
-    from repro.analysis.sweep import super_block_variant
-
     hierarchy = configuration.hierarchy
     mode_spec, data_config = super_block_variant(
         oram_spec, hierarchy.data_oram, mode,
@@ -334,8 +279,6 @@ def figure12_super_block_axis(benchmarks: list[str], num_memory_ops: int = 5_000
     (``executor="process"`` is bit-identical to serial), so the whole axis
     parallelises like the Figure 12 grid it extends.
     """
-    from repro.analysis.sweep import SUPER_BLOCK_MODES
-
     if modes is None:
         modes = SUPER_BLOCK_MODES
     if configuration is None:
@@ -373,162 +316,6 @@ def figure12_super_block_axis(benchmarks: list[str], num_memory_ops: int = 5_000
             results[benchmark][mode] = values[index]
             index += 1
     return results
-
-
-@dataclass(frozen=True)
-class PlbReplayResult(PlbCounters):
-    """One (benchmark, PLB capacity) ORAM-level SPEC replay."""
-
-    benchmark: str
-    entries_per_level: int
-    compressed: bool
-    num_orams: int
-    accesses: int
-    found: int
-    pm_ops: int
-    plb_hits: int
-    plb_misses: int
-    coalesced_ops: int
-
-
-def run_plb_trace_replay(benchmark: str, configuration: Figure12Config,
-                         entries_per_level: int, num_memory_ops: int,
-                         seed: int = 0, line_bytes: int = 128,
-                         compressed: bool = False,
-                         oram_spec: OramSpec = FIGURE12_SPEC
-                         ) -> PlbReplayResult:
-    """Replay one benchmark at the ORAM level under one PLB capacity.
-
-    The PosMap Lookaside Buffer axis of the SPEC evaluation: the same
-    derived-seed trace as :func:`run_oram_trace_replay`, with the spec's
-    ``plb_entries_per_level`` and ``compressed_position_map`` knobs set
-    per point and the stream consumed through one fused
-    :meth:`~repro.core.hierarchical.HierarchicalPathORAM.access_many`
-    call.  The build seed deliberately excludes the capacity and layout
-    knobs, so every capacity replays the identical address stream and
-    deltas measure the cache, not trace noise.  Returns the replay
-    counters plus the summed position-map chain statistics.
-    """
-    hierarchy = configuration.hierarchy
-    point_spec = oram_spec.with_updates(
-        plb_entries_per_level=entries_per_level,
-        compressed_position_map=compressed,
-    )
-    trace = benchmark_trace(benchmark, num_memory_ops, seed=seed)
-    oram = build_oram(
-        point_spec,
-        hierarchy,
-        seed=derive_seed(seed, ("spec-plb", benchmark, configuration.name)),
-    )
-    working_set = hierarchy.data_oram.working_set_blocks
-    addresses = [
-        (record.address // line_bytes) % working_set + 1 for record in trace
-    ]
-    result = oram.access_many(addresses)
-    return PlbReplayResult(
-        benchmark=benchmark,
-        entries_per_level=entries_per_level,
-        compressed=compressed,
-        accesses=result.accesses,
-        found=result.found,
-        **plb_chain_counters(oram),
-    )
-
-
-def figure12_plb_axis(benchmarks: list[str], num_memory_ops: int = 5_000,
-                      capacities: tuple[int, ...] | None = None,
-                      functional_scale: float = 1.0 / 1024,
-                      compressed: bool = False, seed: int = 0,
-                      configuration: Figure12Config | None = None,
-                      executor: str = "serial",
-                      max_workers: int | None = None,
-                      progress: ProgressCallback | None = None
-                      ) -> dict[str, dict[int, PlbReplayResult]]:
-    """The PLB capacity axis over a set of SPEC benchmarks.
-
-    Every (benchmark, capacity) replay is an independent runner
-    experiment (``executor="process"`` is bit-identical to serial), so
-    the whole axis parallelises like the Figure 12 grid it extends.
-    """
-    from repro.analysis.sweep import PLB_CAPACITIES
-
-    if capacities is None:
-        capacities = PLB_CAPACITIES
-    if configuration is None:
-        configuration = figure12_configurations(
-            functional_scale=functional_scale, seed=seed
-        )[0]
-    specs = [
-        ExperimentSpec(
-            key=("plb-axis", benchmark, compressed, capacity),
-            fn=run_plb_trace_replay,
-            kwargs={
-                "benchmark": benchmark,
-                "configuration": configuration,
-                "entries_per_level": capacity,
-                "num_memory_ops": num_memory_ops,
-                "compressed": compressed,
-            },
-            seed=seed,
-        )
-        for benchmark in benchmarks
-        for capacity in capacities
-    ]
-    runner = ExperimentRunner(
-        executor=executor, max_workers=max_workers, progress=progress
-    )
-    values = runner.run_values(specs)
-    results: dict[str, dict[int, PlbReplayResult]] = {}
-    index = 0
-    for benchmark in benchmarks:
-        results[benchmark] = {}
-        for capacity in capacities:
-            results[benchmark][capacity] = values[index]
-            index += 1
-    return results
-
-
-def run_oram_trace_replay_sharded(benchmark: str, configuration: Figure12Config,
-                                  num_memory_ops: int, windows: int = 4,
-                                  seed: int = 0, line_bytes: int = 128,
-                                  oram_spec: OramSpec = FIGURE12_SPEC,
-                                  executor: str = "serial",
-                                  max_workers: int | None = None,
-                                  progress: ProgressCallback | None = None
-                                  ) -> TraceReplayResult:
-    """One long ORAM-level trace replay sharded into runner windows.
-
-    Splits the replay into independently seeded windows executed through
-    the experiment runner (bit-identical between ``executor="serial"``
-    and ``"process"``) and merges the counters.
-    """
-    plan = WindowPlan.split(
-        key=("spec-replay-shard", benchmark, configuration.name),
-        base_seed=seed,
-        total_accesses=num_memory_ops,
-        windows=windows,
-    )
-    results = run_windows(
-        run_oram_trace_replay,
-        plan,
-        kwargs={
-            "benchmark": benchmark,
-            "configuration": configuration,
-            "line_bytes": line_bytes,
-            "oram_spec": oram_spec,
-        },
-        accesses_kwarg="num_memory_ops",
-        executor=executor,
-        max_workers=max_workers,
-        progress=progress,
-    )
-    return TraceReplayResult(
-        benchmark=benchmark,
-        configuration=configuration.name,
-        accesses=sum(result.accesses for result in results),
-        found=sum(result.found for result in results),
-        dummy_rounds=sum(result.dummy_rounds for result in results),
-    )
 
 
 def figure12_slowdowns(benchmarks: list[str], num_memory_ops: int = 20_000,

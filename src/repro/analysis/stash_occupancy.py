@@ -19,9 +19,7 @@ from repro.runner import (
     ExperimentRunner,
     ExperimentSpec,
     ProgressCallback,
-    WindowPlan,
     derive_seed,
-    run_windows,
 )
 
 #: The scenario of the Figure 3 study: a single fast-path ORAM, unbounded
@@ -119,48 +117,3 @@ def run_stash_occupancy_sweep(
     )
     results = runner.run_values(specs)
     return {z: result for z, result in zip(z_values, results)}
-
-
-def run_stash_occupancy_sharded(
-    z: int,
-    working_set_blocks: int,
-    num_accesses: int | None = None,
-    windows: int = 4,
-    utilization: float = 0.5,
-    seed: int = 0,
-    executor: str = "serial",
-    max_workers: int | None = None,
-    progress: ProgressCallback | None = None,
-) -> StashOccupancyResult:
-    """One huge Figure 3 experiment for a single Z, sharded into windows.
-
-    The paper's ``10 N`` accesses for one Z are one long simulation; this
-    splits them into ``windows`` independent simulations (each with its own
-    derived seed) executed through the runner, and pools the occupancy
-    samples.  The tail probabilities are estimated from the pooled samples;
-    with ``executor="process"`` the result is bit-identical to the serial
-    run of the same window plan.
-    """
-    total = num_accesses if num_accesses is not None else 10 * working_set_blocks
-    plan = WindowPlan.split(
-        key=("fig3-shard", z, working_set_blocks),
-        base_seed=seed,
-        total_accesses=total,
-        windows=windows,
-    )
-    results = run_windows(
-        run_stash_occupancy_experiment,
-        plan,
-        kwargs={
-            "z": z,
-            "working_set_blocks": working_set_blocks,
-            "utilization": utilization,
-        },
-        executor=executor,
-        max_workers=max_workers,
-        progress=progress,
-    )
-    samples: list[int] = []
-    for result in results:
-        samples.extend(result.samples)
-    return StashOccupancyResult(z=z, samples=samples)

@@ -28,9 +28,7 @@ from repro.runner import (
     ExperimentRunner,
     ExperimentSpec,
     ProgressCallback,
-    WindowPlan,
     derive_seed,
-    run_windows,
 )
 
 #: The scenario the design-space sweeps run on: a single fast-path ORAM with
@@ -92,24 +90,26 @@ def _dummy_abort_reason(
     return None
 
 
-def measure_dummy_ratio_window(
+def measure_dummy_ratio(
     config: ORAMConfig,
     num_accesses: int,
     seed: int = 0,
     abort_dummy_factor: float = 30.0,
     prefill: bool = True,
     spec: OramSpec = SWEEP_SPEC,
-) -> tuple[AccessStats, str | None]:
-    """One self-contained warmup+measure window of the dummy-ratio study.
+) -> SweepPoint:
+    """Run random accesses and measure the dummy/real ratio (Equation 1).
 
-    Builds a fresh ORAM from ``spec``, optionally prefills the working set
-    (the warmup), replays ``num_accesses`` random accesses through the
-    fused :meth:`~repro.core.path_oram.PathORAM.access_many` loop with
-    abort checks at chunk granularity, and returns the raw measurement
-    counters plus the abort reason (``None`` when the window completed).
-    Both :func:`measure_dummy_ratio` (one window) and
-    :func:`measure_dummy_ratio_sharded` (many windows, merged) are built
-    on this.
+    When ``prefill`` is set (the default), every working-set address is
+    accessed once first so the ORAM holds its nominal utilization before
+    measurement begins — the paper's experiments likewise measure a full
+    ORAM (they run ``10 N`` accesses).  The run aborts (``aborted`` is set
+    and ``abort_reason`` says why) once the dummy-access count exceeds
+    ``abort_dummy_factor`` times the real accesses issued so far; both
+    loops check at chunk granularity.  The backend stack comes from the
+    registry ``spec`` (storage variants sweep identically thanks to the
+    differential backend guarantees), and the trace replays through the
+    fused ``access_many`` loop.
     """
     oram = build_oram(spec, config, rng=random.Random(seed))
     # The workload stream is its own derived RNG: the trace can then be
@@ -143,13 +143,7 @@ def measure_dummy_ratio_window(
     except ReproError as exc:
         abort_reason = f"eviction livelock: {exc}"
 
-    return oram.stats, abort_reason
-
-
-def _sweep_point(
-    config: ORAMConfig, stats: AccessStats, abort_reason: str | None
-) -> SweepPoint:
-    """Fold measurement counters into the sweep's result record."""
+    stats = oram.stats
     aborted = abort_reason is not None
     dummy_ratio = stats.dummy_ratio if not aborted else math.inf
     overhead = (
@@ -167,87 +161,6 @@ def _sweep_point(
         aborted=aborted,
         abort_reason=abort_reason,
     )
-
-
-def measure_dummy_ratio(
-    config: ORAMConfig,
-    num_accesses: int,
-    seed: int = 0,
-    abort_dummy_factor: float = 30.0,
-    prefill: bool = True,
-    spec: OramSpec = SWEEP_SPEC,
-) -> SweepPoint:
-    """Run random accesses and measure the dummy/real ratio (Equation 1).
-
-    When ``prefill`` is set (the default), every working-set address is
-    accessed once first so the ORAM holds its nominal utilization before
-    measurement begins — the paper's experiments likewise measure a full
-    ORAM (they run ``10 N`` accesses).  The run aborts (``aborted`` is set
-    and ``abort_reason`` says why) once the dummy-access count exceeds
-    ``abort_dummy_factor`` times the real accesses issued so far.  The
-    backend stack comes from the registry ``spec`` (storage variants sweep
-    identically thanks to the differential backend guarantees), and the
-    trace replays through the fused ``access_many`` loop.
-    """
-    stats, abort_reason = measure_dummy_ratio_window(
-        config,
-        num_accesses,
-        seed=seed,
-        abort_dummy_factor=abort_dummy_factor,
-        prefill=prefill,
-        spec=spec,
-    )
-    return _sweep_point(config, stats, abort_reason)
-
-
-def measure_dummy_ratio_sharded(
-    config: ORAMConfig,
-    num_accesses: int,
-    windows: int = 4,
-    seed: int = 0,
-    abort_dummy_factor: float = 30.0,
-    prefill: bool = True,
-    spec: OramSpec = SWEEP_SPEC,
-    executor: str = "serial",
-    max_workers: int | None = None,
-    progress: ProgressCallback | None = None,
-) -> SweepPoint:
-    """One huge dummy-ratio experiment sharded into parallel windows.
-
-    ``num_accesses`` is split into ``windows`` independently warmed-up
-    measure windows (:class:`~repro.runner.WindowPlan`), each seeded by
-    window index through the runner's ``derive_seed``; with
-    ``executor="process"`` the windows execute across pool workers and the
-    merged result is bit-identical to running the same plan serially.  The
-    point's ratios come from the summed per-window counters (batch means);
-    a window that aborts marks the merged point aborted.
-    """
-    plan = WindowPlan.split(
-        key=("sweep-shard", config.name or "", config.z, config.stash_capacity),
-        base_seed=seed,
-        total_accesses=num_accesses,
-        windows=windows,
-    )
-    results = run_windows(
-        measure_dummy_ratio_window,
-        plan,
-        kwargs={
-            "config": config,
-            "abort_dummy_factor": abort_dummy_factor,
-            "prefill": prefill,
-            "spec": spec,
-        },
-        executor=executor,
-        max_workers=max_workers,
-        progress=progress,
-    )
-    merged = AccessStats()
-    abort_reason: str | None = None
-    for stats, reason in results:
-        merged.merge(stats)
-        if abort_reason is None and reason is not None:
-            abort_reason = reason
-    return _sweep_point(config, merged, abort_reason)
 
 
 def run_sweep(
@@ -455,161 +368,6 @@ def sweep_super_block_modes(
         )
         for trace_kind in trace_kinds
         for mode in modes
-    ]
-    runner = ExperimentRunner(
-        executor=executor, max_workers=max_workers, progress=progress
-    )
-    return runner.run_values(specs)
-
-
-#: The PLB sweep axis: PosMap Lookaside Buffer capacities in position-map
-#: blocks per chain level.  0 is the uncached baseline and 1 reproduces the
-#: PR 4 single-op memo, so the axis spans "nothing" to "small real cache".
-PLB_CAPACITIES = (0, 1, 2, 4, 8, 16)
-
-#: The scenario the PLB sweep runs on: the recursive chain on the fast
-#: functional stack (the PLB only engages on fused position-map levels).
-PLB_SPEC = OramSpec(protocol="hierarchical", storage="flat")
-
-
-def plb_chain_counters(oram) -> dict[str, int]:
-    """A hierarchy's chain length and its position-map ORAMs' summed
-    op and PLB counters (the fields :class:`PlbCounters` reads)."""
-    pm_stats = [pm.stats for pm in oram.orams[1:]]
-    return {
-        "num_orams": oram.num_orams,
-        "pm_ops": sum(stats.real_accesses for stats in pm_stats),
-        "plb_hits": sum(stats.plb_hits for stats in pm_stats),
-        "plb_misses": sum(stats.plb_misses for stats in pm_stats),
-        "coalesced_ops": sum(stats.coalesced_ops for stats in pm_stats),
-    }
-
-
-class PlbCounters:
-    """Derived PLB rates for a record with ``accesses`` and the
-    :func:`plb_chain_counters` fields."""
-
-    @property
-    def hit_rate(self) -> float:
-        """PLB hits per lookup (0 when the buffer is off)."""
-        lookups = self.plb_hits + self.plb_misses
-        if not lookups:
-            return 0.0
-        return self.plb_hits / lookups
-
-    @property
-    def pm_ops_per_access(self) -> float:
-        """Physical position-map path ops per logical access."""
-        if not self.accesses:
-            return 0.0
-        return self.pm_ops / self.accesses
-
-    @property
-    def pm_ops_saved_per_access(self) -> float:
-        """Position-map path ops the PLB skipped, per logical access
-        (out of ``num_orams - 1`` chain levels)."""
-        if not self.accesses:
-            return 0.0
-        return self.coalesced_ops / self.accesses
-
-
-@dataclass(frozen=True)
-class PlbPoint(PlbCounters):
-    """One (trace kind, PLB capacity) point of the lookaside sweep."""
-
-    trace_kind: str
-    entries_per_level: int
-    compressed: bool
-    num_orams: int
-    accesses: int
-    pm_ops: int
-    plb_hits: int
-    plb_misses: int
-    coalesced_ops: int
-
-
-def measure_plb_point(
-    hierarchy,
-    entries_per_level: int,
-    num_accesses: int,
-    seed: int = 0,
-    trace_kind: str = "pointer_chase",
-    compressed: bool = False,
-    spec: OramSpec = PLB_SPEC,
-    access_bytes: int = 8,
-) -> PlbPoint:
-    """Replay one synthetic trace through the chain at one PLB capacity.
-
-    The trace comes from the named :mod:`~repro.workloads.synthetic`
-    generator and — like the super-block sweep — its seed deliberately
-    excludes the capacity and layout knobs: every point of a sweep replays
-    the identical address stream, so deltas measure the cache, not trace
-    noise.  Logical results are independent of the capacity (the PLB only
-    shrinks the physical op sequence); the returned counters quantify the
-    shrinkage.
-    """
-    from repro.workloads.synthetic import synthetic_trace
-
-    point_spec = spec.with_updates(
-        plb_entries_per_level=entries_per_level,
-        compressed_position_map=compressed,
-    )
-    oram = build_oram(point_spec, hierarchy, rng=random.Random(seed))
-    working_set = hierarchy.data_oram.working_set_blocks
-    trace = synthetic_trace(
-        trace_kind,
-        num_accesses,
-        working_set * access_bytes,
-        seed=derive_seed(seed, ("plb-sweep", trace_kind)),
-    )
-    addresses = [
-        (record.address // access_bytes) % working_set + 1 for record in trace
-    ]
-    oram.access_many(addresses)
-    return PlbPoint(
-        trace_kind=trace_kind,
-        entries_per_level=entries_per_level,
-        compressed=compressed,
-        accesses=oram.stats.real_accesses,
-        **plb_chain_counters(oram),
-    )
-
-
-def sweep_plb_capacities(
-    hierarchy,
-    num_accesses: int,
-    trace_kinds: tuple[str, ...] = ("sequential", "pointer_chase"),
-    capacities: tuple[int, ...] = PLB_CAPACITIES,
-    compressed: tuple[bool, ...] = (False,),
-    seed: int = 0,
-    spec: OramSpec = PLB_SPEC,
-    executor: str = "serial",
-    max_workers: int | None = None,
-    progress: ProgressCallback | None = None,
-) -> list[PlbPoint]:
-    """Hit rate and PM-ops-saved versus PLB capacity over synthetic traces.
-
-    Points come back in ``(trace_kind, compressed, capacity)`` grid order,
-    computed through the experiment runner — ``executor="process"`` is
-    bit-identical to serial.
-    """
-    specs = [
-        ExperimentSpec(
-            key=("plb", trace_kind, layout, capacity),
-            fn=measure_plb_point,
-            kwargs={
-                "hierarchy": hierarchy,
-                "entries_per_level": capacity,
-                "num_accesses": num_accesses,
-                "trace_kind": trace_kind,
-                "compressed": layout,
-                "spec": spec,
-            },
-            seed=seed,
-        )
-        for trace_kind in trace_kinds
-        for layout in compressed
-        for capacity in capacities
     ]
     runner = ExperimentRunner(
         executor=executor, max_workers=max_workers, progress=progress

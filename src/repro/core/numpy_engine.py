@@ -304,14 +304,7 @@ class ColumnEngine:
             virtual_payload = data_g[target_src] if gather_payloads else None
         elif slot is not None or is_write or create:
             found = False
-            pool = oram._block_pool  # noqa: SLF001
-            if pool:
-                block = pool.pop()
-                block.address = address
-                block.leaf = new_leaf
-                block.data = None
-            else:
-                block = Block(address=address, leaf=new_leaf, data=None)
+            block = Block(address=address, leaf=new_leaf, data=None)
             stash_blocks[address] = block
             bucket = by_leaf.get(new_leaf)
             if bucket is None:
@@ -543,17 +536,9 @@ class ColumnEngine:
         if avail:
             # Leftover buffer chunks genuinely enter the stash, in the
             # exact sequence order the list engine's avail_buffer holds.
-            pool = oram._block_pool  # noqa: SLF001
             for chunk in avail:
                 if chunk is _VIRTUAL:
-                    payload = virtual_payload
-                    if pool:
-                        spilled = pool.pop()
-                        spilled.address = address
-                        spilled.leaf = new_leaf
-                        spilled.data = payload
-                    else:
-                        spilled = Block(address=address, leaf=new_leaf, data=payload)
+                    spilled = Block(address=address, leaf=new_leaf, data=virtual_payload)
                     stash_blocks[address] = spilled
                     bucket = by_leaf.get(new_leaf)
                     if bucket is None:
@@ -566,15 +551,7 @@ class ColumnEngine:
                         spill_address = int(addrs[src])
                         spill_leaf = int(lvs[src])
                         payload = data_g[src] if gather_payloads else None
-                        if pool:
-                            spilled = pool.pop()
-                            spilled.address = spill_address
-                            spilled.leaf = spill_leaf
-                            spilled.data = payload
-                        else:
-                            spilled = Block(
-                                address=spill_address, leaf=spill_leaf, data=payload
-                            )
+                        spilled = Block(address=spill_address, leaf=spill_leaf, data=payload)
                         stash_blocks[spill_address] = spilled
                         bucket = by_leaf.get(spill_leaf)
                         if bucket is None:

@@ -66,12 +66,6 @@ from repro.core.tree import FlatTreeStorage, TreeStorage
 from repro.core.types import AccessResult, Block, Operation, TraceResult
 from repro.errors import ConfigurationError, StashOverflowError
 
-#: Upper bound on the per-ORAM :class:`Block` free-list.  Recycled blocks
-#: only accumulate through the exclusive-ORAM extract path, so the pool
-#: stays tiny in practice; the cap bounds memory if a workload extracts
-#: far more blocks than it ever re-creates.
-_BLOCK_POOL_LIMIT = 4096
-
 #: ``Operation.WRITE`` as a module constant: an enum attribute lookup costs
 #: several times a global load, and single accesses compare against it once
 #: per call.
@@ -237,10 +231,6 @@ class PathORAM:
         else:
             self._eviction = BackgroundEviction()
         self._stats = AccessStats()
-        # Free-list of recycled Block shells: miss-creation in the
-        # classified path op draws from it instead of allocating; the
-        # exclusive-ORAM extract path feeds it.
-        self._block_pool: list[Block] = []
         self._create_on_miss = create_on_miss
         self._record_path_trace = record_path_trace
         self._path_trace: list[int] = []
@@ -381,6 +371,8 @@ class PathORAM:
         return state
 
     def __setstate__(self, state: dict) -> None:
+        # Snapshots written before the Block free-list was removed carry it.
+        state.pop("_block_pool", None)
         self.__dict__.update(state)
         self._attach_path_op()
 
@@ -701,14 +693,12 @@ class PathORAM:
         found: dict[int, Any] = {}
         for block in self._stash.pop_range(current_leaf, lo, hi):
             found[block.address] = block.data
-            self._recycle_block(block)
         buffer = self._path_buffer
         kept: list[Block] = []
         keep = kept.append
         for candidate in buffer:
             if lo <= candidate.address < hi:
                 found[candidate.address] = candidate.data
-                self._recycle_block(candidate)
             else:
                 keep(candidate)
         if len(kept) != len(buffer):
@@ -751,26 +741,11 @@ class PathORAM:
                         break
             if block is not None:
                 extracted[member] = block.data
-                self._recycle_block(block)
             elif self._create_on_miss:
                 extracted[member] = None
         if address not in extracted and self._create_on_miss:
             extracted[address] = None
         return extracted
-
-    def _recycle_block(self, block: Block) -> None:
-        """Return an extracted block's shell to the free-list.
-
-        Only blocks that just left the ORAM (popped from the stash or the
-        pending path buffer) may be recycled: nothing readable references
-        them any more (stale slot-array entries beyond a bucket's count are
-        never read), so the shell can be re-initialised by the next
-        miss-creation without allocating.
-        """
-        pool = self._block_pool
-        if len(pool) < _BLOCK_POOL_LIMIT:
-            block.data = None
-            pool.append(block)
 
     def dummy_access(self) -> None:
         """A background-eviction dummy access (Section 3.1.1).
@@ -1217,14 +1192,7 @@ class PathORAM:
             pools[table[new_leaf ^ leaf]].append(block)
         elif address is not None and (slot is not None or is_write or create):
             found = False
-            pool = self._block_pool
-            if pool:
-                block = pool.pop()
-                block.address = address
-                block.leaf = new_leaf
-                block.data = None
-            else:
-                block = Block(address=address, leaf=new_leaf, data=None)
+            block = Block(address=address, leaf=new_leaf, data=None)
             stash = self._stash
             stash_blocks[address] = block
             bucket = by_leaf.get(new_leaf)

@@ -106,22 +106,6 @@ class AccessStats:
             tuple(self.stash_occupancy_samples),
         )
 
-    def merge(self, other: "AccessStats") -> None:
-        """Accumulate ``other`` into this instance."""
-        self.real_accesses += other.real_accesses
-        self.dummy_accesses += other.dummy_accesses
-        self.path_reads += other.path_reads
-        self.path_writes += other.path_writes
-        self.blocks_read += other.blocks_read
-        self.blocks_written += other.blocks_written
-        self.coalesced_ops += other.coalesced_ops
-        self.plb_hits += other.plb_hits
-        self.plb_misses += other.plb_misses
-        self.super_block_merges += other.super_block_merges
-        self.super_block_splits += other.super_block_splits
-        self.super_block_hits += other.super_block_hits
-        self.stash_occupancy_samples.extend(other.stash_occupancy_samples)
-
     def reset(self) -> None:
         """Zero every counter."""
         self.real_accesses = 0

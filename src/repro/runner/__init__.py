@@ -30,7 +30,7 @@ from repro.runner.runner import (
     RunnerError,
 )
 from repro.runner.spec import ExperimentResult, ExperimentSpec, derive_seed
-from repro.runner.windows import WindowPlan, merge_counters, run_windows, window_specs
+from repro.runner.windows import WindowPlan, run_windows, window_specs
 
 __all__ = [
     "CheckpointManager",
@@ -44,7 +44,6 @@ __all__ = [
     "TRANSIENT_ERROR_TYPES",
     "WindowPlan",
     "derive_seed",
-    "merge_counters",
     "run_windows",
     "window_specs",
 ]

@@ -7,9 +7,8 @@ is an independent, self-seeded simulation (its seed derived from the plan's
 base seed and the window index through :func:`~repro.runner.spec.derive_seed`),
 so the windows can execute serially or on a process pool with bit-identical
 results — the same guarantee the grid runner gives, applied to the shards
-of a single experiment.  The caller merges the per-window statistics
-(:class:`~repro.core.stats.AccessStats` counters sum; ratios are recomputed
-from the merged counters).
+of a single experiment.  The caller merges the per-window values (counters
+sum; ratios are recomputed from the summed counters).
 
 Statistically this is the standard batch-means design: ``W`` windows of
 ``n`` accesses each, every window warmed up independently, estimate the
@@ -21,7 +20,7 @@ makes the shards embarrassingly parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping
 
 from repro.errors import ConfigurationError
 from repro.runner.checkpoint import CheckpointManager
@@ -132,12 +131,3 @@ def run_windows(
         window_specs(fn, plan, kwargs=kwargs, accesses_kwarg=accesses_kwarg),
         checkpoint=checkpoint,
     )
-
-
-def merge_counters(values: Sequence[Any], fields: Sequence[str]) -> dict[str, int]:
-    """Sum the named integer counters across per-window result objects."""
-    merged = {name: 0 for name in fields}
-    for value in values:
-        for name in fields:
-            merged[name] += getattr(value, name)
-    return merged

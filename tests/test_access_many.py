@@ -566,20 +566,3 @@ class TestReferenceCycles:
         finally:
             gc.enable()
 
-
-class TestBlockPool:
-    def test_extract_recycles_and_creation_reuses(self):
-        config = ORAMConfig(
-            working_set_blocks=64, z=4, block_bytes=64, stash_capacity=100
-        )
-        oram = build_oram(OramSpec(protocol="flat", storage="flat"), config, seed=1)
-        oram.access_many(range(1, 65))
-        assert not oram._block_pool
-        extracted = oram.extract(5)
-        assert 5 in extracted
-        assert oram._block_pool, "extraction must feed the free-list"
-        shell = oram._block_pool[-1]
-        # The next miss-created block reuses the recycled shell.
-        oram.access_many([5])
-        assert oram.contains(5)
-        assert shell.address == 5

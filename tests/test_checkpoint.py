@@ -13,7 +13,7 @@ from repro.core.hierarchical import HierarchicalPathORAM
 from repro.core.path_oram import PathORAM
 from repro.core.presets import dz3pb32
 from repro.core.snapshot import SNAPSHOT_VERSION, snapshot_kind
-from repro.core.types import Operation
+from repro.core.types import Block, Operation
 from repro.errors import CheckpointError, ConfigurationError
 from repro.runner import (
     CheckpointManager,
@@ -21,7 +21,6 @@ from repro.runner import (
     ExperimentSpec,
     WindowPlan,
     derive_seed,
-    merge_counters,
     run_windows,
 )
 from repro.runner.spec import ExperimentResult
@@ -65,6 +64,20 @@ class TestSnapshotRoundtrip:
         snapshot = first.snapshot()
         resumed = PathORAM.restore(snapshot)
         assert resumed is not first
+        assert log_a[150:] == _drive(resumed, 150, 150)
+        assert _flat_fingerprint(resumed) == _flat_fingerprint(straight)
+
+    def test_snapshot_with_a_block_free_list_restores(self):
+        # Snapshots written while PathORAM kept a Block free-list pickle it
+        # as ``_block_pool``; restore drops it and resumes bit-exactly.
+        straight = _flat_oram()
+        log_a = _drive(straight, 0, 300)
+
+        first = _flat_oram()
+        _drive(first, 0, 150)
+        first._block_pool = [Block(address=1, leaf=0, data=None)]
+        resumed = PathORAM.restore(first.snapshot())
+        assert not hasattr(resumed, "_block_pool")
         assert log_a[150:] == _drive(resumed, 150, 150)
         assert _flat_fingerprint(resumed) == _flat_fingerprint(straight)
 
@@ -316,7 +329,6 @@ class TestRunnerResume:
         plan = WindowPlan.split(key="win", base_seed=9, total_accesses=600, windows=6)
         kwargs = {"scale": 1000}
         reference = run_windows(_window_point, plan, kwargs=kwargs)
-        merged_reference = merge_counters(reference, ["accesses", "checksum"])
 
         path = tmp_path / "windows.ckpt"
         # Interrupt after three windows.
@@ -331,7 +343,6 @@ class TestRunnerResume:
             checkpoint=CheckpointManager(path),
         )
         assert resumed == reference
-        assert merge_counters(resumed, ["accesses", "checksum"]) == merged_reference
 
     def test_checkpointed_run_tolerates_missing_file_dir_entries(self, tmp_path):
         # A checkpoint pointed at a fresh path is simply empty.

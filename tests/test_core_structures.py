@@ -137,13 +137,11 @@ class TestAccessStats:
         stats.sample_stash_occupancy(5)
         assert stats.stash_occupancy_samples == [5]
 
-    def test_merge_and_reset(self):
-        a = AccessStats(real_accesses=1, dummy_accesses=2, path_reads=3)
-        b = AccessStats(real_accesses=10, dummy_accesses=20, path_reads=30)
-        a.merge(b)
-        assert a.real_accesses == 11 and a.dummy_accesses == 22 and a.path_reads == 33
-        a.reset()
-        assert a.total_accesses == 0
+    def test_reset_zeroes_every_counter(self):
+        stats = AccessStats(real_accesses=1, dummy_accesses=2, path_reads=3)
+        stats.stash_occupancy_samples.append(4)
+        stats.reset()
+        assert stats.fingerprint() == AccessStats().fingerprint()
 
 
 class TestBucketCodec:

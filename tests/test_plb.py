@@ -464,17 +464,27 @@ class TestCompressedPositionMap:
         ) >= hierarchy.labels_per_position_block(child)
 
 
-class TestSweepAxis:
-    def test_measure_plb_point_counters_are_consistent(self):
-        from repro.analysis.sweep import measure_plb_point
-
+class TestChainCounters:
+    def test_plb_counters_are_consistent(self):
+        # The PLB only removes position-map path ops: every skipped op is
+        # a coalesced op, every remaining one is a PLB miss.
         hierarchy = _hierarchy()
-        base = measure_plb_point(hierarchy, 0, 600, trace_kind="sequential")
-        cached = measure_plb_point(hierarchy, 8, 600, trace_kind="sequential")
-        assert base.accesses == cached.accesses
-        assert base.plb_hits == 0 and base.coalesced_ops == 0
-        assert cached.plb_hits > 0
-        assert base.pm_ops - cached.pm_ops == cached.coalesced_ops
-        assert cached.pm_ops == cached.plb_misses
-        assert 0.0 < cached.hit_rate <= 1.0
-        assert cached.pm_ops_saved_per_access > base.pm_ops_saved_per_access
+        working_set = hierarchy.data_oram.working_set_blocks
+        trace = [index % working_set + 1 for index in range(600)]
+        counters = {}
+        for entries in (0, 8):
+            oram = build_oram(_spec(plb_entries_per_level=entries), hierarchy, seed=0)
+            oram.access_many(trace)
+            assert oram.stats.real_accesses == len(trace)
+            pm = [sub.stats for sub in oram.orams[1:]]
+            counters[entries] = {
+                name: sum(getattr(stats, name) for stats in pm)
+                for name in ("real_accesses", "plb_hits", "plb_misses", "coalesced_ops")
+            }
+        base, cached = counters[0], counters[8]
+        assert base["plb_hits"] == 0 and base["coalesced_ops"] == 0
+        assert cached["plb_hits"] > 0 and cached["coalesced_ops"] > 0
+        assert base["real_accesses"] - cached["real_accesses"] == cached["coalesced_ops"]
+        assert cached["real_accesses"] == cached["plb_misses"]
+        hit_rate = cached["plb_hits"] / (cached["plb_hits"] + cached["plb_misses"])
+        assert 0.0 < hit_rate <= 1.0
