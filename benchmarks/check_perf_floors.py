@@ -12,6 +12,11 @@ markdown table; when ``$GITHUB_STEP_SUMMARY`` is set (every GitHub
 Actions step) the table is appended there, so floor headroom is visible
 on every CI run instead of only on failure.
 
+The floors were calibrated on a 2-CPU box.  A gated section recorded on a
+different CPU count gets a warning line naming both counts; sections
+without a floor that record paired ratios are listed for information.
+Neither changes the exit status.
+
 Exit status: 0 when every recorded section clears its floor, 1 otherwise
 (also when a section with a committed floor is missing from the bench
 file).
@@ -30,6 +35,9 @@ _HERE = Path(__file__).resolve().parent
 DEFAULT_BENCH = _HERE.parent / "BENCH_engine.json"
 DEFAULT_FLOORS = _HERE / "perf_floors.json"
 
+#: CPU count of the box the committed floors were calibrated on.
+CALIBRATION_CPUS = 2
+
 
 def load(bench_path: Path, floors_path: Path):
     """Read both files; returns ``(bench, floors)`` or raises OSError/ValueError."""
@@ -40,12 +48,16 @@ def load(bench_path: Path, floors_path: Path):
 
 def section_rows(bench: dict, floors: dict) -> list[dict]:
     """One row per committed floor: recorded speedup, floor, margin, verdict,
-    and the section's min/median/max paired-window ratios when recorded."""
+    and the section's min/median/max paired-window ratios and CPU count when
+    recorded."""
     rows = []
     for section, floor in sorted(floors.items()):
         record = bench.get(section)
-        speedup = record.get("speedup") if isinstance(record, dict) else None
-        ratios = record.get("paired_ratios") if isinstance(record, dict) else None
+        if not isinstance(record, dict):
+            record = {}
+        speedup = record.get("speedup")
+        ratios = record.get("paired_ratios")
+        cpus = record.get("cpus")
         if isinstance(speedup, (int, float)):
             rows.append({
                 "section": section,
@@ -54,6 +66,7 @@ def section_rows(bench: dict, floors: dict) -> list[dict]:
                 "margin": float(speedup) - float(floor),
                 "ok": speedup >= floor,
                 "ratios": ratios,
+                "cpus": cpus,
             })
         else:
             rows.append({
@@ -63,6 +76,7 @@ def section_rows(bench: dict, floors: dict) -> list[dict]:
                 "margin": None,
                 "ok": False,
                 "ratios": None,
+                "cpus": cpus,
             })
     return rows
 
@@ -72,6 +86,18 @@ def spread_text(ratios) -> str:
     if not isinstance(ratios, dict):
         return "—"
     return "/".join(f"{ratios[key]:.2f}x" for key in ("min", "median", "max"))
+
+
+def cpu_warning(row: dict) -> str | None:
+    """A warning line when a section was recorded on another CPU count than
+    the calibration box, else ``None``."""
+    cpus = row["cpus"]
+    if not isinstance(cpus, int) or cpus == CALIBRATION_CPUS:
+        return None
+    return (
+        f"warning: {row['section']} was recorded on {cpus} CPUs; its floor was "
+        f"calibrated on a {CALIBRATION_CPUS}-CPU box"
+    )
 
 
 def markdown_table(rows: list[dict]) -> str:
@@ -119,6 +145,15 @@ def check(bench_path: Path, floors_path: Path, diff: bool = False) -> int:
             )
             if not row["ok"]:
                 status = 1
+        warning = cpu_warning(row)
+        if warning:
+            print(warning)
+    for section, record in sorted(bench.items()):
+        if section not in floors and isinstance(record, dict) and "paired_ratios" in record:
+            print(
+                f"info: {section} has no floor "
+                f"(pairs min/median/max {spread_text(record['paired_ratios'])})"
+            )
 
     if diff:
         table = markdown_table(rows)

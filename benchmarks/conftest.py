@@ -153,24 +153,34 @@ def paired_throughput(
     back to back over the same workload stream (two RNGs from one
     ``trace_seed``), so a machine-load swing hits both comparably and the
     per-pair ratio stays meaningful.  The side that runs first alternates
-    from round to round (engine first, then reference first, ...), so a
-    slow first window after heavy earlier work does not always land on
-    the same side.  Returns the ``(engine_rate, reference_rate)`` pair with
-    the median ratio and the :func:`ratio_spread` of all pairs.
+    from round to round (:func:`alternating`).  Returns the
+    ``(engine_rate, reference_rate)`` pair with the median ratio and the
+    :func:`ratio_spread` of all pairs.
     """
     import random
 
     engine_rng, reference_rng = random.Random(trace_seed), random.Random(trace_seed)
     pairs = []
     for index in range(windows):
-        if index % 2:
-            reference_rate = reference_window(reference, reference_rng, measured, working_set)
-            engine_rate = engine_window(engine, engine_rng, measured, working_set)
-        else:
-            engine_rate = engine_window(engine, engine_rng, measured, working_set)
-            reference_rate = reference_window(reference, reference_rng, measured, working_set)
+        engine_rate, reference_rate = alternating(
+            index,
+            lambda: engine_window(engine, engine_rng, measured, working_set),
+            lambda: reference_window(reference, reference_rng, measured, working_set),
+        )
         pairs.append((engine_rate, reference_rate))
     return median_pair(pairs), ratio_spread(pairs)
+
+
+def alternating(index: int, *windows):
+    """Run the zero-argument ``windows`` of round ``index``: in the given
+    order on even rounds, in reverse on odd ones (AB, BA, ...), so a slow
+    first window after heavy earlier work does not always land on the same
+    side.  Returns their results in the given order."""
+    results = [None] * len(windows)
+    order = range(len(windows)) if index % 2 == 0 else reversed(range(len(windows)))
+    for position in order:
+        results[position] = windows[position]()
+    return results
 
 
 def median_pair(pairs):

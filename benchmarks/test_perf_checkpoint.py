@@ -20,7 +20,14 @@ cached replay returns the same values).
 import random
 import time
 
-from conftest import median_pair, perf_floor, ratio_spread, record_perf, scaled  # noqa: E402
+from conftest import (  # noqa: E402
+    alternating,
+    median_pair,
+    perf_floor,
+    ratio_spread,
+    record_perf,
+    scaled,
+)
 
 from repro.backends import OramSpec, build_oram
 from repro.core.config import ORAMConfig
@@ -99,12 +106,9 @@ def test_checkpointed_run_overhead(benchmark, tmp_path):
         for index in range(WINDOWS):
             # Alternate which side runs first, so a slow first run does not
             # always land on the gated (checkpointed) side.
-            if index % 2:
-                plain_values, plain_seconds = _plain()
-                ck_values, ck_seconds, manager = _checkpointed(index)
-            else:
-                ck_values, ck_seconds, manager = _checkpointed(index)
-                plain_values, plain_seconds = _plain()
+            (ck_values, ck_seconds, manager), (plain_values, plain_seconds) = alternating(
+                index, lambda: _checkpointed(index), _plain
+            )
             assert ck_values == plain_values
             if reference is None:
                 reference = plain_values

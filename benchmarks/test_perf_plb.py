@@ -22,12 +22,13 @@ Two paired-window sections over one recursive hierarchy on the list-backed
 
   All three replay identical derived-seed streams window for window
   (lock-stepped harness RNGs), so the throughput ratio and the
-  position-map-ops-saved rates measure the cache alone.  ``speedup`` is
-  plb8 over the uncoalesced chain on the libquantum stream; the mcf-like
-  stream must additionally save at least 0.5 of the chain's 3
-  position-map ops per access at the 8-entry budget (a multi-entry win
-  the single-op memo cannot reach), and libquantum must keep the >= 1.9
-  the memo already delivered.
+  position-map-ops-saved rates measure the cache alone.  Each round runs
+  the three in turn, in reverse on every other round.  ``speedup`` is the
+  median window pair of plb8 over the uncoalesced chain on the libquantum
+  stream; the mcf-like stream must additionally save at least 0.5 of the
+  chain's 3 position-map ops per access at the 8-entry budget (a
+  multi-entry win the single-op memo cannot reach), and libquantum must
+  keep the >= 1.9 the memo already delivered.
 
 Both sections land in ``BENCH_engine.json`` and are gated by committed
 floors in ``benchmarks/perf_floors.json``.
@@ -36,8 +37,17 @@ floors in ``benchmarks/perf_floors.json``.
 import gc
 import random
 import time
+from functools import partial
 
-from conftest import paired_throughput, perf_floor, ratio_spread, record_perf, scaled
+from conftest import (
+    alternating,
+    median_pair,
+    paired_throughput,
+    perf_floor,
+    ratio_spread,
+    record_perf,
+    scaled,
+)
 from seed_reference import SeedReferenceHierarchicalORAM
 
 from repro.backends import OramSpec, build_oram
@@ -215,12 +225,15 @@ def test_plb_spec_replay_vs_uncoalesced_chain(benchmark):
             rngs = {c: random.Random(11) for c in CAPACITIES}
             rates = {c: [] for c in CAPACITIES}
             # Interleave windows across the capacities (lock-stepped RNGs:
-            # every configuration replays the identical streams).
-            for _ in range(WINDOWS):
-                for capacity, oram in engines.items():
-                    rates[capacity].append(
-                        _window(oram, rngs[capacity], measured, bench)
-                    )
+            # every configuration replays the identical streams), the order
+            # reversed on every other round.
+            for index in range(WINDOWS):
+                windows = [
+                    partial(_window, engines[capacity], rngs[capacity], measured, bench)
+                    for capacity in CAPACITIES
+                ]
+                for capacity, rate in zip(CAPACITIES, alternating(index, *windows)):
+                    rates[capacity].append(rate)
             stats = {}
             for capacity, oram in engines.items():
                 acc0, pm0, co0, hit0 = before[capacity]
@@ -228,7 +241,6 @@ def test_plb_spec_replay_vs_uncoalesced_chain(benchmark):
                 accesses = acc1 - acc0
                 stats[capacity] = {
                     "rates": rates[capacity],
-                    "rate": sum(rates[capacity]) / WINDOWS,
                     "pm_ops_per_access": (pm1 - pm0) / accesses,
                     "saved_per_access": (co1 - co0) / accesses,
                     "hits_per_access": (hit1 - hit0) / accesses,
@@ -241,8 +253,11 @@ def test_plb_spec_replay_vs_uncoalesced_chain(benchmark):
 
     mcf8 = results["mcf"][8]
     libq8 = results["libquantum"][8]
-    speedup = libq8["rate"] / results["libquantum"][0]["rate"]
-    mcf_speedup = mcf8["rate"] / results["mcf"][0]["rate"]
+    libq_pairs = list(zip(libq8["rates"], results["libquantum"][0]["rates"]))
+    libq8_rate, libq0_rate = median_pair(libq_pairs)
+    speedup = libq8_rate / libq0_rate
+    mcf8_rate, mcf0_rate = median_pair(list(zip(mcf8["rates"], results["mcf"][0]["rates"])))
+    mcf_speedup = mcf8_rate / mcf0_rate
 
     record = {
         "config": (
@@ -266,13 +281,9 @@ def test_plb_spec_replay_vs_uncoalesced_chain(benchmark):
         "libquantum_saved_per_access_memo": round(
             results["libquantum"][1]["saved_per_access"], 2
         ),
-        "libquantum_accesses_per_sec_plb8": round(libq8["rate"], 1),
-        "libquantum_accesses_per_sec_uncoalesced": round(
-            results["libquantum"][0]["rate"], 1
-        ),
-        "paired_ratios": ratio_spread(
-            list(zip(libq8["rates"], results["libquantum"][0]["rates"]))
-        ),
+        "libquantum_accesses_per_sec_plb8": round(libq8_rate, 1),
+        "libquantum_accesses_per_sec_uncoalesced": round(libq0_rate, 1),
+        "paired_ratios": ratio_spread(libq_pairs),
         "speedup": round(speedup, 2),
     }
     record_perf(

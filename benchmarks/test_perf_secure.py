@@ -6,22 +6,23 @@ prefilled 4,096-block flat Path ORAMs: one on ``storage="integrity"``
 (counter-scheme bucket encryption plus the Path-ORAM-integrated
 authentication tree, Sections 2.2.2 and 5) and one on ``storage="flat"``
 (no crypto).  Every window replays the same slice of the trace on both,
-integrity first, then flat, so load drift hits both sides of a pair.
+back to back so load drift hits both sides of a pair; the side that runs
+first alternates from window to window.
 
 The recorded ``tax`` is ``flat rate / integrity rate`` per window pair
-(min / median / max), written with both median-pair rates to the
-``secure`` section of ``BENCH_engine.json``.  The section has no committed
-floor yet, so ``check_perf_floors.py`` does not gate it.  Reads are checked
+(min / median / max, also as ``paired_ratios``), written with both
+median-pair rates to the ``secure`` section of ``BENCH_engine.json``.  The
+section has no committed floor yet, so ``check_perf_floors.py`` does not
+gate it.  Reads are checked
 against a shadow copy of every write on both stacks, so a fast but wrong
 secure stack fails here.
 """
 
 import gc
 import random
-import statistics
 import time
 
-from conftest import median_pair, record_perf, scaled
+from conftest import alternating, median_pair, ratio_spread, record_perf, scaled
 
 from repro.backends import OramSpec, build_oram
 from repro.core.config import ORAMConfig
@@ -72,14 +73,17 @@ def test_integrity_tax_over_flat(benchmark):
         pairs = []
         for window in range(WINDOWS):
             ops = trace[window * measured : (window + 1) * measured]
-            secure_rate = run_window(secure, ops, secure_shadow)
-            flat_rate = run_window(flat, ops, flat_shadow)
+            secure_rate, flat_rate = alternating(
+                window,
+                lambda: run_window(secure, ops, secure_shadow),
+                lambda: run_window(flat, ops, flat_shadow),
+            )
             pairs.append((flat_rate, secure_rate))
         assert secure.stats.fingerprint() == flat.stats.fingerprint()
         return pairs
 
     pairs = benchmark.pedantic(_run, rounds=1, iterations=1)
-    taxes = sorted(flat_rate / secure_rate for flat_rate, secure_rate in pairs)
+    spread = ratio_spread(pairs)
     flat_rate, secure_rate = median_pair(pairs)
 
     record = {
@@ -96,11 +100,8 @@ def test_integrity_tax_over_flat(benchmark):
         "accesses_per_window": measured,
         "integrity_accesses_per_sec": round(secure_rate, 1),
         "flat_accesses_per_sec": round(flat_rate, 1),
-        "tax": {
-            "min": round(taxes[0], 2),
-            "median": round(statistics.median(taxes), 2),
-            "max": round(taxes[-1], 2),
-        },
+        "tax": spread,
+        "paired_ratios": spread,
     }
     record_perf(
         "secure",
@@ -108,4 +109,4 @@ def test_integrity_tax_over_flat(benchmark):
         f"Secure-stack tax — integrity vs flat storage ({WORKING_SET}-block flat ORAM)",
     )
     # Crypto and hashing can only add work over the no-crypto stack.
-    assert taxes[0] > 1.0
+    assert spread["min"] > 1.0

@@ -5,14 +5,22 @@ each) runs twice per paired window against identically-seeded instances:
 once through the batching scheduler (micro-batches of fused
 ``access_many`` runs) and once degraded to ``max_batch=1`` (every request
 admitted and executed individually — the no-coalescing reference, still
-paying the same asyncio machinery).  The recorded ``speedup`` is
+paying the same asyncio machinery), the side that runs first alternating
+from window to window.  The recorded ``speedup`` is
 ``batched_rps / unbatched_rps``; p50/p99 submit-to-completion latency and
 aggregate throughput of the batched configuration are recorded alongside
 into the ``serving`` section of ``BENCH_engine.json`` behind a committed
 floor.
 """
 
-from conftest import median_pair, perf_floor, ratio_spread, record_perf, scaled  # noqa: E402
+from conftest import (  # noqa: E402
+    alternating,
+    median_pair,
+    perf_floor,
+    ratio_spread,
+    record_perf,
+    scaled,
+)
 
 from repro.backends import OramSpec
 from repro.core.config import ORAMConfig
@@ -52,8 +60,9 @@ def test_serving_batched_vs_unbatched(benchmark):
         pairs = []
         reports = []
         for index in range(WINDOWS):
-            batched = _window(BATCHED, index)
-            unbatched = _window(UNBATCHED, index)
+            batched, unbatched = alternating(
+                index, lambda: _window(BATCHED, index), lambda: _window(UNBATCHED, index)
+            )
             assert batched.fused_runs > 0
             assert unbatched.fused_runs == 0
             assert unbatched.rounds >= batched.rounds

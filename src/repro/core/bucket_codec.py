@@ -2,8 +2,10 @@
 
 A bucket holds exactly ``Z`` slots.  Real blocks carry a ``(leaf, address,
 payload)`` triplet; unused slots are filled with dummy blocks (address 0)
-whose payload is zero bytes, exactly as the protocol requires so that a
-bucket's plaintext length never reveals how many real blocks it holds.
+with an empty body.  Slots are *not* fixed-size (a dummy is its 21-byte
+header, a 128-byte payload takes 149 bytes), so unlike the paper's buckets a
+bucket's plaintext and ciphertext length shows how many real blocks it holds:
+at ``Z=4``, ``112 + 128 k`` counter-scheme bytes for ``k`` 128-byte blocks.
 
 Payloads may be ``None`` (functional runs), raw ``bytes`` (processor data),
 a signed integer or a sequence of integers (position-map ORAM blocks holding

@@ -276,8 +276,8 @@ class EncryptedTreeStorage(TreeStorage):
     Each bucket is serialised by :class:`BucketCodec` (real blocks padded
     with dummies up to ``Z``) and encrypted by the supplied cipher, so an
     external observer of this storage sees only ciphertext that changes on
-    every write — the property Section 2.2 requires.  Bucket and path
-    operations run the same codec and cipher calls per bucket.
+    every write — the property Section 2.2 requires.  A path is one cipher
+    call (:meth:`open_path` / :meth:`seal_path`), a single bucket another.
     """
 
     def __init__(self, config: ORAMConfig, cipher: BucketCipher) -> None:
@@ -285,10 +285,6 @@ class EncryptedTreeStorage(TreeStorage):
         self._cipher = cipher
         self._codec = BucketCodec(config)
         self._buckets: list[bytes | None] = [None] * config.num_buckets
-
-    @property
-    def cipher(self) -> BucketCipher:
-        return self._cipher
 
     def read_bucket(self, bucket_index: int) -> list[Block]:
         ciphertext = self._buckets[bucket_index]
@@ -309,13 +305,8 @@ class EncryptedTreeStorage(TreeStorage):
     def open_path(self, leaf: int, raw: list[bytes]) -> list[Block]:
         """The real blocks in the path ciphertexts ``raw`` (as :meth:`raw_path`
         returns them, root first); never-written buckets (``b""``) are skipped."""
-        decrypt = self._cipher.decrypt
-        decode = self._codec.decode_blocks
-        blocks: list[Block] = []
-        for bucket_index, ciphertext in zip(self.path(leaf), raw):
-            if ciphertext:
-                blocks += decode(decrypt(bucket_index, ciphertext))
-        return blocks
+        written = [index for index, ciphertext in zip(self.path(leaf), raw) if ciphertext]
+        return self._codec.decode_blocks(self._cipher.decrypt_path(written, [c for c in raw if c]))
 
     def seal_path(self, leaf: int, level_buckets: list[list[Block] | None]) -> list[bytes]:
         """Encode, encrypt and store the path as :meth:`write_path_levels` does,
@@ -325,13 +316,11 @@ class EncryptedTreeStorage(TreeStorage):
         for blocks in level_buckets:
             if blocks and len(blocks) > z:
                 raise ConfigurationError(f"bucket overfilled: {len(blocks)} > Z={z}")
-        encrypt = self._cipher.encrypt
         encode = self._codec.encode_blocks
-        buckets = self._buckets
-        sealed: list[bytes] = []
-        for bucket_index, blocks in zip(self.path(leaf), level_buckets):
-            ciphertext = buckets[bucket_index] = encrypt(bucket_index, encode(blocks or []))
-            sealed.append(ciphertext)
+        path = self.path(leaf)
+        sealed = self._cipher.encrypt_path(path, [encode(blocks or []) for blocks in level_buckets])
+        for bucket_index, ciphertext in zip(path, sealed):
+            self._buckets[bucket_index] = ciphertext
         return sealed
 
     def read_path_blocks(self, leaf: int) -> list[Block]:

@@ -22,6 +22,7 @@ serialisation itself lives in :mod:`repro.core.bucket_codec`.
 
 from __future__ import annotations
 
+import functools
 import random
 import struct
 from abc import ABC, abstractmethod
@@ -38,6 +39,12 @@ STRAWMAN_PER_BLOCK_OVERHEAD_BITS = 128
 COUNTER_PER_BUCKET_OVERHEAD_BITS = 64
 
 _COUNTER = struct.Struct("<Q")
+
+
+@functools.cache
+def _frame(count: int) -> struct.Struct:
+    """Block count, then ``count`` lengths (u32); ``_frame(0)`` is the count."""
+    return struct.Struct(f"<{count + 1}I")
 
 
 def strawman_bucket_bits(z: int, l_bits: int, u_bits: int, b_bits: int) -> int:
@@ -65,6 +72,16 @@ class BucketCipher(ABC):
     @abstractmethod
     def decrypt(self, bucket_id: int, ciphertext: bytes) -> list[bytes]:
         """Recover the per-block plaintexts of one bucket."""
+
+    def encrypt_path(self, bucket_ids: Sequence[int],
+                     slot_lists: Sequence[Sequence[bytes]]) -> list[bytes]:
+        """One ciphertext per bucket of a path; by default :meth:`encrypt` each."""
+        return [self.encrypt(bucket_id, slots) for bucket_id, slots in zip(bucket_ids, slot_lists)]
+
+    def decrypt_path(self, bucket_ids: Sequence[int], ciphertexts: Sequence[bytes]) -> list[bytes]:
+        """A path's per-block plaintexts, flat; by default :meth:`decrypt` each."""
+        return [slot for bucket_id, ciphertext in zip(bucket_ids, ciphertexts)
+                for slot in self.decrypt(bucket_id, ciphertext)]
 
     @staticmethod
     @abstractmethod
@@ -162,33 +179,53 @@ class CounterBucketCipher(BucketCipher):
         return self._counters.get(bucket_id, 0)
 
     def encrypt(self, bucket_id: int, block_plaintexts: Sequence[bytes]) -> bytes:
-        counter = self._counters.get(bucket_id, 0) + 1
-        self._counters[bucket_id] = counter
-        count = len(block_plaintexts)
-        frame = struct.pack(f"<{count + 1}I", count, *map(len, block_plaintexts))
-        plaintext = b"".join([frame, *block_plaintexts])
-        return _COUNTER.pack(counter) + self._keystream.apply(plaintext, bucket_id, counter)
+        return self.encrypt_path((bucket_id,), (block_plaintexts,))[0]
 
     def decrypt(self, bucket_id: int, ciphertext: bytes) -> list[bytes]:
-        if len(ciphertext) < self.COUNTER_BYTES:
-            raise EncryptionError("counter bucket ciphertext shorter than its counter")
-        (counter,) = _COUNTER.unpack_from(ciphertext)
-        body = ciphertext[self.COUNTER_BYTES :]
-        plaintext = self._keystream.apply(body, bucket_id, counter)
-        if len(plaintext) < 4:
-            raise EncryptionError("counter bucket plaintext missing block count")
-        (count,) = struct.unpack_from("<I", plaintext)
-        offset = 4 + 4 * count
-        if offset > len(plaintext):
-            raise EncryptionError("counter bucket plaintext missing block length")
-        lengths = struct.unpack_from(f"<{count}I", plaintext, 4)
-        blocks: list[bytes] = []
-        for length in lengths:
-            if offset + length > len(plaintext):
+        return self.decrypt_path((bucket_id,), (ciphertext,))
+
+    def encrypt_path(self, bucket_ids: Sequence[int],
+                     slot_lists: Sequence[Sequence[bytes]]) -> list[bytes]:
+        """Frame each bucket under its bumped counter; one pad and one XOR per path."""
+        plaintexts, spans = [], []
+        for bucket_id, slots in zip(bucket_ids, slot_lists):
+            counter = self._counters[bucket_id] = self._counters.get(bucket_id, 0) + 1
+            plaintext = b"".join([_frame(len(slots)).pack(len(slots), *map(len, slots)), *slots])
+            plaintexts.append(plaintext)
+            spans.append((len(plaintext), (bucket_id, counter)))
+        body = _xor(b"".join(plaintexts), self._prf.joined_keystream(spans))
+        sealed, start = [], 0
+        for nbytes, (_, counter) in spans:
+            sealed.append(_COUNTER.pack(counter) + body[start : start + nbytes])
+            start += nbytes
+        return sealed
+
+    def decrypt_path(self, bucket_ids: Sequence[int], ciphertexts: Sequence[bytes]) -> list[bytes]:
+        """Read each bucket's counter, XOR the whole path with one joined pad,
+        then check and split every bucket's frame."""
+        bodies, spans = [], []
+        for bucket_id, ciphertext in zip(bucket_ids, ciphertexts):
+            if len(ciphertext) < self.COUNTER_BYTES:
+                raise EncryptionError("counter bucket ciphertext shorter than its counter")
+            bodies.append(ciphertext[self.COUNTER_BYTES :])
+            spans.append((len(bodies[-1]), (bucket_id, _COUNTER.unpack_from(ciphertext)[0])))
+        plaintext = _xor(b"".join(bodies), self._prf.joined_keystream(spans))
+        slots, end = [], 0
+        for nbytes, _ in spans:
+            start, end = end, end + nbytes
+            if nbytes < 4:
+                raise EncryptionError("counter bucket plaintext missing block count")
+            (count,) = _frame(0).unpack_from(plaintext, start)
+            offset = start + 4 + 4 * count
+            if offset > end:
+                raise EncryptionError("counter bucket plaintext missing block length")
+            lengths = _frame(count).unpack_from(plaintext, start)[1:]
+            if offset + sum(lengths) > end:
                 raise EncryptionError("counter bucket plaintext truncated block body")
-            blocks.append(plaintext[offset : offset + length])
-            offset += length
-        return blocks
+            for length in lengths:
+                slots.append(plaintext[offset : offset + length])
+                offset += length
+        return slots
 
     @staticmethod
     def bucket_bits(z: int, l_bits: int, u_bits: int, b_bits: int) -> int:

@@ -15,8 +15,9 @@ Domain separation between uses comes from each cipher's fixed seed arity:
 under the processor key a counter-scheme bucket pad takes two ints and a
 strawman key wrap three, so two uses never hash the same input.  Because
 SHAKE output is a stream, ``block(*seed)`` is ``keystream(16, *seed)`` and
-every shorter pad is a prefix of a longer one.  One C call makes the
-616-byte pad of a ``Z=4`` bucket body.
+every shorter pad is a prefix of a longer one.  One C call makes a bucket
+body's pad, whatever its (occupancy-dependent) length; ``joined_keystream``
+makes a path's pads in one loop, and ``keystream`` is its one-span case.
 
 The ``"aes"`` backend is the paper-faithful reference: chunk ``i`` of its
 keystream is ``block(*seed, i) = AES_K(SHA-256(seed || i)[:16])``, 16 bytes
@@ -28,10 +29,9 @@ observer of DRAM learns nothing from which PRF is used.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import struct
-from typing import Literal
+from typing import Literal, Sequence
 
 from repro.crypto.aes import AES128
 
@@ -41,14 +41,20 @@ PrfBackend = Literal["shake128", "aes"]
 _CHUNK_BYTES = 16
 
 
-@functools.cache
-def _seed_struct(arity: int) -> struct.Struct:
-    return struct.Struct(f"<{arity}Q")
+class _SeedPackers(dict):
+    """``_SEED_PACK[len(seed)](*seed)`` packs a seed; one ``Struct`` per arity."""
+
+    def __missing__(self, arity: int):
+        pack = self[arity] = struct.Struct(f"<{arity}Q").pack
+        return pack
+
+
+_SEED_PACK = _SeedPackers()
 
 
 def _seed_bytes(seed: tuple[int, ...]) -> bytes:
     try:
-        return _seed_struct(len(seed)).pack(*seed)
+        return _SEED_PACK[len(seed)](*seed)
     except struct.error as exc:
         raise OverflowError(f"PRF seed {seed} is not unsigned 64-bit") from exc
 
@@ -87,11 +93,6 @@ class Prf:
             return key
         return hashlib.sha256(key).digest()[:16]
 
-    def _aes_chunk(self, base: hashlib._Hash, suffix: bytes) -> bytes:
-        h = base.copy()
-        h.update(suffix)
-        return self._aes.encrypt_block(h.digest()[:_CHUNK_BYTES])
-
     @property
     def backend(self) -> PrfBackend:
         return self._backend
@@ -99,7 +100,8 @@ class Prf:
     def block(self, *seed: int) -> bytes:
         """Return one 16-byte pseudo-random block for the given seed tuple."""
         if self._backend == "aes":
-            return self._aes_chunk(hashlib.sha256(), _seed_bytes(seed))
+            digest = hashlib.sha256(_seed_bytes(seed)).digest()
+            return self._aes.encrypt_block(digest[:_CHUNK_BYTES])
         return self.keystream(_CHUNK_BYTES, *seed)
 
     def keystream(self, nbytes: int, *seed: int) -> bytes:
@@ -110,14 +112,21 @@ class Prf:
         """
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        if self._backend == "shake128":
-            return hashlib.shake_128(self._key + _seed_bytes(seed)).digest(nbytes)
-        base = hashlib.sha256(_seed_bytes(seed))
-        chunks = [
-            self._aes_chunk(base, i.to_bytes(8, "little"))
-            for i in range(-(-nbytes // _CHUNK_BYTES))
-        ]
-        return b"".join(chunks)[:nbytes]
+        return self.joined_keystream(((nbytes, seed),))
+
+    def joined_keystream(self, spans: Sequence[tuple[int, tuple[int, ...]]]) -> bytes:
+        """The pads of a path's ``(nbytes, seed)`` spans (``nbytes >= 0``) in one
+        call: ``keystream(n0, *seed0) + keystream(n1, *seed1) + ...``."""
+        if self._backend == "aes":
+            block, size = self.block, _CHUNK_BYTES
+            return b"".join([
+                b"".join([block(*seed, i) for i in range(-(-n // size))])[:n] for n, seed in spans
+            ])
+        key, xof = self._key, hashlib.shake_128
+        try:
+            return b"".join([xof(key + _SEED_PACK[len(s)](*s)).digest(n) for n, s in spans])
+        except struct.error as exc:
+            raise OverflowError(f"a PRF seed in {spans} is not unsigned 64-bit") from exc
 
 
 class Keystream:

@@ -123,15 +123,16 @@ class PathORAMAuthenticator:
     # ------------------------------------------------------------------
     # Public protocol
     # ------------------------------------------------------------------
-    def verify_path(self, leaf: int, buckets: Sequence[bytes]) -> None:
+    def verify_path(self, leaf: int, buckets: Sequence[bytes], path: Sequence[int] = ()) -> None:
         """Verify the buckets read along the path to ``leaf``.
 
         ``buckets`` are the raw (encrypted) bucket contents, root first;
-        never-written buckets should be passed as ``b""``.  Raises
+        never-written buckets should be passed as ``b""``; ``path`` may be the
+        leaf's bucket indices (a storage's memoised ``path(leaf)``).  Raises
         :class:`IntegrityError` if the recomputed root does not match the
         on-chip root hash.
         """
-        path = path_indices(leaf, self._config.levels)
+        path = path or path_indices(leaf, self._config.levels)
         if len(buckets) != len(path):
             raise ConfigurationError("bucket count does not match path length")
         recomputed = self._fold(path, buckets, self._reachability(path), store=False)
@@ -141,14 +142,15 @@ class PathORAMAuthenticator:
         if recomputed != self._root_hash:
             raise IntegrityError(f"authentication failed on path to leaf {leaf}")
 
-    def update_path(self, leaf: int, new_buckets: Sequence[bytes]) -> None:
+    def update_path(self, leaf: int, new_buckets: Sequence[bytes],
+                    path: Sequence[int] = ()) -> None:
         """Install new bucket contents along the path to ``leaf``.
 
         Updates the child-valid flags (the path just written becomes valid;
         sibling flags survive only if the bucket was already reachable),
         recomputes the path hashes bottom-up and refreshes the on-chip root.
         """
-        path = path_indices(leaf, self._config.levels)
+        path = path or path_indices(leaf, self._config.levels)
         if len(new_buckets) != len(path):
             raise ConfigurationError("bucket count does not match path length")
         levels = len(path) - 1

@@ -64,13 +64,14 @@ class IntegrityVerifiedStorage(TreeStorage):
         device-facing read (where a fault injector corrupts), so the blocks
         come from exactly the bytes that were verified."""
         raw = self._inner.raw_path(leaf)
-        self._auth.verify_path(leaf, raw)
+        self._auth.verify_path(leaf, raw, self._inner.path(leaf))
         return self._inner.open_path(leaf, raw)
 
     def write_path_levels(self, leaf: int, level_buckets: list[list[Block] | None]) -> None:
         """Re-encrypt and write the path, then refresh the authentication tree
         from the ciphertexts just written."""
-        self._auth.update_path(leaf, self._inner.seal_path(leaf, level_buckets))
+        sealed = self._inner.seal_path(leaf, level_buckets)
+        self._auth.update_path(leaf, sealed, self._inner.path(leaf))
 
     # ------------------------------------------------------------------
     # Adversarial hooks for tests

@@ -5,7 +5,11 @@ import random
 
 import pytest
 
+from repro.core.config import ORAMConfig
+from repro.core.tree import EncryptedTreeStorage
+from repro.core.types import Block
 from repro.crypto.bucket_encryption import (
+    BucketCipher,
     CounterBucketCipher,
     StrawmanBucketCipher,
     counter_bucket_bits,
@@ -120,6 +124,103 @@ class TestStrawmanScheme:
         ciphertext = cipher.encrypt(0, [b"payload-bytes"])
         with pytest.raises(EncryptionError):
             cipher.decrypt(0, ciphertext[:10])
+
+
+#: One path's worth of buckets: ids root first, Z=4 slots of mixed lengths
+#: (21-byte dummies and 149-byte real slots), one bucket written twice.
+PATH_IDS = [0, 2, 5, 12, 25, 5]
+PATH_SLOTS = [
+    [bytes([level]) * (149 if slot <= level % 3 else 21) for slot in range(4)]
+    for level in range(len(PATH_IDS))
+]
+
+
+def _ciphers(key, kind: str) -> tuple[BucketCipher, BucketCipher]:
+    """Two identically-built ciphers: one for path calls, one per bucket."""
+    if kind == "strawman":
+        return tuple(StrawmanBucketCipher(key, rng=random.Random(9)) for _ in range(2))
+    return tuple(CounterBucketCipher(key, backend=kind) for _ in range(2))
+
+
+class TestPathCipher:
+    @pytest.mark.parametrize("kind", ["shake128", "aes", "strawman"])
+    def test_path_calls_equal_per_bucket_calls(self, key, kind):
+        path_cipher, bucket_cipher = _ciphers(key, kind)
+        for _ in range(2):
+            sealed = path_cipher.encrypt_path(PATH_IDS, PATH_SLOTS)
+            expected = [bucket_cipher.encrypt(i, slots) for i, slots in zip(PATH_IDS, PATH_SLOTS)]
+            assert sealed == expected
+            flat = [slot for bucket_id, ciphertext in zip(PATH_IDS, sealed)
+                    for slot in bucket_cipher.decrypt(bucket_id, ciphertext)]
+            assert path_cipher.decrypt_path(PATH_IDS, sealed) == flat
+            assert flat == [slot for slots in PATH_SLOTS for slot in slots]
+        if kind != "strawman":
+            for bucket_id in set(PATH_IDS) | {99}:
+                assert path_cipher.current_counter(bucket_id) == bucket_cipher.current_counter(
+                    bucket_id
+                )
+            assert path_cipher.current_counter(5) == 4
+
+    @pytest.mark.parametrize("backend", ["shake128", "aes"])
+    def test_path_bodies_are_plaintext_xor_own_pad(self, key, backend):
+        cipher = CounterBucketCipher(key, backend=backend)
+        prf = Prf(key.key_bytes, backend=backend)
+        sealed = cipher.encrypt_path(PATH_IDS[:5], PATH_SLOTS[:5])
+        for bucket_id, slots, ciphertext in zip(PATH_IDS, PATH_SLOTS, sealed):
+            frame = b"".join(n.to_bytes(4, "little") for n in [len(slots), *map(len, slots)])
+            plaintext = frame + b"".join(slots)
+            pad = prf.keystream(len(plaintext), bucket_id, 1)
+            assert ciphertext == (1).to_bytes(8, "little") + bytes(
+                a ^ b for a, b in zip(plaintext, pad)
+            )
+
+    def test_empty_path(self, key):
+        cipher = CounterBucketCipher(key)
+        assert cipher.encrypt_path([], []) == []
+        assert cipher.decrypt_path([], []) == []
+
+    @pytest.mark.parametrize(
+        ("keep", "message"),
+        [
+            (5, "shorter than its counter"),
+            (8 + 2, "missing block count"),
+            (8 + 4 + 6, "missing block length"),
+            (-1, "truncated block body"),
+        ],
+    )
+    def test_bad_bucket_mid_path_raises(self, key, keep, message):
+        cipher = CounterBucketCipher(key)
+        sealed = cipher.encrypt_path(PATH_IDS[:5], PATH_SLOTS[:5])
+        sealed[2] = sealed[2][:keep]
+        with pytest.raises(EncryptionError, match=message):
+            cipher.decrypt_path(PATH_IDS[:5], sealed)
+        with pytest.raises(EncryptionError, match=message):
+            cipher.decrypt(PATH_IDS[2], sealed[2])
+
+    def test_corrupted_counter_mid_path_raises(self, key):
+        # A wrong counter decrypts the frame under the wrong pad.
+        cipher = CounterBucketCipher(key)
+        sealed = cipher.encrypt_path(PATH_IDS[:5], PATH_SLOTS[:5])
+        sealed[3] = (7).to_bytes(8, "little") + sealed[3][8:]
+        with pytest.raises(EncryptionError):
+            cipher.decrypt_path(PATH_IDS[:5], sealed)
+
+    def test_open_path_skips_never_written_buckets(self, key):
+        config = ORAMConfig(working_set_blocks=16, z=4)
+        storage = EncryptedTreeStorage(config, CounterBucketCipher(key))
+        leaf = 3
+        path = storage.path(leaf)
+        written = {path[1]: [Block(7, leaf, b"seven")], path[-1]: [Block(9, leaf, b"nine")]}
+        for bucket_index, blocks in written.items():
+            storage.write_bucket(bucket_index, blocks)
+        raw = storage.raw_path(leaf)
+        assert [bool(ciphertext) for ciphertext in raw] == [index in written for index in path]
+        opened = storage.open_path(leaf, raw)
+        assert [(b.address, b.leaf, b.data) for b in opened] == [
+            (7, leaf, b"seven"),
+            (9, leaf, b"nine"),
+        ]
+        assert storage.open_path(leaf, [b""] * len(path)) == []
 
 
 class TestSizeFormulas:

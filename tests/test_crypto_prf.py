@@ -35,6 +35,20 @@ class TestPrf:
         with pytest.raises(ValueError):
             Prf(b"k" * 16).keystream(-1, 0)
 
+    @pytest.mark.parametrize("backend", ["shake128", "aes"])
+    def test_joined_keystream_is_keystreams_joined(self, backend):
+        prf = Prf(b"k" * 16, backend=backend)
+        spans = [(0, (1, 2)), (17, (3, 4)), (360, (5, 6)), (16, (7,)), (5, (8, 9, 10))]
+        assert prf.joined_keystream(spans) == b"".join(
+            prf.keystream(nbytes, *seed) for nbytes, seed in spans
+        )
+        assert prf.joined_keystream([]) == b""
+
+    @pytest.mark.parametrize("backend", ["shake128", "aes"])
+    def test_joined_keystream_rejects_seeds_outside_u64(self, backend):
+        with pytest.raises(OverflowError, match="not unsigned 64-bit"):
+            Prf(b"k" * 16, backend=backend).joined_keystream([(4, (1, 2)), (4, (1, 1 << 64))])
+
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             Prf(b"k" * 16, backend="des")
