@@ -20,9 +20,9 @@ import random
 from dataclasses import dataclass
 
 from repro.backends import OramSpec, build_oram
+from repro.core.background_eviction import BackgroundEviction
 from repro.core.config import ORAMConfig
 from repro.core.overhead import measured_access_overhead, theoretical_access_overhead
-from repro.core.stats import AccessStats
 from repro.errors import ReproError
 from repro.runner import (
     ExperimentRunner,
@@ -32,7 +32,9 @@ from repro.runner import (
 )
 
 #: The scenario the design-space sweeps run on: a single fast-path ORAM with
-#: background eviction (a generous livelock cap so aborts fire first).
+#: background eviction.  :func:`measure_dummy_ratio` tightens the eviction
+#: cap to each chunk's dummy budget, so the abort rule stops a point; the
+#: livelock cap here is only the safety net for other callers of the spec.
 SWEEP_SPEC = OramSpec(
     protocol="flat", storage="flat", eviction="background", livelock_limit=200_000
 )
@@ -70,9 +72,9 @@ class SweepPoint:
 
 
 def _dummy_abort_reason(
-    stats: AccessStats, accesses_done: int, abort_dummy_factor: float, phase: str
+    dummy_accesses: int, real_accesses: int, abort_dummy_factor: float, phase: str
 ) -> str | None:
-    """The shared abort check for the prefill and measurement loops.
+    """The abort rule shared by the prefill and measurement loops.
 
     Returns a human-readable reason once the dummy accesses exceed
     ``abort_dummy_factor`` times the real accesses (after a grace period),
@@ -80,12 +82,12 @@ def _dummy_abort_reason(
     inefficient to finish.
     """
     if (
-        accesses_done >= ABORT_GRACE_ACCESSES
-        and stats.dummy_accesses > abort_dummy_factor * stats.real_accesses
+        real_accesses >= ABORT_GRACE_ACCESSES
+        and dummy_accesses > abort_dummy_factor * real_accesses
     ):
         return (
-            f"{phase}: {stats.dummy_accesses} dummy accesses for "
-            f"{stats.real_accesses} real accesses exceeds factor {abort_dummy_factor:g}"
+            f"{phase}: {dummy_accesses} dummy accesses for "
+            f"{real_accesses} real accesses exceeds factor {abort_dummy_factor:g}"
         )
     return None
 
@@ -105,11 +107,15 @@ def measure_dummy_ratio(
     measurement begins — the paper's experiments likewise measure a full
     ORAM (they run ``10 N`` accesses).  The run aborts (``aborted`` is set
     and ``abort_reason`` says why) once the dummy-access count exceeds
-    ``abort_dummy_factor`` times the real accesses issued so far; both
-    loops check at chunk granularity.  The backend stack comes from the
-    registry ``spec`` (storage variants sweep identically thanks to the
-    differential backend guarantees), and the trace replays through the
-    fused ``access_many`` loop.
+    ``abort_dummy_factor`` times the real accesses issued so far.  Both
+    loops check at chunk granularity; under background eviction the rule
+    also binds inside a chunk, whose eviction cap is tightened to the
+    dummies the chunk may still issue, so a point stops once its abort is
+    certain (with the verdict the chunk-end check would give) rather than
+    at the spec's livelock cap.  The backend stack comes from the registry
+    ``spec`` (storage variants sweep identically thanks to the differential
+    backend guarantees), and the trace replays through the fused
+    ``access_many`` loop.
     """
     oram = build_oram(spec, config, rng=random.Random(seed))
     # The workload stream is its own derived RNG: the trace can then be
@@ -117,31 +123,51 @@ def measure_dummy_ratio(
     # perturbing the ORAM's leaf-draw stream.
     trace_rng = random.Random(derive_seed(seed, ("sweep-trace", config.name or "")))
     working_set = config.working_set_blocks
+    eviction = oram.eviction_policy
+    safety_limit = (
+        eviction.livelock_limit if isinstance(eviction, BackgroundEviction) else None
+    )
+
+    def run_chunk(addresses: range | list[int], real_end: int) -> str | None:
+        """Replay one chunk; the abort reason the chunk-end check gives."""
+        # Dummies only grow and the chunk-end check compares them against
+        # ``real_end``, so overrunning this budget means that check aborts.
+        if safety_limit is not None:
+            limit = safety_limit
+            if real_end >= ABORT_GRACE_ACCESSES:
+                allowed = abort_dummy_factor * real_end
+                dummies = oram.stats.dummy_accesses
+                if allowed < dummies + limit:
+                    limit = max(1, math.floor(allowed) - dummies)
+            eviction.livelock_limit = limit
+        oram.access_many(addresses)
+        return _dummy_abort_reason(
+            oram.stats.dummy_accesses, real_end, abort_dummy_factor, phase
+        )
+
     abort_reason: str | None = None
-    access_many = oram.access_many
+    phase, done, real_end = "prefill", 0, 0
     try:
         if prefill:
-            done = 0
             while done < working_set and abort_reason is None:
-                chunk_end = min(done + ABORT_CHECK_CHUNK, working_set)
-                access_many(range(done + 1, chunk_end + 1))
-                done = chunk_end
-                abort_reason = _dummy_abort_reason(
-                    oram.stats, done, abort_dummy_factor, "prefill"
-                )
+                real_end = min(done + ABORT_CHECK_CHUNK, working_set)
+                abort_reason = run_chunk(range(done + 1, real_end + 1), real_end)
+                done = real_end
             oram.stats.reset()
         if abort_reason is None:
             randrange = trace_rng.randrange
-            done = 0
+            phase, done = "measurement", 0
             while done < num_accesses and abort_reason is None:
-                chunk = min(ABORT_CHECK_CHUNK, num_accesses - done)
-                access_many([randrange(1, working_set + 1) for _ in range(chunk)])
-                done += chunk
-                abort_reason = _dummy_abort_reason(
-                    oram.stats, done, abort_dummy_factor, "measurement"
+                real_end = min(done + ABORT_CHECK_CHUNK, num_accesses)
+                abort_reason = run_chunk(
+                    [randrange(1, working_set + 1) for _ in range(real_end - done)],
+                    real_end,
                 )
+                done = real_end
     except ReproError as exc:
-        abort_reason = f"eviction livelock: {exc}"
+        abort_reason = _dummy_abort_reason(
+            oram.stats.dummy_accesses, real_end, abort_dummy_factor, phase
+        ) or f"eviction livelock: {exc}"
 
     stats = oram.stats
     aborted = abort_reason is not None

@@ -74,11 +74,6 @@ class CPLAttackResult:
         """How far the trigger-pair average falls below the uniform expectation."""
         return self.expected_cpl - self.trigger_pair_cpl
 
-    @property
-    def overall_deviation(self) -> float:
-        """Absolute deviation of the overall average from the expectation."""
-        return abs(self.expected_cpl - self.average_cpl)
-
 
 def _attack_oram_config() -> ORAMConfig:
     """The paper's Figure 4 setup: L = 5, Z = 1, eviction threshold 2."""

@@ -66,13 +66,23 @@ class BackgroundEviction(EvictionPolicy):
         Safety cap on consecutive dummy accesses per trigger.  The paper
         shows livelock probability is astronomically small for realistic
         parameters; the cap exists so that pathological test configurations
-        fail loudly instead of hanging.
+        fail loudly instead of hanging.  A caller may move it between
+        calls (the design-space sweeps tighten it to a point's remaining
+        dummy budget).
     """
 
     def __init__(self, livelock_limit: int = 100_000) -> None:
-        if livelock_limit < 1:
+        self.livelock_limit = livelock_limit
+
+    @property
+    def livelock_limit(self) -> int:
+        return self._livelock_limit
+
+    @livelock_limit.setter
+    def livelock_limit(self, limit: int) -> None:
+        if limit < 1:
             raise ValueError("livelock_limit must be >= 1")
-        self._livelock_limit = livelock_limit
+        self._livelock_limit = limit
 
     def after_access(self, oram: "PathORAM") -> int:
         threshold = _resolve_threshold(oram)

@@ -183,11 +183,6 @@ class ORAMConfig:
         return self.block_bytes * 8
 
     @property
-    def bucket_plaintext_bits(self) -> int:
-        """Plaintext bits per bucket, ``Z (L + U + B)``."""
-        return self.z * (self.leaf_bits + self.address_bits + self.block_bits)
-
-    @property
     def bucket_bits(self) -> int:
         """Encrypted bucket size ``M`` in bits before DRAM alignment."""
         if self.encryption == "strawman":
@@ -247,11 +242,6 @@ class ORAMConfig:
         """On-chip stash storage in bits, ``C (L + U + B)``."""
         capacity = self.stash_capacity if self.stash_capacity is not None else 0
         return capacity * (self.leaf_bits + self.address_bits + self.block_bits)
-
-    @property
-    def tree_bytes(self) -> int:
-        """External-memory footprint of the ORAM tree in bytes."""
-        return self.num_buckets * self.bucket_bytes
 
     def describe(self) -> str:
         """One-line human-readable summary."""

@@ -270,10 +270,6 @@ class DynamicSuperBlockMapper(SuperBlockMapper):
             yield address, size
             address += size
 
-    def anchor_of(self, leader: int) -> int | None:
-        """The anchor leaf of a multi-member group (``None`` otherwise)."""
-        return self._anchors.get(leader)
-
     def set_anchor(self, leader: int, leaf: int) -> None:
         """Record the fresh leaf an access drew as its group's new anchor."""
         if leader in self._sizes:

@@ -39,11 +39,6 @@ class AddressMapping:
     def config(self) -> DRAMConfig:
         return self._config
 
-    @property
-    def granularity_bytes(self) -> int:
-        """Transaction size (one burst)."""
-        return self._granularity
-
     def locate(self, byte_address: int) -> DRAMLocation:
         """Map a byte address to its channel/bank/row/column."""
         if byte_address < 0:

@@ -123,11 +123,6 @@ class SubtreePlacement(TreePlacement):
         """Size of one subtree node slot (row buffer × channels)."""
         return self._node_slot_bytes
 
-    @property
-    def num_subtree_levels(self) -> int:
-        """Levels of the resulting ``2^k``-ary tree."""
-        return self._num_subtree_levels
-
     def _num_nodes_above(self, subtree_level: int) -> int:
         """Number of subtree nodes in all levels shallower than ``subtree_level``."""
         k = self._k

@@ -161,11 +161,6 @@ class ORAMBackend(MemoryBackend):
     def interface(self) -> ORAMMemoryInterface:
         return self._interface
 
-    @property
-    def busy_until(self) -> float:
-        """CPU cycle until which the ORAM is occupied by in-flight work."""
-        return self._busy_until
-
     def _block_address(self, line_address: int) -> int:
         """Fold a line address into the ORAM's block address space (1-based)."""
         return line_address % self._working_set_blocks + 1

@@ -42,7 +42,7 @@ from repro.core.types import Operation
 from repro.errors import ConfigurationError
 from repro.serve.request import Request, ServeResult
 from repro.serve.scheduler import BatchScheduler, PendingRequest, execute_batch
-from repro.serve.stats import ServiceStats, TenantStats
+from repro.serve.stats import ServiceStats
 
 
 @dataclass(frozen=True)
@@ -204,15 +204,6 @@ class OramService:
     def stats(self) -> ServiceStats:
         """Request-plane accounting (per-tenant and scheduler counters)."""
         return self._stats
-
-    def tenant_stats(self, tenant: str) -> TenantStats:
-        """One tenant's request-plane counters (created on first use)."""
-        return self._stats.tenant(tenant)
-
-    def instance_stats(self, name: str):
-        """The named instance's engine-level ``AccessStats`` — the same
-        uniform ``stats`` object every ORAM exposes."""
-        return self.instance(name).stats
 
     def fingerprint(self) -> tuple:
         """Deterministic full-state fingerprint of the whole service.

@@ -1,5 +1,8 @@
 """Analysis-driver tests (scaled-down versions of the evaluation sweeps)."""
 
+import json
+import math
+from pathlib import Path
 
 import pytest
 
@@ -14,12 +17,21 @@ from repro.analysis.spec_eval import (
 )
 from repro.analysis.stash_occupancy import run_stash_occupancy_sweep
 from repro.analysis.sweep import (
+    SWEEP_SPEC,
     measure_dummy_ratio,
     sweep_stash_size,
     sweep_utilization,
     utilization_config,
 )
+from repro.core.background_eviction import BackgroundEviction
 from repro.core.config import ORAMConfig
+from repro.core.path_oram import PathORAM
+from repro.errors import ReproError
+
+#: The Figure 8 dummy ratios the end-to-end sweep benchmark pins per seed.
+FIG8_PINS = Path(__file__).resolve().parents[1] / "perfbench" / "fig8_pins.json"
+#: The grid of those pins: Z-major over the eight utilizations.
+FIG8_UTILIZATIONS = (0.02, 0.05, 0.125, 0.25, 0.5, 0.67, 0.75, 0.8)
 
 
 class TestReportFormatting:
@@ -101,6 +113,91 @@ class TestSweepDrivers:
         # Figure 8: higher utilization means more dummy accesses for a fixed Z.
         assert ordered[-1].dummy_ratio >= ordered[0].dummy_ratio
         assert all(p.access_overhead >= p.theoretical_overhead for p in ordered)
+
+
+def fig8_point(z, utilization, seed):
+    """One point of the end-to-end Figure 8 sweep (capacity 2048, slack 25,
+    700 accesses, abort factor 15)."""
+    config = utilization_config(z, utilization, capacity_blocks=2048, stash_slack=25)
+    return measure_dummy_ratio(config, num_accesses=700, seed=seed, abort_dummy_factor=15.0)
+
+
+class TestAbortBudget:
+    """Background eviction stops at a point's remaining dummy budget."""
+
+    def test_aborting_point_stops_at_its_chunk_budget(self, monkeypatch):
+        dummies = [0]
+        chunks = []  # (dummy budget of the chunk, eviction calls of the chunk)
+        real_dummy_access = PathORAM.dummy_access
+        real_access_many = PathORAM.access_many
+        real_after_access = BackgroundEviction.after_access
+
+        def dummy_access(oram):
+            dummies[0] += 1
+            real_dummy_access(oram)
+
+        def access_many(oram, addresses, *args, **kwargs):
+            addresses = list(addresses)
+            real_end = oram.stats.real_accesses + len(addresses)
+            budget = max(1, math.floor(15.0 * real_end) - oram.stats.dummy_accesses)
+            chunks.append((budget, []))
+            return real_access_many(oram, addresses, *args, **kwargs)
+
+        def after_access(policy, oram):
+            start = dummies[0]
+            try:
+                return real_after_access(policy, oram)
+            finally:
+                chunks[-1][1].append(dummies[0] - start)
+
+        monkeypatch.setattr(PathORAM, "dummy_access", dummy_access)
+        monkeypatch.setattr(PathORAM, "access_many", access_many)
+        monkeypatch.setattr(BackgroundEviction, "after_access", after_access)
+        point = fig8_point(1, 0.8, seed=1)
+
+        assert point.aborted
+        assert math.isinf(point.dummy_ratio) and math.isinf(point.access_overhead)
+        assert "exceeds factor 15" in point.abort_reason
+        assert "livelock" not in point.abort_reason
+        budget, calls = chunks[-1]
+        # The eviction call that stopped the point issued one dummy past the
+        # chunk's budget, not the spec's 200,000-dummy livelock cap.
+        assert calls[-1] == budget + 1
+        assert all(issued <= budget for issued in calls[:-1])
+        assert dummies[0] < SWEEP_SPEC.livelock_limit
+
+    @pytest.mark.parametrize("seed", [3, 26])
+    def test_points_closest_to_the_budget_keep_their_pinned_ratio(self, seed):
+        # These two complete with the highest dummy ratios of every pinned
+        # point, so the factor-15 budget comes closest to binding on them.
+        pinned = json.loads(FIG8_PINS.read_text())[str(seed)]
+        index = 1 * len(FIG8_UTILIZATIONS) + FIG8_UTILIZATIONS.index(0.8)
+        point = fig8_point(2, 0.8, seed=seed)
+        assert not point.aborted
+        assert point.dummy_ratio == pinned[index]
+
+    def test_background_eviction_raises_past_its_livelock_limit(self):
+        class StuckORAM:
+            """An ORAM whose stash never drains."""
+
+            eviction_threshold = 0
+            stash_occupancy = 1
+
+            def __init__(self):
+                self.dummies = 0
+
+            def dummy_access(self):
+                self.dummies += 1
+
+        policy = BackgroundEviction(livelock_limit=7)
+        for limit in (7, 3):
+            policy.livelock_limit = limit
+            oram = StuckORAM()
+            with pytest.raises(ReproError, match="livelock"):
+                policy.after_access(oram)
+            assert oram.dummies == limit + 1
+        with pytest.raises(ValueError):
+            policy.livelock_limit = 0
 
 
 class TestHierarchyDriver:
