@@ -32,8 +32,8 @@ from repro.runner import (
 )
 
 #: The scenario the design-space sweeps run on: a single fast-path ORAM with
-#: background eviction.  :func:`measure_dummy_ratio` tightens the eviction
-#: cap to each chunk's dummy budget, so the abort rule stops a point; the
+#: background eviction.  :func:`measure_dummy_ratio` budgets each chunk's
+#: dummies across its eviction calls, so the abort rule stops a point; the
 #: livelock cap here is only the safety net for other callers of the spec.
 SWEEP_SPEC = OramSpec(
     protocol="flat", storage="flat", eviction="background", livelock_limit=200_000
@@ -109,13 +109,14 @@ def measure_dummy_ratio(
     and ``abort_reason`` says why) once the dummy-access count exceeds
     ``abort_dummy_factor`` times the real accesses issued so far.  Both
     loops check at chunk granularity; under background eviction the rule
-    also binds inside a chunk, whose eviction cap is tightened to the
-    dummies the chunk may still issue, so a point stops once its abort is
-    certain (with the verdict the chunk-end check would give) rather than
-    at the spec's livelock cap.  The backend stack comes from the registry
-    ``spec`` (storage variants sweep identically thanks to the differential
-    backend guarantees), and the trace replays through the fused
-    ``access_many`` loop.
+    also binds inside a chunk, whose dummies are budgeted across all its
+    eviction calls (:attr:`BackgroundEviction.dummy_budget`), so a point
+    stops one dummy past the budget, once its abort is certain (with the
+    verdict the chunk-end check would give), not at the spec's livelock
+    cap.  The backend stack comes from the registry ``spec`` (storage
+    variants sweep identically thanks to the differential backend
+    guarantees), and the trace replays through the fused ``access_many``
+    loop.
     """
     oram = build_oram(spec, config, rng=random.Random(seed))
     # The workload stream is its own derived RNG: the trace can then be
@@ -124,23 +125,18 @@ def measure_dummy_ratio(
     trace_rng = random.Random(derive_seed(seed, ("sweep-trace", config.name or "")))
     working_set = config.working_set_blocks
     eviction = oram.eviction_policy
-    safety_limit = (
-        eviction.livelock_limit if isinstance(eviction, BackgroundEviction) else None
-    )
+    budgeted = isinstance(eviction, BackgroundEviction)
 
     def run_chunk(addresses: range | list[int], real_end: int) -> str | None:
         """Replay one chunk; the abort reason the chunk-end check gives."""
         # Dummies only grow and the chunk-end check compares them against
         # ``real_end``, so overrunning this budget means that check aborts.
-        if safety_limit is not None:
-            limit = safety_limit
-            if real_end >= ABORT_GRACE_ACCESSES:
-                allowed = abort_dummy_factor * real_end
-                dummies = oram.stats.dummy_accesses
-                if allowed < dummies + limit:
-                    limit = max(1, math.floor(allowed) - dummies)
-            eviction.livelock_limit = limit
+        allowed = abort_dummy_factor * real_end
+        if budgeted and real_end >= ABORT_GRACE_ACCESSES and math.isfinite(allowed):
+            eviction.dummy_budget = max(1, math.floor(allowed) - oram.stats.dummy_accesses)
         oram.access_many(addresses)
+        if budgeted:
+            eviction.dummy_budget = None
         return _dummy_abort_reason(
             oram.stats.dummy_accesses, real_end, abort_dummy_factor, phase
         )

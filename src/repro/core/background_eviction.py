@@ -19,7 +19,7 @@ import random
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING
 
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.path_oram import PathORAM
@@ -66,10 +66,13 @@ class BackgroundEviction(EvictionPolicy):
         Safety cap on consecutive dummy accesses per trigger.  The paper
         shows livelock probability is astronomically small for realistic
         parameters; the cap exists so that pathological test configurations
-        fail loudly instead of hanging.  A caller may move it between
-        calls (the design-space sweeps tighten it to a point's remaining
-        dummy budget).
+        fail loudly instead of hanging.  :attr:`dummy_budget` caps dummies
+        across calls: each call may issue ``min(livelock_limit, remaining
+        budget)`` before it raises and subtracts what it issued (the sweeps
+        budget each chunk, then clear it).
     """
+
+    _dummy_budget: int | None = None
 
     def __init__(self, livelock_limit: int = 100_000) -> None:
         self.livelock_limit = livelock_limit
@@ -81,22 +84,36 @@ class BackgroundEviction(EvictionPolicy):
     @livelock_limit.setter
     def livelock_limit(self, limit: int) -> None:
         if limit < 1:
-            raise ValueError("livelock_limit must be >= 1")
+            raise ConfigurationError("livelock_limit must be >= 1")
         self._livelock_limit = limit
+
+    @property
+    def dummy_budget(self) -> int | None:
+        return self._dummy_budget
+
+    @dummy_budget.setter
+    def dummy_budget(self, budget: int | None) -> None:
+        if budget is not None and budget < 1:
+            raise ConfigurationError("dummy_budget must be >= 1 or None")
+        self._dummy_budget = budget
 
     def after_access(self, oram: "PathORAM") -> int:
         threshold = _resolve_threshold(oram)
         if threshold is None:
             return 0
+        budget = self._dummy_budget
+        limit = self._livelock_limit if budget is None else min(budget, self._livelock_limit)
         issued = 0
         while oram.stash_occupancy > threshold:
             oram.dummy_access()
             issued += 1
-            if issued > self._livelock_limit:
+            if issued > limit:
                 raise ReproError(
                     "background eviction livelock: "
                     f"{issued} dummy accesses without draining the stash"
                 )
+        if budget is not None:
+            self._dummy_budget = budget - issued
         return issued
 
 
@@ -111,6 +128,8 @@ class InsecureBlockRemapEviction(EvictionPolicy):
     """
 
     def __init__(self, rng: random.Random | None = None, livelock_limit: int = 100_000) -> None:
+        if livelock_limit < 1:
+            raise ConfigurationError("livelock_limit must be >= 1")
         self._rng = rng if rng is not None else random.Random()
         self._livelock_limit = livelock_limit
 

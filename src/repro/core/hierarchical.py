@@ -91,6 +91,8 @@ class HierarchicalPathORAM:
     ) -> None:
         if plb_entries_per_level < 0:
             raise ConfigurationError("plb_entries_per_level must be >= 0")
+        if livelock_limit < 1:
+            raise ConfigurationError("livelock_limit must be >= 1")
         self._hierarchy = hierarchy
         self._rng = rng if rng is not None else random.Random()
         self._configs = hierarchy.oram_configs

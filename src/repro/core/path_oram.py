@@ -44,12 +44,15 @@ dynamic merging's per-address map is authoritative and a caller's
 
 The write-back buckets candidates once by the deepest level they may
 occupy (one precomputed-table lookup per distinct stash leaf and per path
-block) and places them deepest-first in a single walk over the path.
+block) and places them deepest-first in a single walk over the path; in
+an eviction storm the classified op places the path's own blocks first and
+then offers the stash only the slots left free.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from typing import Any
 
 from repro.core.background_eviction import BackgroundEviction, EvictionPolicy, NoEviction
@@ -224,6 +227,8 @@ class PathORAM:
         # that use these views.
         self._stash_blocks = self._stash._blocks  # noqa: SLF001
         self._stash_by_leaf = self._stash._by_leaf  # noqa: SLF001
+        # (stash leaves in key order, sorted) for _offer_free_slots.
+        self._stash_leaf_cache: tuple[list[int], list[int]] = ([], [])
         if eviction_policy is not None:
             self._eviction = eviction_policy
         elif config.stash_capacity is None:
@@ -363,17 +368,19 @@ class PathORAM:
         # the PLB observer closure (installed by HierarchicalPathORAM,
         # which re-installs it on restore) and the column engine (ndarray
         # aliases into the storage; rebuilt from the restored columns,
-        # together with the path op).
+        # together with the path op) and the stash-leaf cache.
         state = self.__dict__.copy()
         state["_retarget_observer"] = None
         state["_column_engine"] = None
         state["_path_op"] = None
+        del state["_stash_leaf_cache"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         # Snapshots written before the Block free-list was removed carry it.
         state.pop("_block_pool", None)
         self.__dict__.update(state)
+        self._stash_leaf_cache = ([], [])
         self._attach_path_op()
 
     def snapshot(self) -> dict:
@@ -1052,9 +1059,10 @@ class PathORAM:
         sits last in its class pool — the tie-break the generic engine
         reproduces by moving the accessed block to the end of the pending
         path buffer.  The write-back buckets the stash by distinct leaf
-        (capped per class); when no stash block is a candidate — the
-        dominant steady state — the placement walk drops the stash side
-        entirely.
+        (capped per class); with an empty stash — the dominant steady state
+        — or over the eviction threshold (a dummy storm, where
+        :meth:`_offer_free_slots` then fills the free slots) the placement
+        walk drops the stash side entirely.
 
         Three modes share the body.  With ``address=None`` (a dummy
         access) nothing is located or remapped and ``(None, False)`` is
@@ -1221,22 +1229,19 @@ class PathORAM:
         else:
             result = None
 
-        # ---- flattened write-back: bucket stash candidates ----
-        has_stash = False
-        if by_leaf:
+        # ---- flattened write-back (split in a storm, see the docstring) ----
+        storm = self._eviction_threshold
+        storm = storm is not None and len(stash_blocks) > storm
+        if by_leaf and not storm:
+            # Cold path: stash candidates compete for slots too.
             by_stash = self._by_deepest_stash
             caps = self._class_cap
-            base_pending = pending
             for other_leaf, group in by_leaf.items():
                 deepest = table[other_leaf ^ leaf]
                 ready = by_stash[deepest]
                 if len(ready) < caps[deepest]:
                     ready.extend(group)
                     pending += len(group)
-            has_stash = pending != base_pending
-
-        if has_stash:
-            # Cold path: stash candidates compete for slots too.
             self._path_rbases = rbases
             written, placed_stash, spilled = self._place_into_slots(pending)
             if placed_stash:
@@ -1297,6 +1302,8 @@ class PathORAM:
                     break
             if occupancy_delta:
                 self._storage._occupancy += occupancy_delta  # noqa: SLF001
+            if storm:
+                written += self._offer_free_slots(leaf, bases, rbases)
 
         if spilled:
             # Unplaced buffer blocks now genuinely enter the stash.
@@ -1309,6 +1316,52 @@ class PathORAM:
         if slot is not None:
             return result, labels
         return result, found
+
+    def _offer_free_slots(self, leaf: int, bases: tuple[int, ...], rbases: tuple[int, ...]) -> int:
+        """Storm write-back, phase two: give the stash the slots the path's own blocks
+        left free (they win every level of the merged walk anyway); returns the count
+        placed.  A class-``c`` block lands at a level ``<= c`` and every bucket above the
+        shallowest free one is full, so the scan runs only if a stash leaf is under it."""
+        slots = self._slots
+        z = self._z
+        top = 0
+        for base in bases:
+            if slots[base] < z:
+                break
+            top += 1
+        else:
+            return 0
+        by_leaf = self._stash_by_leaf
+        keys, ordered = self._stash_leaf_cache
+        current = list(by_leaf)
+        if current != keys:
+            ordered = sorted(current)
+            self._stash_leaf_cache = current, ordered
+        shift = self._levels - top
+        lo = leaf >> shift << shift
+        index = bisect_left(ordered, lo)
+        if index == len(ordered) or ordered[index] >= lo + (1 << shift):
+            return 0
+        for other_leaf, group in by_leaf.items():
+            deepest = self._deepest_table[other_leaf ^ leaf]
+            ready = self._by_deepest_stash[deepest]
+            if len(ready) < self._class_cap[deepest]:
+                ready.extend(group)
+        # Deepest-first fill from the pool's end, as in _place_into_slots.
+        avail, placed_stash = [], []
+        for base, s_ready in zip(rbases, self._by_stash_rev):
+            avail += s_ready
+            s_ready.clear()
+            count = slots[base]
+            if avail and count < z:
+                extra = min(z - count, len(avail))
+                slots[base + 1 + count : base + 1 + count + extra] = placed = avail[-extra:]
+                del avail[-extra:]
+                slots[base] = count + extra
+                placed_stash += placed
+        self._storage._occupancy += len(placed_stash)  # noqa: SLF001
+        self._stash.remove_placed(placed_stash)
+        return len(placed_stash)
 
     def _write_back_path(self, leaf: int) -> None:
         """Greedy eviction: place stash blocks as deep as possible on ``leaf``'s path.

@@ -26,7 +26,7 @@ from repro.analysis.sweep import (
 from repro.core.background_eviction import BackgroundEviction
 from repro.core.config import ORAMConfig
 from repro.core.path_oram import PathORAM
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 
 #: The Figure 8 dummy ratios the end-to-end sweep benchmark pins per seed.
 FIG8_PINS = Path(__file__).resolve().parents[1] / "perfbench" / "fig8_pins.json"
@@ -160,10 +160,9 @@ class TestAbortBudget:
         assert "exceeds factor 15" in point.abort_reason
         assert "livelock" not in point.abort_reason
         budget, calls = chunks[-1]
-        # The eviction call that stopped the point issued one dummy past the
+        # The chunk's eviction calls together issued one dummy past the
         # chunk's budget, not the spec's 200,000-dummy livelock cap.
-        assert calls[-1] == budget + 1
-        assert all(issued <= budget for issued in calls[:-1])
+        assert sum(calls) == budget + 1
         assert dummies[0] < SWEEP_SPEC.livelock_limit
 
     @pytest.mark.parametrize("seed", [3, 26])
@@ -196,8 +195,40 @@ class TestAbortBudget:
             with pytest.raises(ReproError, match="livelock"):
                 policy.after_access(oram)
             assert oram.dummies == limit + 1
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             policy.livelock_limit = 0
+
+    def test_dummy_budget_spans_eviction_calls(self):
+        class DrainingORAM:
+            """An ORAM whose stash drains after three dummies."""
+
+            eviction_threshold = 0
+
+            def __init__(self):
+                self.dummies = 0
+                self.stash_occupancy = 0
+
+            def dummy_access(self):
+                self.dummies += 1
+                self.stash_occupancy -= 1
+
+        policy = BackgroundEviction(livelock_limit=100)
+        policy.dummy_budget = 7
+        oram = DrainingORAM()
+        issued = []
+        with pytest.raises(ReproError, match="livelock"):
+            while True:
+                oram.stash_occupancy = 3
+                issued.append(policy.after_access(oram))
+        # Two calls spend 6 of the 7; the third may issue one more and
+        # raises on the second.
+        assert issued == [3, 3] and oram.dummies == 7 + 1
+        # The livelock limit still caps a call under a larger budget.
+        policy.livelock_limit, policy.dummy_budget = 2, 50
+        oram.stash_occupancy = 3
+        with pytest.raises(ReproError, match="livelock"):
+            policy.after_access(oram)
+        assert oram.dummies == 8 + 3
 
 
 class TestHierarchyDriver:

@@ -69,8 +69,17 @@ class TestBackgroundEviction:
             policy.after_access(_StuckORAM())
 
     def test_invalid_livelock_limit_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="livelock_limit"):
             BackgroundEviction(livelock_limit=0)
+        with pytest.raises(ConfigurationError, match="livelock_limit"):
+            InsecureBlockRemapEviction(livelock_limit=0)
+
+    def test_invalid_dummy_budget_rejected(self):
+        policy = BackgroundEviction()
+        for budget in (0, -3):
+            with pytest.raises(ConfigurationError, match="dummy_budget"):
+                policy.dummy_budget = budget
+        assert policy.dummy_budget is None
 
 
 class TestInsecureEviction:

@@ -8,6 +8,7 @@ from repro.core.config import HierarchyConfig, ORAMConfig
 from repro.core.hierarchical import HierarchicalPathORAM
 from repro.core.interface import ORAMMemoryInterface
 from repro.core.types import Operation
+from repro.errors import ConfigurationError
 
 
 @pytest.fixture
@@ -27,6 +28,11 @@ class TestConstruction:
         oram = HierarchicalPathORAM(hierarchy, rng=random.Random(1))
         assert oram.num_orams == hierarchy.num_orams >= 2
         assert oram.data_oram is oram.orams[0]
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_livelock_limit_floor(self, hierarchy, limit):
+        with pytest.raises(ConfigurationError, match="livelock_limit"):
+            HierarchicalPathORAM(hierarchy, livelock_limit=limit)
 
     def test_onchip_position_map_sized_for_outermost_oram(self, hierarchy):
         oram = HierarchicalPathORAM(hierarchy, rng=random.Random(1))
