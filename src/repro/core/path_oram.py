@@ -31,10 +31,9 @@ freeing its tree until the cyclic collector runs.)  The ops:
 * the column engine (``memmap-flat``):
   :meth:`repro.core.numpy_engine.ColumnEngine._path_op`;
 * the generic engine (wrapper storages, super blocks, deeper trees):
-  :meth:`PathORAM._access_path` over a pending path buffer, written back
-  into the flat slot array or through the storage's ``write_path_levels``.
-  Super-block groups on the classified storage keep the classified op for
-  dummies, which move no block.
+  :meth:`PathORAM._access_path` over a pending path buffer, which it reads
+  with the storage's ``read_path_blocks`` and writes back with its
+  ``write_path_levels`` on every stack, ``flat`` included.
 
 Both super-block mappers run that one op and one span move
 (:meth:`PathORAM._retarget_group`); they differ only in the leaf choice
@@ -43,10 +42,10 @@ dynamic merging's per-address map is authoritative and a caller's
 ``current_leaf`` only advisory.
 
 The write-back buckets candidates once by the deepest level they may
-occupy (one precomputed-table lookup per distinct stash leaf and per path
-block) and places them deepest-first in a single walk over the path; in
-an eviction storm the classified op places the path's own blocks first and
-then offers the stash only the slots left free.
+occupy (one lookup per distinct stash leaf and per path block) and places
+them deepest-first in a single walk over the path; in an eviction storm
+the classified op places the path's own blocks first and then offers the
+stash only the slots left free.
 """
 
 from __future__ import annotations
@@ -139,20 +138,18 @@ class PathORAM:
         self._z = config.z
         self._working_set = config.working_set_blocks
         self._eviction_threshold = config.eviction_threshold
-        # The fused read/write-back fast paths talk straight to
-        # FlatTreeStorage's slot array (friend access to _slots, _bases and
-        # _occupancy).  Subclasses of the flat storage may intercept path
-        # operations, so only the exact type takes the fused paths.
-        self._fused = type(self._storage) is FlatTreeStorage
-        # Per-leaf (bases, reversed bases) pairs: one dict lookup serves the
-        # root-first read walk and the deepest-first placement walk (the
-        # bases tuples are shared with the storage's own cache by reference).
-        # Like the deepest-level table below, the cache is only kept for
-        # moderate trees; huge ones re-reverse the bases tuple per read
-        # instead of holding one extra tuple per distinct leaf.
-        self._slots = self._storage._slots if self._fused else None  # noqa: SLF001
-        # Lazily filled, leaf-indexed: a list beats a dict on the hot path
-        # (one bounds-checked index instead of a hash probe).
+        # The classified path op talks straight to FlatTreeStorage's slot
+        # array (friend access to _slots, _bases and _occupancy).
+        # Subclasses of the flat storage may intercept path operations, so
+        # only the exact type takes it.
+        flat = type(self._storage) is FlatTreeStorage
+        self._slots = self._storage._slots if flat else None  # noqa: SLF001
+        # Per-leaf (bases, reversed bases) pairs: one lookup serves the
+        # classified op's root-first read walk and deepest-first placement
+        # walk (the bases tuples are shared with the storage's own cache by
+        # reference).  Like the deepest-level table below, the cache is only
+        # kept for moderate trees.  Lazily filled, leaf-indexed: a list beats
+        # a dict on the hot path (one bounds-checked index, no hash probe).
         self._path_pairs: list[tuple[tuple[int, ...], tuple[int, ...]] | None] | None = (
             [None] * config.num_leaves if config.num_leaves <= 1 << 16 else None
         )
@@ -173,8 +170,8 @@ class PathORAM:
         self._class_cap = [config.z * (d + 1) for d in range(self._levels + 1)]
         # deepest legal level = levels - bit_length(leaf_a XOR leaf_b); for
         # moderate trees a lookup table turns that into one list index on
-        # the write-back hot path (64K leaves = 512 KB, a wash for bigger
-        # trees, so those fall back to bit_length).
+        # the classified and column ops' hot paths (64K leaves = 512 KB, a
+        # wash for bigger trees, which take the generic op's bit_length).
         if self._levels <= 16:
             self._deepest_table: list[int] | None = [self._levels] + [
                 self._levels - diff.bit_length()
@@ -186,7 +183,7 @@ class PathORAM:
         # storage and the moderate-tree lookup tables.  The two cutoffs
         # coincide: levels <= 16 implies both the deepest-level table and
         # the path-pair cache exist.
-        self._classified_fast = self._fused and self._deepest_table is not None
+        self._classified_fast = flat and self._deepest_table is not None
         # Blocks read from the current path live here between the path read
         # and the path write-back.  Most of them go straight back into the
         # tree, so keeping them out of the stash's indexes until the
@@ -194,7 +191,6 @@ class PathORAM:
         # pass-through block.  Consumed by every write-back (a shared tuple
         # sentinel marks the no-pending-path state without an allocation).
         self._path_buffer: list[Block] | tuple[Block, ...] = ()
-        self._path_rbases: tuple[int, ...] = ()
         self._transient_peak = 0
         self._mapper = (
             super_block_mapper
@@ -268,9 +264,7 @@ class PathORAM:
         can never run without NumPy installed, and
         ColumnEngine.for_oram returns None for configurations it cannot
         serve bit-identically (wrapper subclasses, grouped super blocks,
-        single-leaf trees).  Everything else runs the generic op, except
-        that super-block groups on the classified storage keep the
-        classified op for dummies.
+        single-leaf trees).  Everything else runs the generic op.
         """
         cls = type(self)
         self._column_engine = None
@@ -282,8 +276,6 @@ class PathORAM:
             self._path_op = cls._fused_single_access
         elif self._column_engine is not None:
             self._path_op = self._column_engine._path_op  # noqa: SLF001
-        elif self._classified_fast:
-            self._path_op = cls._grouped_flat_op
         else:
             self._path_op = cls._access_path
 
@@ -692,11 +684,7 @@ class PathORAM:
         still converging elsewhere live on other paths and stay in the ORAM
         under their own entries.
         """
-        group = self._group_of(address)
-        span = self._mapper.group_span(group)
-        if span is None:
-            return self._collect_group_generic(address, group)
-        lo, hi = span
+        lo, hi = self._mapper.group_span(self._group_of(address))
         found: dict[int, Any] = {}
         for block in self._stash.pop_range(current_leaf, lo, hi):
             found[block.address] = block.data
@@ -729,30 +717,6 @@ class PathORAM:
             for member in range(lo, min(hi, self._working_set + 1))
             if create or member in found
         }
-
-    def _collect_group_generic(self, address: int, group: int) -> dict[int, Any]:
-        """Member-at-a-time collection for custom (non-contiguous) mappers."""
-        extracted: dict[int, Any] = {}
-        buffer = self._path_buffer
-        for member in self._mapper.addresses_in_group(group):
-            if member > self._working_set:
-                continue
-            block = self._stash.pop(member)
-            if block is None:
-                for index, candidate in enumerate(buffer):
-                    if candidate.address == member:
-                        block = candidate
-                        if type(buffer) is not list:
-                            buffer = self._path_buffer = list(buffer)
-                        del buffer[index]
-                        break
-            if block is not None:
-                extracted[member] = block.data
-            elif self._create_on_miss:
-                extracted[member] = None
-        if address not in extracted and self._create_on_miss:
-            extracted[address] = None
-        return extracted
 
     def dummy_access(self) -> None:
         """A background-eviction dummy access (Section 3.1.1).
@@ -924,31 +888,6 @@ class PathORAM:
             return result, None
         return result, found
 
-    def _grouped_flat_op(
-        self,
-        address: int | None,
-        leaf: int,
-        new_leaf: int,
-        is_write: bool,
-        data: Any,
-        create: bool,
-        slot: int | None,
-        child_new_leaf: int,
-        labels_per_block: int,
-        child_num_leaves: int,
-    ):
-        """Path op for super-block groups on the classified storage.
-
-        The classified op moves only the accessed block, so real accesses
-        take the generic op, which moves the whole group; a dummy moves no
-        block and keeps the classified op.
-        """
-        path_op = self._access_path if address is not None else self._fused_single_access
-        return path_op(
-            address, leaf, new_leaf, is_write, data, create,
-            slot, child_new_leaf, labels_per_block, child_num_leaves,
-        )
-
     def _retarget_group(self, group: int, current_leaf: int, new_leaf: int) -> None:
         """Move every reachable member of ``group`` to ``new_leaf``.
 
@@ -963,19 +902,7 @@ class PathORAM:
         """
         if new_leaf == current_leaf:
             return
-        span = self._mapper.group_span(group)
-        if span is None:
-            # Custom (non-contiguous) mappers: member-at-a-time fallback.
-            retarget = self._stash.retarget
-            buffer = self._path_buffer
-            for member in self._mapper.addresses_in_group(group):
-                if retarget(member, new_leaf) is None:
-                    for candidate in buffer:
-                        if candidate.address == member:
-                            candidate.leaf = new_leaf
-                            break
-            return
-        lo, hi = span
+        lo, hi = self._mapper.group_span(group)
         leaves = self._pm_leaves
         group_of = self._group_of
         for moved in self._stash.retarget_range_collect(current_leaf, lo, hi, new_leaf):
@@ -1001,30 +928,7 @@ class PathORAM:
         """
         if self._record_path_trace:
             self._path_trace.append(leaf)
-        if self._fused:
-            pairs = self._path_pairs
-            if pairs is None:
-                bases = self._storage._bases(leaf)  # noqa: SLF001 - friend fast path
-                self._path_rbases = bases[::-1]
-            else:
-                pair = pairs[leaf]
-                if pair is None:
-                    bases = self._storage._bases(leaf)  # noqa: SLF001
-                    pair = pairs[leaf] = (bases, bases[::-1])
-                bases, self._path_rbases = pair
-            slots = self._slots
-            blocks: list[Block] = []
-            append = blocks.append
-            extend = blocks.extend
-            for base in bases:
-                count = slots[base]
-                if count:
-                    if count == 1:
-                        append(slots[base + 1])
-                    else:
-                        extend(slots[base + 1 : base + 1 + count])
-        else:
-            blocks = self._storage.read_path_blocks(leaf)
+        blocks = self._storage.read_path_blocks(leaf)
         self._path_buffer = blocks
         count = len(blocks)
         transient = len(self._stash_blocks) + count
@@ -1075,9 +979,9 @@ class PathORAM:
         ``slot=None`` (data mode) the payload is read or written per
         ``is_write``/``create`` and ``(result_data, found)`` is returned.
 
-        Only valid on the exact flat storage with at most 16 levels, and
-        for real accesses only with single-member groups; the caller has
-        validated ``address`` and updated this ORAM's position map.
+        Only valid on the exact flat storage with at most 16 levels and
+        single-member groups; the caller has validated ``address`` and
+        updated this ORAM's position map.
         """
         stash_blocks = self._stash_blocks
         by_leaf = self._stash_by_leaf
@@ -1242,8 +1146,7 @@ class PathORAM:
                 if len(ready) < caps[deepest]:
                     ready.extend(group)
                     pending += len(group)
-            self._path_rbases = rbases
-            written, placed_stash, spilled = self._place_into_slots(pending)
+            written, placed_stash, spilled = self._place_into_slots(pending, rbases)
             if placed_stash:
                 self._stash.remove_placed(placed_stash)
         else:
@@ -1368,61 +1271,33 @@ class PathORAM:
 
         The candidate pool is every stash block plus every block of the
         pending path buffer, bucketed by the deepest level it may occupy on
-        this path (one precomputed-table lookup per distinct stash leaf and
-        per buffer block).  The two sources are kept in separate pools: when
-        a level has room, buffer blocks are placed first (the same tie-break
-        as the seed algorithm, where freshly read blocks sat at the pop end
-        of the candidate list).  A placed buffer block therefore never
-        touches the stash's indexes at all, an unplaced stash block stays
-        where it is, and only the two small remainders — placed stash blocks
-        and unplaced buffer blocks — pay an index update.
-
-        Against the array-backed :class:`FlatTreeStorage` the placement pass
-        writes each level's blocks straight into the slot array as it decides
-        them — no per-level bucket lists and no second walk over the path.
+        this path (one ``bit_length`` per distinct stash leaf and per buffer
+        block).  The two sources are kept in separate pools: when a level
+        has room, buffer blocks are placed first (the same tie-break as the
+        seed algorithm, where freshly read blocks sat at the pop end of the
+        candidate list).  A placed buffer block therefore never touches the
+        stash's indexes at all, an unplaced stash block stays where it is,
+        and only the two small remainders — placed stash blocks and
+        unplaced buffer blocks — pay an index update.
         """
         levels = self._levels
-
-        # The stash's leaf index lets grouping run per distinct leaf (one
-        # XOR per leaf) instead of rescanning every block; the scratch
-        # lists are reused across calls and drained level by level below.
-        by_stash = self._by_deepest_stash
         buffer = self._path_buffer
         self._path_buffer = ()
-        table = self._deepest_table
+        # The stash's leaf index lets grouping run per distinct leaf (one
+        # XOR per leaf) instead of rescanning every block; the scratch
+        # lists are reused across calls and drained level by level.
+        by_stash = self._by_deepest_stash
         caps = self._class_cap
-        pending = len(buffer)
-        by_leaf = self._stash_by_leaf
-        if table is not None:
-            if by_leaf:
-                for other_leaf, group in by_leaf.items():
-                    deepest = table[other_leaf ^ leaf]
-                    ready = by_stash[deepest]
-                    if len(ready) < caps[deepest]:
-                        ready.extend(group)
-                        pending += len(group)
-            pools = self._by_deepest_buffer
-            for block in buffer:
-                pools[table[block.leaf ^ leaf]].append(block)
-        else:
-            if by_leaf:
-                for other_leaf, group in by_leaf.items():
-                    diff = other_leaf ^ leaf
-                    deepest = levels if not diff else levels - diff.bit_length()
-                    ready = by_stash[deepest]
-                    if len(ready) < caps[deepest]:
-                        ready.extend(group)
-                        pending += len(group)
-            pools = self._by_deepest_buffer
-            for block in buffer:
-                diff = block.leaf ^ leaf
-                pools[levels if not diff else levels - diff.bit_length()].append(block)
+        for other_leaf, group in self._stash_by_leaf.items():
+            deepest = levels - (other_leaf ^ leaf).bit_length()
+            ready = by_stash[deepest]
+            if len(ready) < caps[deepest]:
+                ready.extend(group)
+        pools = self._by_deepest_buffer
+        for block in buffer:
+            pools[levels - (block.leaf ^ leaf).bit_length()].append(block)
 
-        if self._fused:
-            written, placed_stash, avail_buffer = self._place_into_slots(pending)
-        else:
-            written, placed_stash, avail_buffer = self._place_into_levels(leaf)
-
+        written, placed_stash, avail_buffer = self._place_into_levels(leaf)
         if placed_stash:
             self._stash.remove_placed(placed_stash)
         if avail_buffer:
@@ -1434,21 +1309,23 @@ class PathORAM:
         stats.path_writes += 1
         stats.blocks_written += written
 
-    def _place_into_slots(self, pending: int) -> tuple[int, list[Block], list[Block]]:
+    def _place_into_slots(
+        self, pending: int, rbases: tuple[int, ...]
+    ) -> tuple[int, list[Block], list[Block]]:
         """Fused placement: write levels directly into the flat slot array.
 
-        Walks the path deepest-first exactly once.  Blocks whose deepest
-        legal level is the current one join the available pools; each level
-        takes up to ``Z`` (buffer blocks first), and the chosen blocks are
-        sliced straight into the storage's slots.  The selection is
-        identical to :meth:`_place_into_levels` — the two differ only in
-        where the chosen blocks land — with two shortcuts: once all
-        ``pending`` candidates are placed the remaining (shallower) buckets
-        are cleared without consulting the pools, and a level whose ready
-        buffer blocks fit entirely skips the pool bookkeeping.  Returns the
-        number of blocks written, the placed stash blocks (for the index
-        batch-remove) and the leftover buffer blocks (which enter the
-        stash).
+        Walks the path (bucket bases ``rbases``, deepest first) exactly
+        once.  Blocks whose deepest legal level is the current one join the
+        available pools; each level takes up to ``Z`` (buffer blocks first),
+        and the chosen blocks are sliced straight into the storage's slots.
+        The selection is identical to :meth:`_place_into_levels` — the two
+        differ only in where the chosen blocks land — with two shortcuts:
+        once all ``pending`` candidates are placed the remaining (shallower)
+        buckets are cleared without consulting the pools, and a level whose
+        ready buffer blocks fit entirely skips the pool bookkeeping.
+        Returns the number of blocks written, the placed stash blocks (for
+        the index batch-remove) and the leftover buffer blocks (which enter
+        the stash).
         """
         z = self._z
         storage = self._storage
@@ -1459,11 +1336,9 @@ class PathORAM:
         occupancy_delta = 0
         written = 0
         nb = ns = 0
-        # Deepest-first walk: path bucket bases (cached by the preceding
-        # read) zipped with the matching buffer/stash class lists.
-        for base, b_ready, s_ready in zip(
-            self._path_rbases, self._by_buffer_rev, self._by_stash_rev
-        ):
+        # Deepest-first walk: path bucket bases zipped with the matching
+        # buffer/stash class lists.
+        for base, b_ready, s_ready in zip(rbases, self._by_buffer_rev, self._by_stash_rev):
             old = slots[base]
             if written == pending:
                 # Every candidate is placed; shallower buckets only need

@@ -5,7 +5,8 @@ that one path access returns all of them.  The paper's static merging scheme
 groups adjacent program addresses into fixed-size groups; the group a block
 belongs to never changes, only the group's leaf does.
 
-:class:`SuperBlockMapper` is the pluggable policy interface;
+:class:`SuperBlockMapper` is the policy interface: groups are contiguous
+address runs, each named by its :meth:`~SuperBlockMapper.group_span`;
 :class:`StaticSuperBlockMapper` implements the static scheme evaluated in
 the paper, and :class:`DynamicSuperBlockMapper` implements the *dynamic*
 merging the paper leaves as future work (Section 3.2): groups grow and
@@ -33,23 +34,22 @@ class SuperBlockMapper(ABC):
         """Group identifier for a (1-based) program address."""
 
     @abstractmethod
+    def group_span(self, group: int) -> tuple[int, int]:
+        """Half-open address range ``[lo, hi)`` covering ``group``, which
+        lets the stash retarget or extract a whole super block as one range
+        split.  Raises :class:`~repro.errors.ConfigurationError` for a
+        negative group."""
+
     def addresses_in_group(self, group: int) -> list[int]:
         """All program addresses belonging to ``group`` (may exceed the
         working set; callers filter against their own address space)."""
+        return list(range(*self.group_span(group)))
 
     def num_groups(self, num_addresses: int) -> int:
         """Number of groups needed to cover ``num_addresses`` blocks."""
         if num_addresses < 1:
             raise ConfigurationError("num_addresses must be >= 1")
         return (num_addresses + self.group_size - 1) // self.group_size
-
-    def group_span(self, group: int) -> tuple[int, int] | None:
-        """Half-open address range ``[lo, hi)`` covering ``group``, when the
-        group is a contiguous address run — the common case, which lets the
-        stash retarget or extract a whole super block as one range split.
-        Mappers with non-contiguous groups return ``None`` and the protocol
-        falls back to member-at-a-time handling."""
-        return None
 
 
 class StaticSuperBlockMapper(SuperBlockMapper):
@@ -73,13 +73,9 @@ class StaticSuperBlockMapper(SuperBlockMapper):
             raise ConfigurationError(f"address must be >= 1, got {address}")
         return (address - 1) // self._size
 
-    def addresses_in_group(self, group: int) -> list[int]:
+    def group_span(self, group: int) -> tuple[int, int]:
         if group < 0:
             raise ConfigurationError(f"group must be >= 0, got {group}")
-        first = group * self._size + 1
-        return list(range(first, first + self._size))
-
-    def group_span(self, group: int) -> tuple[int, int] | None:
         first = group * self._size + 1
         return first, first + self._size
 
@@ -206,11 +202,7 @@ class DynamicSuperBlockMapper(SuperBlockMapper):
         self.bind(num_addresses)
         return num_addresses
 
-    def addresses_in_group(self, group: int) -> list[int]:
-        lo, hi = self.group_span(group)
-        return list(range(lo, hi))
-
-    def group_span(self, group: int) -> tuple[int, int] | None:
+    def group_span(self, group: int) -> tuple[int, int]:
         if group < 0:
             raise ConfigurationError(f"group must be >= 0, got {group}")
         leader = self._leader_of(group + 1)

@@ -18,6 +18,7 @@ import pytest
 from repro.backends import OramSpec, build_oram, storage_backends
 from repro.core.config import HierarchyConfig, ORAMConfig
 from repro.core.hierarchical import HierarchicalPathORAM
+from repro.core.path_oram import PathORAM
 from repro.core.types import Operation, TraceResult
 from repro.errors import ConfigurationError
 
@@ -239,6 +240,108 @@ class TestFlatAccessMany:
             looped.access(address)
         fused.access_many(trace)
         assert fingerprint(looped) == fingerprint(fused)
+
+
+def _op_choice_case(case):
+    """(spec, config) for one :class:`TestPathOpChoice` case."""
+    small = dict(working_set_blocks=256, z=4, block_bytes=64, stash_capacity=100)
+    spec = OramSpec(protocol="flat", storage="flat")
+    if case == "flat-static":
+        return spec, ORAMConfig(super_block_size=4, **small)
+    if case == "flat-dynamic":
+        return spec.with_updates(dynamic_super_blocks=True), ORAMConfig(**small)
+    if case == "flat-17-levels":
+        config = ORAMConfig(working_set_blocks=2**15, utilization=0.25, z=1, stash_capacity=40)
+        assert config.levels == 17
+        return spec, config
+    if case != "flat-single":
+        spec = spec.with_updates(storage=case)
+    return spec, ORAMConfig(**small)
+
+
+class TestPathOpChoice:
+    """``_attach_path_op`` picks one of three ops — classified, column or
+    generic — and a restored ORAM picks the same one."""
+
+    @pytest.mark.parametrize(
+        ("case", "expected"),
+        [
+            ("flat-single", "classified"),
+            ("flat-static", "generic"),
+            ("flat-dynamic", "generic"),
+            ("flat-17-levels", "generic"),
+            ("plain", "generic"),
+            ("encrypted", "generic"),
+            ("integrity", "generic"),
+            ("memmap-flat", "column"),
+        ],
+    )
+    def test_attach_path_op_picks_one_of_three(self, case, expected, tmp_path):
+        if case == "memmap-flat" and case not in storage_backends():
+            pytest.skip(f"{case} is not registered (NumPy missing)")
+        ops = {"classified": PathORAM._fused_single_access, "generic": PathORAM._access_path}
+        if expected == "column":
+            from repro.core.numpy_engine import ColumnEngine
+
+            ops["column"] = ColumnEngine._path_op
+        spec, config = _op_choice_case(case)
+        oram = build_stack(spec, config, 5, tmp_path)
+        assert oram._path_op is ops[expected]
+        oram.access_many(random_trace(config.working_set_blocks, 50, seed=5))
+        restored = PathORAM.restore(oram.snapshot())
+        assert restored._path_op is ops[expected]
+
+
+class TestDeepGroupedFlatTree:
+    def test_17_level_static_groups_match_plain_twin(self):
+        # A tree too deep for the classified op's lookup tables, with
+        # static groups of 4 and background eviction: the generic op reads
+        # and writes ``flat`` paths through the storage's own path calls,
+        # and must match a ``plain`` twin step for step.
+        config = ORAMConfig(
+            working_set_blocks=2**15, utilization=0.25, z=1, block_bytes=64,
+            super_block_size=4, stash_capacity=26,
+        )
+        assert config.levels == 17
+        spec = OramSpec(protocol="flat", storage="flat", eviction="background")
+        flat = build_oram(spec, config, seed=17)
+        plain = build_oram(spec.with_updates(storage="plain"), config, seed=17)
+        assert flat._path_op is PathORAM._access_path
+
+        def script(oram):
+            rng = random.Random(29)
+            held: dict[int, object] = {}
+            log: list = []
+            for step in range(400):
+                roll = rng.random()
+                address = rng.randrange(1, 2**15 + 1)
+                if address in held:
+                    log.append(("insert", address, oram.insert(address, held.pop(address))))
+                elif roll < 0.4:
+                    result = oram.access(address, Operation.WRITE, step)
+                    log.append(("write", repr(result.data), result.found, result.dummy_accesses))
+                elif roll < 0.6:
+                    result = oram.access(address)
+                    log.append(("read", repr(result.data), result.found, result.dummy_accesses))
+                elif roll < 0.8:
+                    trace = [address] + [rng.randrange(1, 2**15 + 1) for _ in range(7)]
+                    trace = [a for a in trace if a not in held]
+                    result = oram.access_many(trace, Operation.WRITE, step)
+                    log.append(("many", result.accesses, result.found, result.dummy_accesses))
+                else:
+                    extracted = oram.extract(address)
+                    log.append(("extract", tuple((a, repr(d)) for a, d in extracted.items())))
+                    held.update(extracted)
+            for address in sorted(held):
+                log.append(("insert", address, oram.insert(address, held[address])))
+            return log
+
+        log = script(flat)
+        assert log == script(plain)
+        assert flat.stats.dummy_accesses > 0
+        assert any(entry[0] == "extract" and len(entry[1]) == 4 for entry in log)
+        assert fingerprint(flat) == fingerprint(plain)
+        assert flat._rng.getstate() == plain._rng.getstate()
 
 
 class TestHierarchicalAccessMany:

@@ -12,9 +12,9 @@ future work (Section 3.2).  These tests pin
   storage stacks on both protocols,
 * serial == multiprocessing bit-reproducibility through the experiment
   runner (the sweep and SPEC-replay axes), and
-* the :class:`SuperBlockMapper` fallback contracts — the non-contiguous
-  ``group_span`` fallback and the ``num_groups`` / ``addresses_in_group``
-  edge cases at the address-space boundary.
+* the :class:`SuperBlockMapper` contracts — the ``num_groups`` /
+  ``addresses_in_group`` / ``group_span`` edge cases at the address-space
+  boundary and for negative groups.
 """
 
 import random
@@ -26,11 +26,7 @@ from repro.core.background_eviction import EvictionPolicy
 from repro.core.config import HierarchyConfig, ORAMConfig
 from repro.core.interface import ORAMMemoryInterface
 from repro.core.path_oram import PathORAM
-from repro.core.super_block import (
-    DynamicSuperBlockMapper,
-    StaticSuperBlockMapper,
-    SuperBlockMapper,
-)
+from repro.core.super_block import DynamicSuperBlockMapper, StaticSuperBlockMapper
 from repro.core.types import Operation
 from repro.errors import ConfigurationError
 from tests.test_access_many import build_stack
@@ -672,60 +668,9 @@ class TestDynamicRunnerReproducibility:
 
 
 # ----------------------------------------------------------------------
-# SuperBlockMapper fallback contracts (the satellite coverage)
+# SuperBlockMapper contracts
 # ----------------------------------------------------------------------
-class InterleavedMapper(SuperBlockMapper):
-    """A deliberately non-contiguous mapper: groups interleave even and odd
-    addresses (``{1, 3}``, ``{2, 4}``, ``{5, 7}``, ...), so ``group_span``
-    keeps its base-class ``None`` fallback and the protocol must take the
-    member-at-a-time paths."""
-
-    def __init__(self, size=2):
-        self._size = size
-
-    @property
-    def group_size(self):
-        return self._size
-
-    def group_of(self, address):
-        if address < 1:
-            raise ConfigurationError("address must be >= 1")
-        block = (address - 1) // (2 * self._size)
-        return 2 * block + ((address - 1) % 2)
-
-    def addresses_in_group(self, group):
-        base = (group // 2) * (2 * self._size) + 1 + (group % 2)
-        return [base + 2 * index for index in range(self._size)]
-
-
 class TestMapperFallbacks:
-    def test_interleaved_mapper_round_trips(self):
-        mapper = InterleavedMapper()
-        assert mapper.group_span(0) is None  # the base-class fallback
-        for address in range(1, 33):
-            assert address in mapper.addresses_in_group(mapper.group_of(address))
-
-    def test_group_span_fallback_protocol_paths(self):
-        config = ORAMConfig(working_set_blocks=64, utilization=0.5, z=4, stash_capacity=None)
-        oram = PathORAM(config, super_block_mapper=InterleavedMapper(), rng=random.Random(101))
-        rng = random.Random(103)
-        written = {}
-        for step in range(300):
-            address = rng.randrange(1, 65)
-            oram.write(address, address * 3 + step)
-            written[address] = address * 3 + step
-        for address, value in written.items():
-            assert oram.read(address).data == value
-        # Non-contiguous groups still share one leaf per group.
-        leaves = oram.position_map.leaves
-        mapper = oram.super_block_mapper
-        for block in oram._stash.blocks():
-            assert block.leaf == leaves[mapper.group_of(block.address)]
-        # Extraction takes the member-at-a-time fallback and returns the
-        # whole (filtered) group.
-        extracted = oram.extract(1)
-        assert set(extracted) == {1, 3}
-
     def test_num_groups_boundary_cases(self):
         mapper = StaticSuperBlockMapper(4)
         assert mapper.num_groups(1) == 1
@@ -744,8 +689,10 @@ class TestMapperFallbacks:
         # addresses 5 and 6 only.
         mapper = StaticSuperBlockMapper(4)
         assert mapper.addresses_in_group(1) == [5, 6, 7, 8]
-        with pytest.raises(ConfigurationError):
-            mapper.addresses_in_group(-1)
+        assert mapper.group_span(1) == (5, 9)
+        for call in (mapper.addresses_in_group, mapper.group_span):
+            with pytest.raises(ConfigurationError):
+                call(-1)
         config = ORAMConfig(
             working_set_blocks=6,
             utilization=0.5,
@@ -766,3 +713,6 @@ class TestMapperFallbacks:
         assert mapper.group_span(15) == (16, 17)
         with pytest.raises(ConfigurationError):
             mapper.group_span(16)  # past the bound address space
+        for call in (mapper.addresses_in_group, mapper.group_span):
+            with pytest.raises(ConfigurationError):
+                call(-1)
