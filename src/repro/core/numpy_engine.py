@@ -147,10 +147,7 @@ class ColumnEngine:
         return (self._levels - bit_length) % (self._levels + 2)
 
     def _class_of(self, diff: int) -> int:
-        """Python-side classification for stash leaves and the accessed
-        block (mirrors the list engine's table/bit_length split)."""
-        if diff == 0:
-            return self._levels
+        """Python-side classification for the accessed block."""
         return self._levels - diff.bit_length()
 
     def _bundle(self, leaf: int):
@@ -280,23 +277,7 @@ class ColumnEngine:
         if address is None:
             found = False
         elif in_stash:
-            if block.leaf != new_leaf:
-                bucket = by_leaf.get(block.leaf)
-                if bucket is not None:
-                    for position, candidate in enumerate(bucket):
-                        if candidate is block:
-                            last = bucket.pop()
-                            if last is not block:
-                                bucket[position] = last
-                            break
-                    if not bucket:
-                        del by_leaf[block.leaf]
-                block.leaf = new_leaf
-                bucket = by_leaf.get(new_leaf)
-                if bucket is None:
-                    by_leaf[new_leaf] = [block]
-                else:
-                    bucket.append(block)
+            stash.retarget(address, new_leaf)
         elif target_pos >= 0:
             # Retargeted, then classified last in its class pool (the
             # shared tie-break order); stays columnar via a virtual chunk.
@@ -305,15 +286,7 @@ class ColumnEngine:
         elif slot is not None or is_write or create:
             found = False
             block = Block(address=address, leaf=new_leaf, data=None)
-            stash_blocks[address] = block
-            bucket = by_leaf.get(new_leaf)
-            if bucket is None:
-                by_leaf[new_leaf] = [block]
-            else:
-                bucket.append(block)
-            occupancy = len(stash_blocks)
-            if occupancy > stash._max_occupancy:  # noqa: SLF001
-                stash._max_occupancy = occupancy  # noqa: SLF001
+            stash.add(block)
         else:
             found = False
 
@@ -350,27 +323,9 @@ class ColumnEngine:
 
         # ---- bucket stash candidates by deepest legal level ----
         by_stash = oram._by_deepest_stash  # noqa: SLF001
-        has_stash = False
-        if by_leaf:
-            caps = oram._class_cap  # noqa: SLF001
-            table = oram._deepest_table  # noqa: SLF001
-            base_pending = pending
-            if table is not None:
-                for other_leaf, group in by_leaf.items():
-                    deepest = table[other_leaf ^ leaf]
-                    ready = by_stash[deepest]
-                    if len(ready) < caps[deepest]:
-                        ready.extend(group)
-                        pending += len(group)
-            else:
-                for other_leaf, group in by_leaf.items():
-                    diff = other_leaf ^ leaf
-                    deepest = levels if not diff else levels - diff.bit_length()
-                    ready = by_stash[deepest]
-                    if len(ready) < caps[deepest]:
-                        ready.extend(group)
-                        pending += len(group)
-            has_stash = pending != base_pending
+        pooled = oram._pool_stash(leaf) if by_leaf else 0  # noqa: SLF001
+        pending += pooled
+        has_stash = pooled != 0
 
         # ---- placement: chunk arithmetic over the argsorted classes ----
         # `avail` accumulates candidate spans deepest-class-first; each
@@ -520,47 +475,19 @@ class ColumnEngine:
 
         # ---- stash bookkeeping for both remainders ----
         if placed_stash:
-            for placed_block in placed_stash:
-                if stash_blocks.pop(placed_block.address, None) is not None:
-                    block_leaf = placed_block.leaf
-                    bucket = by_leaf.get(block_leaf)
-                    if bucket is not None:
-                        for position, candidate in enumerate(bucket):
-                            if candidate is placed_block:
-                                last = bucket.pop()
-                                if last is not placed_block:
-                                    bucket[position] = last
-                                break
-                        if not bucket:
-                            del by_leaf[block_leaf]
+            stash.remove_placed(placed_stash)
         if avail:
             # Leftover buffer chunks genuinely enter the stash, in the
             # exact sequence order the list engine's avail_buffer holds.
+            add = stash.add
             for chunk in avail:
                 if chunk is _VIRTUAL:
-                    spilled = Block(address=address, leaf=new_leaf, data=virtual_payload)
-                    stash_blocks[address] = spilled
-                    bucket = by_leaf.get(new_leaf)
-                    if bucket is None:
-                        by_leaf[new_leaf] = [spilled]
-                    else:
-                        bucket.append(spilled)
+                    add(Block(address=address, leaf=new_leaf, data=virtual_payload))
                 else:
                     a, b = chunk
                     for src in order[a:b].tolist():
-                        spill_address = int(addrs[src])
-                        spill_leaf = int(lvs[src])
                         payload = data_g[src] if gather_payloads else None
-                        spilled = Block(address=spill_address, leaf=spill_leaf, data=payload)
-                        stash_blocks[spill_address] = spilled
-                        bucket = by_leaf.get(spill_leaf)
-                        if bucket is None:
-                            by_leaf[spill_leaf] = [spilled]
-                        else:
-                            bucket.append(spilled)
-            occupancy = len(stash_blocks)
-            if occupancy > stash._max_occupancy:  # noqa: SLF001
-                stash._max_occupancy = occupancy  # noqa: SLF001
+                        add(Block(address=int(addrs[src]), leaf=int(lvs[src]), data=payload))
 
         stats.path_writes += 1
         stats.blocks_written += written

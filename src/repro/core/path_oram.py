@@ -42,10 +42,13 @@ dynamic merging's per-address map is authoritative and a caller's
 ``current_leaf`` only advisory.
 
 The write-back buckets candidates once by the deepest level they may
-occupy (one lookup per distinct stash leaf and per path block) and places
-them deepest-first in a single walk over the path; in an eviction storm
-the classified op places the path's own blocks first and then offers the
-stash only the slots left free.
+occupy (one lookup per path block, and one capped scan of the stash's leaf
+index that every op shares, :meth:`PathORAM._pool_stash`) and places them
+deepest-first in a single walk over the path; in an eviction storm the
+classified op places the path's own blocks first and then offers the stash
+only the slots left free.  Every op adds, retargets and removes stash
+blocks through :class:`~repro.core.stash.Stash`'s methods; the ORAM's
+friend views of the stash's dicts are only read.
 """
 
 from __future__ import annotations
@@ -215,16 +218,15 @@ class PathORAM:
         # draws from, without the method-call hop.
         self._draw_bits = (config.num_leaves - 1).bit_length()
         self._getrandbits = self._rng.getrandbits
-        self._stash = Stash(capacity=None)
-        # Friend views of the stash's two dicts for the per-access hot path
-        # (`len`, membership and leaf-group iteration without method hops).
+        self._stash = Stash()
+        # Read-only friend views of the stash's two dicts for the per-access
+        # hot path (`len`, membership and leaf-group iteration without
+        # method hops); every write goes through the Stash's methods.
         # Stash.clear() empties but never replaces them.  Subclasses that
         # swap in a different stash implementation must override the methods
         # that use these views.
         self._stash_blocks = self._stash._blocks  # noqa: SLF001
         self._stash_by_leaf = self._stash._by_leaf  # noqa: SLF001
-        # (stash leaves in key order, sorted) for _offer_free_slots.
-        self._stash_leaf_cache: tuple[list[int], list[int]] = ([], [])
         if eviction_policy is not None:
             self._eviction = eviction_policy
         elif config.stash_capacity is None:
@@ -337,6 +339,7 @@ class PathORAM:
 
     def contains(self, address: int) -> bool:
         """True when ``address`` currently has a block in the stash or tree."""
+        self._check_address(address)
         if address in self._stash:
             return True
         group = self._mapper.group_of(address)
@@ -360,19 +363,17 @@ class PathORAM:
         # the PLB observer closure (installed by HierarchicalPathORAM,
         # which re-installs it on restore) and the column engine (ndarray
         # aliases into the storage; rebuilt from the restored columns,
-        # together with the path op) and the stash-leaf cache.
+        # together with the path op).
         state = self.__dict__.copy()
         state["_retarget_observer"] = None
         state["_column_engine"] = None
         state["_path_op"] = None
-        del state["_stash_leaf_cache"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         # Snapshots written before the Block free-list was removed carry it.
         state.pop("_block_pool", None)
         self.__dict__.update(state)
-        self._stash_leaf_cache = ([], [])
         self._attach_path_op()
 
     def snapshot(self) -> dict:
@@ -591,10 +592,7 @@ class PathORAM:
         follows this ORAM's per-address map, and ``new_leaf`` is used only
         when the plan wants a fresh leaf (see :meth:`_choose_leaves`).
         """
-        if not 1 <= address <= self._working_set:
-            raise ConfigurationError(
-                f"address {address} outside [1, {self._working_set}]"
-            )
+        self._check_path_args(address, current_leaf, new_leaf)
         if self._single_member_groups:
             self._position_map.assign(address - 1, new_leaf)
         else:
@@ -663,6 +661,7 @@ class PathORAM:
         the hierarchy's job).  Under dynamic super-block merging
         ``current_leaf`` is advisory, as in :meth:`access_path`.
         """
+        self._check_path_args(address, current_leaf, new_leaf)
         return self._extract(address, current_leaf, new_leaf)
 
     def _collect_group(self, address: int, current_leaf: int, new_leaf: int) -> dict[int, Any]:
@@ -739,6 +738,7 @@ class PathORAM:
         correlates consecutive accesses and leaks (Section 3.1.3).  Counted
         as a dummy access in the statistics.
         """
+        self._check_address(address)
         if self._dynamic:
             raise ConfigurationError(
                 "insecure remap eviction does not compose with dynamic "
@@ -806,6 +806,13 @@ class PathORAM:
             raise ConfigurationError(
                 f"address {address} outside [1, {self._working_set}]"
             )
+
+    def _check_path_args(self, address: int, current_leaf: int, new_leaf: int) -> None:
+        """Validate a caller's address and leaves before any state changes."""
+        self._check_address(address)
+        top = 1 << self._levels
+        if not (0 <= current_leaf < top and 0 <= new_leaf < top):
+            raise ConfigurationError(f"leaves {current_leaf}, {new_leaf} outside [0, {top - 1}]")
 
     def _check_stash_bound(self) -> None:
         capacity = self._config.stash_capacity
@@ -1079,23 +1086,7 @@ class PathORAM:
         # ---- locate (or create) the block, retarget to new_leaf ----
         found = True
         if block is not None:
-            if block.leaf != new_leaf:
-                bucket = by_leaf.get(block.leaf)
-                if bucket is not None:
-                    for position, candidate in enumerate(bucket):
-                        if candidate is block:
-                            last = bucket.pop()
-                            if last is not block:
-                                bucket[position] = last
-                            break
-                    if not bucket:
-                        del by_leaf[block.leaf]
-                block.leaf = new_leaf
-                bucket = by_leaf.get(new_leaf)
-                if bucket is None:
-                    by_leaf[new_leaf] = [block]
-                else:
-                    bucket.append(block)
+            self._stash.retarget(address, new_leaf)
         elif target is not None:
             block = target
             # Retargeted, then classified last in its class pool (the
@@ -1105,16 +1096,7 @@ class PathORAM:
         elif address is not None and (slot is not None or is_write or create):
             found = False
             block = Block(address=address, leaf=new_leaf, data=None)
-            stash = self._stash
-            stash_blocks[address] = block
-            bucket = by_leaf.get(new_leaf)
-            if bucket is None:
-                by_leaf[new_leaf] = [block]
-            else:
-                bucket.append(block)
-            occupancy = len(stash_blocks)
-            if occupancy > stash._max_occupancy:  # noqa: SLF001
-                stash._max_occupancy = occupancy  # noqa: SLF001
+            self._stash.add(block)
         else:
             found = False
 
@@ -1138,14 +1120,7 @@ class PathORAM:
         storm = storm is not None and len(stash_blocks) > storm
         if by_leaf and not storm:
             # Cold path: stash candidates compete for slots too.
-            by_stash = self._by_deepest_stash
-            caps = self._class_cap
-            for other_leaf, group in by_leaf.items():
-                deepest = table[other_leaf ^ leaf]
-                ready = by_stash[deepest]
-                if len(ready) < caps[deepest]:
-                    ready.extend(group)
-                    pending += len(group)
+            pending += self._pool_stash(leaf)
             written, placed_stash, spilled = self._place_into_slots(pending, rbases)
             if placed_stash:
                 self._stash.remove_placed(placed_stash)
@@ -1234,22 +1209,13 @@ class PathORAM:
             top += 1
         else:
             return 0
-        by_leaf = self._stash_by_leaf
-        keys, ordered = self._stash_leaf_cache
-        current = list(by_leaf)
-        if current != keys:
-            ordered = sorted(current)
-            self._stash_leaf_cache = current, ordered
+        ordered = self._stash.sorted_leaves()
         shift = self._levels - top
         lo = leaf >> shift << shift
         index = bisect_left(ordered, lo)
         if index == len(ordered) or ordered[index] >= lo + (1 << shift):
             return 0
-        for other_leaf, group in by_leaf.items():
-            deepest = self._deepest_table[other_leaf ^ leaf]
-            ready = self._by_deepest_stash[deepest]
-            if len(ready) < self._class_cap[deepest]:
-                ready.extend(group)
+        self._pool_stash(leaf)
         # Deepest-first fill from the pool's end, as in _place_into_slots.
         avail, placed_stash = [], []
         for base, s_ready in zip(rbases, self._by_stash_rev):
@@ -1271,28 +1237,20 @@ class PathORAM:
 
         The candidate pool is every stash block plus every block of the
         pending path buffer, bucketed by the deepest level it may occupy on
-        this path (one ``bit_length`` per distinct stash leaf and per buffer
-        block).  The two sources are kept in separate pools: when a level
-        has room, buffer blocks are placed first (the same tie-break as the
-        seed algorithm, where freshly read blocks sat at the pop end of the
-        candidate list).  A placed buffer block therefore never touches the
-        stash's indexes at all, an unplaced stash block stays where it is,
-        and only the two small remainders — placed stash blocks and
-        unplaced buffer blocks — pay an index update.
+        this path (one lookup per distinct stash leaf, :meth:`_pool_stash`,
+        and one ``bit_length`` per buffer block).  The two sources are kept
+        in separate pools: when a level has room, buffer blocks are placed
+        first (the same tie-break as the seed algorithm, where freshly read
+        blocks sat at the pop end of the candidate list).  A placed buffer
+        block therefore never touches the stash's indexes at all, an
+        unplaced stash block stays where it is, and only the two small
+        remainders — placed stash blocks and unplaced buffer blocks — pay
+        an index update.
         """
         levels = self._levels
         buffer = self._path_buffer
         self._path_buffer = ()
-        # The stash's leaf index lets grouping run per distinct leaf (one
-        # XOR per leaf) instead of rescanning every block; the scratch
-        # lists are reused across calls and drained level by level.
-        by_stash = self._by_deepest_stash
-        caps = self._class_cap
-        for other_leaf, group in self._stash_by_leaf.items():
-            deepest = levels - (other_leaf ^ leaf).bit_length()
-            ready = by_stash[deepest]
-            if len(ready) < caps[deepest]:
-                ready.extend(group)
+        self._pool_stash(leaf)
         pools = self._by_deepest_buffer
         for block in buffer:
             pools[levels - (block.leaf ^ leaf).bit_length()].append(block)
@@ -1308,6 +1266,29 @@ class PathORAM:
         stats = self._stats
         stats.path_writes += 1
         stats.blocks_written += written
+
+    def _pool_stash(self, leaf: int) -> int:
+        """Bucket the stash into the stash class pools by the deepest level
+        its blocks may occupy on ``leaf``'s path; returns how many it pooled.
+
+        One lookup per distinct stash leaf (the deepest-level table on trees
+        of at most 16 levels, ``bit_length`` on deeper ones), in leaf-index
+        order; a class stops taking leaf groups once it holds its cap
+        (``_class_cap``).  Every write-back drains the pools it fills.
+        """
+        pools = self._by_deepest_stash
+        caps = self._class_cap
+        table = self._deepest_table
+        levels = self._levels
+        pooled = 0
+        for other_leaf, group in self._stash_by_leaf.items():
+            diff = other_leaf ^ leaf
+            deepest = table[diff] if table else levels - diff.bit_length()
+            ready = pools[deepest]
+            if len(ready) < caps[deepest]:
+                ready.extend(group)
+                pooled += len(group)
+        return pooled
 
     def _place_into_slots(
         self, pending: int, rbases: tuple[int, ...]

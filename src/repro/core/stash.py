@@ -4,15 +4,16 @@ from __future__ import annotations
 
 from typing import ItemsView, Iterable, Iterator
 
-from repro.core.types import Block
-from repro.errors import StashOverflowError
+from repro.core.types import DUMMY_ADDRESS, Block
 
 
 class Stash:
-    """Holds up to ``capacity`` real blocks inside the ORAM interface.
+    """Holds the real blocks inside the ORAM interface.
 
     The stash is keyed by program address: Path ORAM never stores two copies
-    of the same block, so an address uniquely identifies a stash entry.
+    of the same block, so an address uniquely identifies a stash entry.  It
+    is unbounded; the protocol checks the configured capacity ``C`` itself
+    (:meth:`~repro.core.path_oram.PathORAM._check_stash_bound`).
 
     Blocks are additionally indexed by the leaf they are mapped to
     (:meth:`leaf_groups`).  The write-back step of the protocol buckets
@@ -23,24 +24,34 @@ class Stash:
     super block share one leaf, so an entire group can be retargeted or
     extracted by splitting one leaf bucket (:meth:`retarget_range_collect`,
     :meth:`pop_range`) instead of touching the index once per member.
+    :meth:`sorted_leaves` keeps the distinct leaves in ascending order,
+    rebuilt only after the set of leaves changed, so a write-back can
+    ``bisect`` for the stash leaves under one subtree of its path.
 
-    The index is maintained incrementally by :meth:`add`, :meth:`pop` and
-    :meth:`retarget` — code outside this class must never assign
-    ``block.leaf`` directly for a block that sits in the stash.  Within a
+    This class is the only writer of the index: every path op adds,
+    retargets and removes stash blocks through its methods, so a stash
+    block's ``leaf`` always matches the bucket that holds it.  Within a
     leaf bucket blocks are unordered (removal swaps with the last entry).
-
-    Parameters
-    ----------
-    capacity:
-        Maximum number of blocks, or ``None`` for an unbounded stash (used
-        when studying failure probability with no background eviction).
     """
 
-    def __init__(self, capacity: int | None = None) -> None:
+    def __init__(self) -> None:
         self._blocks: dict[int, Block] = {}
         self._by_leaf: dict[int, list[Block]] = {}
-        self._capacity = capacity
         self._max_occupancy = 0
+        # Ascending distinct leaves, or None once the set of leaves changed.
+        self._sorted_leaves: list[int] | None = None
+
+    def __getstate__(self) -> dict:
+        # The sorted-leaf view is derived state: rebuilt on first use.
+        state = self.__dict__.copy()
+        del state["_sorted_leaves"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        # Snapshots written before the capacity knob was removed carry it.
+        state.pop("_capacity", None)
+        self.__dict__.update(state)
+        self._sorted_leaves = None
 
     def __len__(self) -> int:
         return len(self._blocks)
@@ -50,11 +61,6 @@ class Stash:
 
     def __iter__(self) -> Iterator[Block]:
         return iter(self._blocks.values())
-
-    @property
-    def capacity(self) -> int | None:
-        """Configured capacity (``None`` = unbounded)."""
-        return self._capacity
 
     @property
     def occupancy(self) -> int:
@@ -67,37 +73,23 @@ class Stash:
         return self._max_occupancy
 
     def add(self, block: Block) -> None:
-        """Insert (or overwrite) a block.
-
-        Raises
-        ------
-        StashOverflowError
-            If the stash has a finite capacity and this insertion would
-            exceed it.  With background eviction enabled the ORAM never
-            lets this happen.
-        """
-        if block.is_dummy():
-            return
+        """Insert (or overwrite) a block; dummy blocks are ignored."""
         address = block.address
-        previous = self._blocks.get(address)
-        if (
-            self._capacity is not None
-            and previous is None
-            and len(self._blocks) >= self._capacity
-        ):
-            raise StashOverflowError(
-                f"stash overflow: capacity {self._capacity} exceeded"
-            )
+        if address == DUMMY_ADDRESS:
+            return
+        blocks = self._blocks
+        previous = blocks.get(address)
         if previous is not None:
             self._drop_from_leaf_index(previous, previous.leaf)
-        self._blocks[address] = block
+        blocks[address] = block
         bucket = self._by_leaf.get(block.leaf)
         if bucket is None:
             self._by_leaf[block.leaf] = [block]
+            self._sorted_leaves = None
         else:
             bucket.append(block)
-        if len(self._blocks) > self._max_occupancy:
-            self._max_occupancy = len(self._blocks)
+        if len(blocks) > self._max_occupancy:
+            self._max_occupancy = len(blocks)
 
     def remove_placed(self, blocks: Iterable[Block]) -> None:
         """Batch-remove blocks the write-back placed into the tree.
@@ -133,6 +125,7 @@ class Stash:
             bucket = self._by_leaf.get(new_leaf)
             if bucket is None:
                 self._by_leaf[new_leaf] = [block]
+                self._sorted_leaves = None
             else:
                 bucket.append(block)
         return block
@@ -164,6 +157,7 @@ class Stash:
         target = self._by_leaf.get(new_leaf)
         if target is None:
             target = self._by_leaf[new_leaf] = []
+            self._sorted_leaves = None
         for block in moved:
             block.leaf = new_leaf
             target.append(block)
@@ -171,6 +165,7 @@ class Stash:
             self._by_leaf[leaf] = staying
         else:
             del self._by_leaf[leaf]
+            self._sorted_leaves = None
         return moved
 
     def pop_range(self, leaf: int, lo: int, hi: int) -> list[Block]:
@@ -188,6 +183,7 @@ class Stash:
             self._by_leaf[leaf] = staying
         else:
             del self._by_leaf[leaf]
+            self._sorted_leaves = None
         blocks = self._blocks
         for block in extracted:
             del blocks[block.address]
@@ -201,6 +197,18 @@ class Stash:
         has stash-resident blocks.  Do not mutate the stash while
         iterating."""
         return self._by_leaf.items()
+
+    def sorted_leaves(self) -> list[int]:
+        """The distinct leaves of :meth:`leaf_groups` in ascending order.
+
+        Cached: every method that adds or drops a leaf bucket discards the
+        list, so a call costs a sort only after the set of leaves changed.
+        Do not mutate the returned list.
+        """
+        ordered = self._sorted_leaves
+        if ordered is None:
+            ordered = self._sorted_leaves = sorted(self._by_leaf)
+        return ordered
 
     def blocks(self) -> list[Block]:
         """Snapshot list of all blocks currently in the stash."""
@@ -223,6 +231,7 @@ class Stash:
         """Remove every block (used when resetting experiments)."""
         self._blocks.clear()
         self._by_leaf.clear()
+        self._sorted_leaves = None
 
     def _drop_from_leaf_index(self, block: Block, leaf: int) -> None:
         bucket = self._by_leaf.get(leaf)
@@ -236,3 +245,4 @@ class Stash:
                 break
         if not bucket:
             del self._by_leaf[leaf]
+            self._sorted_leaves = None

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.backends import OramSpec
 from repro.core.background_eviction import BackgroundEviction, NoEviction
 from repro.core.config import ORAMConfig
 from repro.core.path_oram import PathORAM
@@ -12,6 +13,7 @@ from repro.core.types import Operation
 from repro.crypto.bucket_encryption import CounterBucketCipher
 from repro.crypto.keys import ProcessorKey
 from repro.errors import ConfigurationError, StashOverflowError
+from tests.test_access_many import STACKS, build_stack, fingerprint
 
 
 def check_invariant(oram: PathORAM) -> None:
@@ -206,6 +208,35 @@ class TestExclusiveAPI:
         oram = PathORAM(small_config, rng=rng)
         extracted = oram.extract(42)
         assert 42 in extracted and extracted[42] is None
+
+
+BOUNDARY_STACKS = [name for name in ("flat", "plain", "memmap-flat") if name in STACKS]
+
+#: Public calls with an out-of-range address or leaf on a 64-block ORAM
+#: (leaves 0..31).
+BAD_CALLS = {
+    "contains(65)": lambda oram: oram.contains(65),
+    "contains(0)": lambda oram: oram.contains(0),
+    "remap_access(10**6)": lambda oram: oram.remap_access(10**6),
+    "access_path(65, 0, 2)": lambda oram: oram.access_path(65, 0, 2),
+    "access_path(3, 10**9, 2)": lambda oram: oram.access_path(3, 10**9, 2),
+    "access_path(3, -1, 2)": lambda oram: oram.access_path(3, -1, 2),
+    "access_path(3, 0, 32)": lambda oram: oram.access_path(3, 0, 32),
+    "extract_path(3, 10**9, 2)": lambda oram: oram.extract_path(3, 10**9, 2),
+}
+
+
+class TestBoundaryErrors:
+    @pytest.mark.parametrize("stack", BOUNDARY_STACKS)
+    def test_invalid_address_or_leaf_raises_before_any_state_change(self, stack, tmp_path):
+        config = ORAMConfig(working_set_blocks=64, z=4, block_bytes=32, stash_capacity=80)
+        oram = build_stack(OramSpec(protocol="flat", storage=stack), config, 5, tmp_path)
+        oram.access_many(list(range(1, 65)))
+        before = fingerprint(oram), oram._rng.getstate()
+        for name, call in BAD_CALLS.items():
+            with pytest.raises(ConfigurationError):
+                call(oram)
+            assert (fingerprint(oram), oram._rng.getstate()) == before, name
 
 
 class TestEncryptedBackend:

@@ -1,15 +1,18 @@
 """Tests for the position map, stash, block types and bucket codec."""
 
+import pickle
 import random
 
 import pytest
 
 from repro.core.bucket_codec import BucketCodec
+from repro.core.config import ORAMConfig
+from repro.core.path_oram import PathORAM
 from repro.core.position_map import PositionMap
 from repro.core.stash import Stash
 from repro.core.stats import AccessStats
 from repro.core.types import DUMMY_ADDRESS, Block, Operation
-from repro.errors import ConfigurationError, EncryptionError, StashOverflowError
+from repro.errors import ConfigurationError, EncryptionError
 
 
 class TestBlock:
@@ -77,18 +80,11 @@ class TestStash:
         assert len(stash) == 0
 
     def test_overwrite_same_address_does_not_grow(self):
-        stash = Stash(capacity=1)
+        stash = Stash()
         stash.add(Block(address=1, leaf=0, data="a"))
         stash.add(Block(address=1, leaf=3, data="b"))
         assert len(stash) == 1
         assert stash.get(1).data == "b"
-
-    def test_capacity_enforced(self):
-        stash = Stash(capacity=2)
-        stash.add(Block(address=1, leaf=0))
-        stash.add(Block(address=2, leaf=0))
-        with pytest.raises(StashOverflowError):
-            stash.add(Block(address=3, leaf=0))
 
     def test_max_occupancy_tracks_high_water_mark(self):
         stash = Stash()
@@ -111,6 +107,68 @@ class TestStash:
         stash.add(Block(address=1, leaf=0))
         stash.clear()
         assert len(stash) == 0
+
+    @pytest.mark.parametrize(
+        "mutate, leaves",
+        [
+            (lambda stash: stash.add(Block(address=9, leaf=1)), [1, 2, 5, 6]),
+            (lambda stash: stash.retarget(3, 7), [2, 5, 7]),
+            (lambda stash: stash.remove_placed([stash.get(4)]), [5, 6]),
+            (lambda stash: stash.pop(3), [2, 5]),
+            (lambda stash: stash.pop_range(5, 1, 3), [2, 6]),
+            (lambda stash: stash.retarget_range_collect(5, 1, 3, 0), [0, 2, 6]),
+            (lambda stash: stash.clear(), []),
+        ],
+        ids=[
+            "add", "retarget", "remove_placed", "pop", "pop_range",
+            "retarget_range_collect", "clear",
+        ],
+    )
+    def test_sorted_leaves_follow_every_mutator(self, mutate, leaves):
+        stash = Stash()
+        for address, leaf in ((1, 5), (2, 5), (3, 6), (4, 2)):
+            stash.add(Block(address=address, leaf=leaf))
+        assert stash.sorted_leaves() == [2, 5, 6]
+        mutate(stash)
+        assert stash.sorted_leaves() == leaves
+        assert leaves == sorted(leaf for leaf, _ in stash.leaf_groups())
+
+    def test_sorted_leaves_kept_while_the_leaf_set_holds(self):
+        stash = Stash()
+        stash.add(Block(address=1, leaf=5))
+        ordered = stash.sorted_leaves()
+        stash.add(Block(address=2, leaf=5))
+        stash.retarget(2, 5)
+        stash.pop(1)
+        assert stash.sorted_leaves() is ordered
+
+    def test_leaf_cache_stays_out_of_pickled_state(self):
+        stash = Stash()
+        stash.add(Block(address=3, leaf=9))
+        assert stash.sorted_leaves() == [9]
+        assert "_sorted_leaves" not in stash.__getstate__()
+        restored = pickle.loads(pickle.dumps(stash))
+        assert restored._sorted_leaves is None
+        assert restored.sorted_leaves() == [9]
+        assert restored.fingerprint() == stash.fingerprint()
+        # A stash pickled before the view existed (it had a capacity knob).
+        old = Stash.__new__(Stash)
+        old.__setstate__({
+            "_blocks": {3: Block(address=3, leaf=9)},
+            "_by_leaf": {9: [Block(address=3, leaf=9)]},
+            "_capacity": None,
+            "_max_occupancy": 1,
+        })
+        assert not hasattr(old, "_capacity")
+        assert old.sorted_leaves() == [9]
+        # An ORAM snapshot keeps its friend views aliased to the stash's.
+        oram = PathORAM(ORAMConfig(working_set_blocks=64), rng=random.Random(1))
+        oram._stash.add(Block(address=3, leaf=1))
+        oram._stash.sorted_leaves()
+        restored_oram = PathORAM.restore(oram.snapshot())
+        assert restored_oram._stash_by_leaf is restored_oram._stash._by_leaf
+        assert restored_oram._stash_blocks is restored_oram._stash._blocks
+        assert restored_oram._stash.fingerprint() == oram._stash.fingerprint()
 
 
 class TestAccessStats:

@@ -173,12 +173,3 @@ class TestSubtreeBoundaries:
         assert flat.stash_addresses() == []
         assert bucket_addresses(flat)[2] == [4]
         assert fingerprint(flat) == fingerprint(plain)
-
-    def test_leaf_cache_stays_out_of_pickled_state(self):
-        flat, _ = tiny_twins(PATH_BLOCKS, [(3, HI)])
-        dummy_on_path(flat)
-        assert flat._stash_leaf_cache == ([HI], [HI])
-        assert "_stash_leaf_cache" not in flat.__getstate__()
-        restored = PathORAM.restore(flat.snapshot())
-        assert restored._stash_leaf_cache == ([], [])
-        assert fingerprint(restored) == fingerprint(flat)
