@@ -11,9 +11,9 @@ One chain walk serves :meth:`HierarchicalPathORAM.access`,
 :meth:`~HierarchicalPathORAM.extract` and
 :meth:`~HierarchicalPathORAM.access_many`: it draws the whole stack of
 fresh leaves into one reused buffer (a single ``getrandbits`` per ORAM),
-resolves the per-level ``(block, slot)`` coordinates from a memoised chain
-table, serves the deepest level it can from the PosMap Lookaside Buffer,
-drives each remaining position-map ORAM inwards through
+resolves the per-level ``(block, slot)`` coordinates (one divmod per
+position-map level), serves the deepest level it can from the PosMap
+Lookaside Buffer, drives each remaining position-map ORAM inwards through
 :meth:`PathORAM.access_position_block` and ends with the data ORAM's
 :meth:`PathORAM.access_path` — so a recursive access costs at most H path
 operations and nothing else.  Every ORAM runs its own engine's path op.
@@ -147,8 +147,6 @@ class HierarchicalPathORAM:
         # * one reused buffer of fresh leaves, filled by a single
         #   getrandbits draw per ORAM (leaf counts are powers of two, and
         #   getrandbits(0) is 0 without consuming the stream);
-        # * the (block, slot) chain per data address, memoised — the
-        #   divmod ladder is pure arithmetic on the address's group id;
         # * the on-chip position map's entry list, so the outermost
         #   lookup/install is one list index;
         # * dummy rounds walk the ORAMs smallest-first (the reverse of
@@ -157,13 +155,6 @@ class HierarchicalPathORAM:
         self._leaf_bits = [(config.num_leaves - 1).bit_length() for config in self._configs]
         self._new_leaves = [0] * len(self._configs)
         self._getrandbits = self._rng.getrandbits
-        # Chain memoisation is worth one dict entry per accessed address
-        # only while the map stays small (like path_oram's _deepest_table,
-        # which is disabled for big trees); past the cutoff the divmod
-        # ladder is recomputed per access.
-        self._chain_cache: dict[int, tuple[tuple[int, int], ...]] | None = (
-            {} if self._configs[0].working_set_blocks <= 1 << 16 else None
-        )
         self._data_group_of = self._orams[0].super_block_mapper.group_of
         self._onchip_leaves = self._onchip_position_map.leaves
         # PosMap Lookaside Buffer.  It only engages when every
@@ -217,8 +208,10 @@ class HierarchicalPathORAM:
     def __setstate__(self, state: dict) -> None:
         # The data ORAM's __getstate__ stripped the PLB observer closure;
         # everything else (shared RNG, the PLB's live label-list references
-        # into the chain's blocks, the memoised chain tables) round-trips
-        # through the pickle memo with aliasing intact.
+        # into the chain's blocks) round-trips through the pickle memo with
+        # aliasing intact.  Snapshots written before the chain memo was
+        # removed carry it.
+        state.pop("_chain_cache", None)
         self.__dict__.update(state)
         self._install_retarget_observer()
 
@@ -410,8 +403,8 @@ class HierarchicalPathORAM:
         """One hierarchical access up to background eviction: the chain walk.
 
         Draws a fresh leaf for every ORAM up front (so a PLB hit consumes
-        no extra randomness and the stream matches the PLB-off run), looks
-        up the memoised ``(block, slot)`` chain, and — with the PosMap
+        no extra randomness and the stream matches the PLB-off run), works
+        out the ``(block, slot)`` chain, and — with the PosMap
         Lookaside Buffer active — serves the deepest chain entry whose
         block is cached: it retargets this access's label inside the
         cached block, and every level above is skipped, since the cached
@@ -434,13 +427,7 @@ class HierarchicalPathORAM:
         for bits in self._leaf_bits:
             new_leaves[index] = getrandbits(bits)
             index += 1
-        cache = self._chain_cache
-        if cache is None:
-            chain = self._chain_for(self._data_group_of(address))
-        else:
-            chain = cache.get(address)
-            if chain is None:
-                chain = cache[address] = self._chain_for(self._data_group_of(address))
+        chain = self._chain_for(self._data_group_of(address))
 
         onchip = self._onchip_leaves
         orams = self._orams
@@ -546,7 +533,3 @@ class HierarchicalPathORAM:
     def total_dummy_rounds(self) -> int:
         """Dummy rounds issued since construction."""
         return self._stats.dummy_accesses
-
-    def total_real_accesses(self) -> int:
-        """Real hierarchical accesses since construction."""
-        return self._stats.real_accesses

@@ -72,11 +72,6 @@ __all__ = ["MemmapTreeStorage", "CRASH_POINTS", "SYNC_MODES", "column_digest"]
 #: on pages of this size (the common filesystem block size).
 PAGE_SIZE = 4096
 
-#: Cap on the per-leaf page-set memo: small trees stay fully memoised,
-#: beyond-RAM trees (more leaves than accesses) recompute instead of
-#: hoarding tuples for paths they will never walk again.
-_LEAF_PAGE_CACHE_LIMIT = 1 << 16
-
 #: Journal fsync policy: ``"strict"`` syncs pre-images before the columns
 #: they protect are first written (crash ⇒ guaranteed rollback),
 #: ``"relaxed"`` syncs only at commit (faster epochs; a crash mid-epoch may
@@ -285,7 +280,6 @@ class MemmapTreeStorage(NumpyFlatTreeStorage):
         self._page_size = PAGE_SIZE
         self._data_first_page = layout.data_off // PAGE_SIZE
         self._epoch_pages: dict[int, bytes] = {}
-        self._leaf_pages: dict[int, tuple[int, ...]] = {}
         self._header_pending: tuple[int, bytes] | None = None
         self._data_synced = True
         os.makedirs(self._undo_dir, exist_ok=True)
@@ -725,48 +719,39 @@ class MemmapTreeStorage(NumpyFlatTreeStorage):
     # ------------------------------------------------------------------
     # Dirty tracking (called before any column mutation)
     # ------------------------------------------------------------------
-    def note_path_write(self, leaf: int) -> None:
-        """Journal the pre-images of every page the path to ``leaf`` can
-        touch (counts, address rows, leaf rows), once per epoch.  The
-        column engine calls this before its scatters; the generic
+    def note_path_write(self, geometry: tuple) -> None:
+        """Journal the pre-images of every page a path can touch (counts,
+        address rows, leaf rows), once per epoch.  ``geometry`` is the
+        path's record from :meth:`_geometry`, whose last field is that page
+        set.  The column engine calls this before its scatters; the generic
         write-path methods call it themselves."""
-        pages = self._leaf_pages.get(leaf)
-        if pages is None:
-            pages = self._compute_leaf_pages(leaf)
-            # Beyond-RAM trees have more leaves than any run touches twice;
-            # an unbounded cache would outgrow the columns themselves.
-            if len(self._leaf_pages) < _LEAF_PAGE_CACHE_LIMIT:
-                self._leaf_pages[leaf] = pages
         epoch = self._epoch_pages
-        fresh = [page for page in pages if page not in epoch]
+        fresh = [page for page in geometry[4] if page not in epoch]
         if fresh:
             self._journal_pages(fresh)
 
-    def _compute_leaf_pages(self, leaf: int) -> tuple[int, ...]:
+    def _build_geometry(self, leaf: int) -> tuple:
+        """The column record plus the path's journal page set (sorted)."""
+        record = super()._build_geometry(leaf)
+        buckets = record[2]
         layout = self._layout
         row_bytes = 8 * self._z
         if row_bytes > PAGE_SIZE:  # pragma: no cover - Z beyond any config
             pages: set[int] = set()
-            for bucket in self.path(leaf):
+            for bucket in buckets.tolist():
                 pages.update(self._bucket_pages(bucket))
-            return tuple(sorted(pages))
+            return record + (tuple(sorted(pages)),)
         # A bucket's slot rows fit in one row_bytes stretch (<= one page
-        # boundary crossing) and its count in one word, so the whole path's
-        # page set is five vectorised expressions plus a unique.
-        buckets = np.asarray(self.path(leaf), dtype=np.int64)
-        counts = (layout.counts_off + buckets * 8) // PAGE_SIZE
-        addr0 = layout.addr_off + buckets * row_bytes
-        leaf0 = layout.leaf_off + buckets * row_bytes
-        pages_arr = np.concatenate(
-            (
-                counts,
-                addr0 // PAGE_SIZE,
-                (addr0 + row_bytes - 1) // PAGE_SIZE,
-                leaf0 // PAGE_SIZE,
-                (leaf0 + row_bytes - 1) // PAGE_SIZE,
-            )
-        )
-        return tuple(np.unique(pages_arr).tolist())
+        # boundary crossing) and its count in one word, so per bucket the
+        # pages are those of its count word and of the first and last byte
+        # of its address and leaf rows: one broadcast expression plus a
+        # unique for the whole path.
+        last = row_bytes - 1
+        addr0, leaf0 = layout.addr_off, layout.leaf_off
+        starts = np.array([layout.counts_off, addr0, addr0 + last, leaf0, leaf0 + last])
+        strides = np.array([8, row_bytes, row_bytes, row_bytes, row_bytes])
+        touched = np.unique((starts[:, None] + strides[:, None] * buckets) // PAGE_SIZE)
+        return record + (tuple(touched.tolist()),)
 
     def _bucket_pages(self, bucket: int) -> list[int]:
         layout = self._layout
@@ -791,7 +776,7 @@ class MemmapTreeStorage(NumpyFlatTreeStorage):
         super().write_bucket(bucket_index, blocks)
 
     def write_path_levels(self, leaf: int, level_buckets) -> None:
-        self.note_path_write(leaf)
+        self.note_path_write(self._geometry(leaf))
         super().write_path_levels(leaf, level_buckets)
 
     # ------------------------------------------------------------------

@@ -8,9 +8,10 @@ read, classification, greedy write-back — directly on the int64 columns.
 No :class:`~repro.core.types.Block` shell is materialised for a block that
 enters on the path and leaves on the path (the overwhelmingly common case):
 
-* the path's address/leaf rows are gathered with one precomputed
-  fancy-index per leaf (a static row grid of ``(levels+1) * Z`` slots plus
-  the storage's sentinel row);
+* the path's address/leaf rows are gathered with the fancy-index in the
+  storage's per-leaf geometry record (the path's ``(levels+1) * Z`` slot
+  rows plus the storage's sentinel row), the same record the storage's
+  own path I/O reads;
 * every gathered row is classified to the deepest level it may legally
   occupy with vectorised bucket arithmetic — a single table gather for
   moderate trees, ``frexp``-based bit-length arithmetic for trees too deep
@@ -53,11 +54,6 @@ from repro.core.types import Block
 #: trees classify with vectorised frexp bit-length arithmetic instead.
 _TABLE_LEVELS = 16
 
-#: Beyond this many cached per-leaf row grids the engine rebuilds grids on
-#: the fly instead of growing the cache (beyond-RAM trees touch millions
-#: of distinct leaves).
-_LEAF_CACHE_LIMIT = 1 << 17
-
 #: Marker chunk for the accessed block inside the placement span lists.
 _VIRTUAL = (-1, -1)
 
@@ -93,13 +89,13 @@ class ColumnEngine:
         storage: NumpyFlatTreeStorage = oram.storage
         self._storage = storage
         # Durable storages journal dirty pages before they are mutated; the
-        # engine calls this once per path op, just before its scatters.
+        # engine calls this once per path op, with the path's geometry
+        # record, just before its scatters.
         self._note_path_write = getattr(storage, "note_path_write", None)
         config = oram.config
         self._levels = levels = config.levels
         self._z = z = config.z
         self._grid = grid = (levels + 1) * z
-        self._sentinel_row = config.num_buckets * z
         #: Index of the sentinel inside *gathered* arrays (they carry the
         #: grid's rows plus the sentinel row last).
         self._sentinel_src = grid
@@ -117,21 +113,11 @@ class ColumnEngine:
             self._class_table = self._build_class_table()
         else:
             self._class_table = None
-        self._offsets = np.arange(z, dtype=np.int64)
         # Scratch reused by every op: source index per destination slot
         # (sentinel = leave empty), plus the XOR out-buffer so the hot
         # read's classification input never allocates.
         self._src_buf = np.empty(grid, dtype=np.int64)
         self._diff_buf = np.empty(grid + 1, dtype=np.int64)
-        # Per-leaf row-grid cache: list-indexed for moderate trees, dict
-        # (softly capped) for huge ones.
-        num_leaves = config.num_leaves
-        if num_leaves <= 1 << 16:
-            self._leaf_list: list[tuple | None] | None = [None] * num_leaves
-            self._leaf_dict: dict[int, tuple] | None = None
-        else:
-            self._leaf_list = None
-            self._leaf_dict = {}
 
     def _build_class_table(self) -> np.ndarray:
         levels = self._levels
@@ -149,34 +135,6 @@ class ColumnEngine:
     def _class_of(self, diff: int) -> int:
         """Python-side classification for the accessed block."""
         return self._levels - diff.bit_length()
-
-    def _bundle(self, leaf: int):
-        """The static per-leaf gather/scatter geometry.
-
-        ``(rows_ext, rows, buckets, bases)``: the extended gather index
-        (grid rows root-first, sentinel last), the scatter destination view
-        (grid rows only), the path's bucket indices (ndarray, root first)
-        and their flat row bases as Python ints.
-        """
-        cache_list = self._leaf_list
-        if cache_list is not None:
-            bundle = cache_list[leaf]
-            if bundle is not None:
-                return bundle
-        else:
-            bundle = self._leaf_dict.get(leaf)
-            if bundle is not None:
-                return bundle
-        buckets, bases = self._storage._rows(leaf)  # noqa: SLF001
-        rows_ext = np.empty(self._grid + 1, dtype=np.int64)
-        rows_ext[:-1] = (bases[:, None] + self._offsets).ravel()
-        rows_ext[-1] = self._sentinel_row
-        bundle = (rows_ext, rows_ext[:-1], buckets, bases.tolist())
-        if cache_list is not None:
-            cache_list[leaf] = bundle
-        elif len(self._leaf_dict) < _LEAF_CACHE_LIMIT:
-            self._leaf_dict[leaf] = bundle
-        return bundle
 
     # ------------------------------------------------------------------
     # The column-native path operation
@@ -225,7 +183,10 @@ class ColumnEngine:
         if oram._record_path_trace:  # noqa: SLF001
             oram._path_trace.append(leaf)  # noqa: SLF001
 
-        rows_ext, rows, buckets, bases = engine._bundle(leaf)
+        # The storage's per-leaf record: gather index (sentinel last),
+        # scatter rows, bucket indices, first slot row per bucket.
+        geometry = storage._geometry(leaf)  # noqa: SLF001
+        rows_ext, rows, buckets, bases = geometry[:4]
 
         # ---- gather + vectorised classification ----
         lvs = leaves_col[rows_ext]
@@ -445,7 +406,7 @@ class ColumnEngine:
         # ---- scatter the whole path back (sentinel source = empty) ----
         note = engine._note_path_write
         if note is not None:
-            note(leaf)
+            note(geometry)
         addresses_col[rows] = addrs[src_buf]
         leaves_col[rows] = lvs[src_buf]
         if gather_payloads:

@@ -4,7 +4,7 @@
 list of Python objects: per-bucket occupancy counts plus per-slot address
 and leaf labels live in preallocated int64 ndarrays, and only the opaque
 payloads stay in an aligned object column.  Whole-path reads gather the
-path's slot rows with one precomputed fancy-index per leaf, and the
+path's slot rows with the storage's per-leaf geometry record, and the
 flattened write-back scatters counts and slot columns back with slice
 assignments — the ndarray version of
 :class:`~repro.core.tree.FlatTreeStorage`'s batched path operations.
@@ -45,7 +45,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import ORAMConfig
-from repro.core.tree import TreeStorage
+from repro.core.tree import TreeStorage, path_indices
 from repro.core.types import Block
 from repro.errors import ConfigurationError
 
@@ -82,9 +82,6 @@ class NumpyFlatTreeStorage(TreeStorage):
         #: the payload gather/scatter entirely.
         self.has_payloads = False
         self._occupancy = 0
-        # Per-leaf cache of the path's bucket indices as an ndarray plus the
-        # flat slot-row base offsets (bucket * Z), for gather/scatter.
-        self._path_rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def _allocate_columns(self, num_buckets: int, num_rows: int) -> None:
         """Provision the three numeric columns plus the payload column.
@@ -158,12 +155,25 @@ class NumpyFlatTreeStorage(TreeStorage):
     # ------------------------------------------------------------------
     # Batched path operations: gathers and scatters over the columns
     # ------------------------------------------------------------------
-    def _rows(self, leaf: int) -> tuple[np.ndarray, np.ndarray]:
-        cached = self._path_rows.get(leaf)
-        if cached is None:
-            buckets = np.asarray(self.path(leaf), dtype=np.int64)
-            cached = self._path_rows[leaf] = (buckets, buckets * self._z)
-        return cached
+    def _build_geometry(self, leaf: int) -> tuple:
+        """This stack's per-leaf record, shared by its own path I/O and the
+        column engine: ``(rows_ext, rows, buckets, bases)`` — the gather
+        index (the path's slot rows root first, then the sentinel row), its
+        view without the sentinel (the scatter destination), the path's
+        bucket indices as an ndarray and their first slot rows as ints.
+        Subclasses may append fields (the memory-mapped stack adds its page
+        set); readers take the first four."""
+        buckets = np.asarray(path_indices(leaf, self._config.levels), dtype=np.int64)
+        bases = buckets * self._z
+        rows_ext = np.empty(bases.size * self._z + 1, dtype=np.int64)
+        rows_ext[:-1] = (bases[:, None] + np.arange(self._z)).ravel()
+        rows_ext[-1] = self._config.num_buckets * self._z
+        return rows_ext, rows_ext[:-1], buckets, bases.tolist()
+
+    def path(self, leaf: int) -> tuple[int, ...]:
+        """Bucket indices to ``leaf``, recomputed: this stack caches the
+        record above instead."""
+        return tuple(path_indices(leaf, self._config.levels))
 
     def read_path_blocks(self, leaf: int) -> list[Block]:
         """Materialise every real block on the path from the columns.
@@ -172,7 +182,7 @@ class NumpyFlatTreeStorage(TreeStorage):
         live; the address/leaf columns for those rows are pulled in two
         fancy-indexed reads instead of a Python loop per bucket.
         """
-        buckets, bases = self._rows(leaf)
+        buckets, bases = self._geometry(leaf)[2:4]
         counts = self._counts[buckets]
         total = int(counts.sum())
         if not total:
@@ -181,7 +191,7 @@ class NumpyFlatTreeStorage(TreeStorage):
         rows = np.concatenate(
             [
                 np.arange(base, base + count)
-                for base, count in zip(bases.tolist(), counts.tolist())
+                for base, count in zip(bases, counts.tolist())
                 if count
             ]
         )
@@ -199,7 +209,7 @@ class NumpyFlatTreeStorage(TreeStorage):
         for blocks in level_buckets:
             if blocks and len(blocks) > z:
                 raise ConfigurationError(f"bucket overfilled: {len(blocks)} > Z={z}")
-        buckets, bases = self._rows(leaf)
+        buckets, bases = self._geometry(leaf)[2:4]
         counts = self._counts
         addresses = self._addresses
         leaves = self._leaves
@@ -207,9 +217,7 @@ class NumpyFlatTreeStorage(TreeStorage):
         empty_leaf = self.empty_leaf
         has_payloads = self.has_payloads
         occupancy = self._occupancy
-        for bucket_index, base, blocks in zip(
-            buckets.tolist(), bases.tolist(), level_buckets
-        ):
+        for bucket_index, base, blocks in zip(buckets.tolist(), bases, level_buckets):
             old = int(counts[bucket_index])
             if blocks:
                 count = len(blocks)

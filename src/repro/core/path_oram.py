@@ -142,20 +142,12 @@ class PathORAM:
         self._working_set = config.working_set_blocks
         self._eviction_threshold = config.eviction_threshold
         # The classified path op talks straight to FlatTreeStorage's slot
-        # array (friend access to _slots, _bases and _occupancy).
-        # Subclasses of the flat storage may intercept path operations, so
-        # only the exact type takes it.
+        # array (friend access to _slots, _occupancy and the per-leaf table
+        # of bucket bases, which the storage owns and fills; see
+        # _attach_path_op).  Subclasses of the flat storage may intercept
+        # path operations, so only the exact type takes it.
         flat = type(self._storage) is FlatTreeStorage
         self._slots = self._storage._slots if flat else None  # noqa: SLF001
-        # Per-leaf (bases, reversed bases) pairs: one lookup serves the
-        # classified op's root-first read walk and deepest-first placement
-        # walk (the bases tuples are shared with the storage's own cache by
-        # reference).  Like the deepest-level table below, the cache is only
-        # kept for moderate trees.  Lazily filled, leaf-indexed: a list beats
-        # a dict on the hot path (one bounds-checked index, no hash probe).
-        self._path_pairs: list[tuple[tuple[int, ...], tuple[int, ...]] | None] | None = (
-            [None] * config.num_leaves if config.num_leaves <= 1 << 16 else None
-        )
         # Scratch lists reused by every write-back: candidate blocks from
         # the stash and from the pending path buffer, bucketed by the
         # deepest level they may occupy on the path being written.
@@ -185,7 +177,7 @@ class PathORAM:
         # The classified path op (_fused_single_access) needs the exact flat
         # storage and the moderate-tree lookup tables.  The two cutoffs
         # coincide: levels <= 16 implies both the deepest-level table and
-        # the path-pair cache exist.
+        # the storage's per-leaf bases table (tree.LEAF_CACHE_LEAVES) exist.
         self._classified_fast = flat and self._deepest_table is not None
         # Blocks read from the current path live here between the path read
         # and the path write-back.  Most of them go straight back into the
@@ -269,6 +261,11 @@ class PathORAM:
         single-leaf trees).  Everything else runs the generic op.
         """
         cls = type(self)
+        # The flat storage's per-leaf bases table, aliased like _slots (the
+        # storage rebuilds it on restore, so the alias is re-made here).
+        self._leaf_bases = (
+            self._storage._geometry_table if self._slots is not None else None  # noqa: SLF001
+        )
         self._column_engine = None
         if getattr(type(self._storage), "columnar", False):
             from repro.core.numpy_engine import ColumnEngine
@@ -361,18 +358,23 @@ class PathORAM:
         # methods and the friend views into the storage, stash and position
         # map, whose aliasing the pickle memo preserves exactly — except:
         # the PLB observer closure (installed by HierarchicalPathORAM,
-        # which re-installs it on restore) and the column engine (ndarray
+        # which re-installs it on restore), the column engine (ndarray
         # aliases into the storage; rebuilt from the restored columns,
-        # together with the path op).
+        # together with the path op) and the alias of the storage's
+        # per-leaf geometry, which the storage leaves out of its own state.
         state = self.__dict__.copy()
         state["_retarget_observer"] = None
         state["_column_engine"] = None
         state["_path_op"] = None
+        del state["_leaf_bases"]
         return state
 
     def __setstate__(self, state: dict) -> None:
-        # Snapshots written before the Block free-list was removed carry it.
+        # Snapshots written before the Block free-list was removed carry it,
+        # and those written before the storage owned its geometry carry the
+        # ORAM's own per-leaf cache.
         state.pop("_block_pool", None)
+        state.pop("_path_pairs", None)
         self.__dict__.update(state)
         self._attach_path_op()
 
@@ -634,13 +636,11 @@ class PathORAM:
         reference.  The generic engine may re-materialise payloads on the
         next read (encrypted storage) and hands back ``None`` instead.
 
-        The caller (the hierarchical ORAM) guarantees ``new_leaf`` is in
-        range and that this ORAM uses single-member groups.
+        The address and both leaves are validated before any state
+        changes; the caller (the hierarchical ORAM) guarantees that this
+        ORAM uses single-member groups.
         """
-        if not 1 <= address <= self._working_set:
-            raise ConfigurationError(
-                f"address {address} outside [1, {self._working_set}]"
-            )
+        self._check_path_args(address, current_leaf, new_leaf)
         self._pm_leaves[address - 1] = new_leaf
         result = self._path_op(
             self, address, current_leaf, new_leaf, True, None, False,
@@ -1005,11 +1005,9 @@ class PathORAM:
         # ---- single-pass path read + classification ----
         if self._record_path_trace:
             self._path_trace.append(leaf)
-        pair = self._path_pairs[leaf]
-        if pair is None:
-            bases = self._storage._bases(leaf)  # noqa: SLF001 - friend fast path
-            pair = self._path_pairs[leaf] = (bases, bases[::-1])
-        bases, rbases = pair
+        bases = self._leaf_bases[leaf]
+        if bases is None:
+            bases = self._storage._geometry(leaf)  # noqa: SLF001 - friend fast path
         pending = 0
         target = None
         for base in bases:
@@ -1121,7 +1119,7 @@ class PathORAM:
         if by_leaf and not storm:
             # Cold path: stash candidates compete for slots too.
             pending += self._pool_stash(leaf)
-            written, placed_stash, spilled = self._place_into_slots(pending, rbases)
+            written, placed_stash, spilled = self._place_into_slots(pending, bases)
             if placed_stash:
                 self._stash.remove_placed(placed_stash)
         else:
@@ -1133,7 +1131,7 @@ class PathORAM:
             occupancy_delta = 0
             written = 0
             nb = 0
-            placement = zip(rbases, self._by_buffer_rev)
+            placement = zip(reversed(bases), self._by_buffer_rev)
             for base, b_ready in placement:
                 old = slots[base]
                 if b_ready and not nb:
@@ -1181,7 +1179,7 @@ class PathORAM:
             if occupancy_delta:
                 self._storage._occupancy += occupancy_delta  # noqa: SLF001
             if storm:
-                written += self._offer_free_slots(leaf, bases, rbases)
+                written += self._offer_free_slots(leaf, bases)
 
         if spilled:
             # Unplaced buffer blocks now genuinely enter the stash.
@@ -1195,7 +1193,7 @@ class PathORAM:
             return result, labels
         return result, found
 
-    def _offer_free_slots(self, leaf: int, bases: tuple[int, ...], rbases: tuple[int, ...]) -> int:
+    def _offer_free_slots(self, leaf: int, bases: tuple[int, ...]) -> int:
         """Storm write-back, phase two: give the stash the slots the path's own blocks
         left free (they win every level of the merged walk anyway); returns the count
         placed.  A class-``c`` block lands at a level ``<= c`` and every bucket above the
@@ -1218,7 +1216,7 @@ class PathORAM:
         self._pool_stash(leaf)
         # Deepest-first fill from the pool's end, as in _place_into_slots.
         avail, placed_stash = [], []
-        for base, s_ready in zip(rbases, self._by_stash_rev):
+        for base, s_ready in zip(reversed(bases), self._by_stash_rev):
             avail += s_ready
             s_ready.clear()
             count = slots[base]
@@ -1291,12 +1289,12 @@ class PathORAM:
         return pooled
 
     def _place_into_slots(
-        self, pending: int, rbases: tuple[int, ...]
+        self, pending: int, bases: tuple[int, ...]
     ) -> tuple[int, list[Block], list[Block]]:
         """Fused placement: write levels directly into the flat slot array.
 
-        Walks the path (bucket bases ``rbases``, deepest first) exactly
-        once.  Blocks whose deepest legal level is the current one join the
+        Walks the path (bucket bases ``bases``, root first) exactly once,
+        deepest first.  Blocks whose deepest legal level is the current one join the
         available pools; each level takes up to ``Z`` (buffer blocks first),
         and the chosen blocks are sliced straight into the storage's slots.
         The selection is identical to :meth:`_place_into_levels` — the two
@@ -1319,7 +1317,9 @@ class PathORAM:
         nb = ns = 0
         # Deepest-first walk: path bucket bases zipped with the matching
         # buffer/stash class lists.
-        for base, b_ready, s_ready in zip(rbases, self._by_buffer_rev, self._by_stash_rev):
+        for base, b_ready, s_ready in zip(
+            reversed(bases), self._by_buffer_rev, self._by_stash_rev
+        ):
             old = slots[base]
             if written == pending:
                 # Every candidate is placed; shallower buckets only need

@@ -85,12 +85,43 @@ def bucket_level(bucket_index: int) -> int:
     return level
 
 
+#: The one per-leaf cache rule: a storage keeps its per-leaf path geometry
+#: in a leaf-indexed list when the tree has at most this many leaves (the
+#: classified path op's cutoff, 16 levels); bigger trees touch too many
+#: distinct leaves for a cache to pay, so they recompute it per access.
+LEAF_CACHE_LEAVES = 1 << 16
+
+
 class TreeStorage(ABC):
-    """Abstract bucket store for one Path ORAM tree."""
+    """Abstract bucket store for one Path ORAM tree.
+
+    The storage owns its per-leaf path geometry: :meth:`_build_geometry`
+    says what one leaf's record is (here the path's bucket indices; the
+    slot-array and column stacks keep the record their path I/O reads), and
+    :meth:`_geometry` caches it under :data:`LEAF_CACHE_LEAVES`.  The cache
+    is derived state, so pickles leave it out.
+    """
 
     def __init__(self, config: ORAMConfig) -> None:
         self._config = config
-        self._path_cache: dict[int, tuple[int, ...]] = {}
+        self._geometry_table = self._new_geometry_table()
+
+    def _new_geometry_table(self) -> list | None:
+        num_leaves = self._config.num_leaves
+        return [None] * num_leaves if num_leaves <= LEAF_CACHE_LEAVES else None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_geometry_table"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        # Snapshots written before the storage owned one geometry table
+        # carry its per-leaf caches.
+        for stale in ("_path_cache", "_base_cache", "_path_rows"):
+            state.pop(stale, None)
+        self.__dict__.update(state)
+        self._geometry_table = self._new_geometry_table()
 
     @property
     def config(self) -> ORAMConfig:
@@ -100,19 +131,29 @@ class TreeStorage(ABC):
     def num_buckets(self) -> int:
         return self._config.num_buckets
 
-    def path(self, leaf: int) -> tuple[int, ...]:
-        """Bucket indices along the path to ``leaf``, root first.
+    def _build_geometry(self, leaf: int) -> tuple[int, ...]:
+        """One leaf's geometry record, computed; raises
+        :class:`~repro.errors.ConfigurationError` for a leaf outside
+        ``[0, 2^L)``."""
+        return tuple(path_indices(leaf, self._config.levels))
 
-        Paths are memoised per leaf: the protocol touches the same table on
-        every read, write-back and dummy access, so after the first access
-        to a leaf this is a single dictionary lookup with no
-        range-revalidation.
-        """
-        path = self._path_cache.get(leaf)
-        if path is None:
-            path = tuple(path_indices(leaf, self._config.levels))
-            self._path_cache[leaf] = path
-        return path
+    def _geometry(self, leaf: int):
+        """One leaf's geometry record, cached in the leaf-indexed table on
+        trees of at most :data:`LEAF_CACHE_LEAVES` leaves.  An out-of-range
+        leaf goes to :meth:`_build_geometry`, which rejects it (a list index
+        would silently wrap a negative leaf)."""
+        table = self._geometry_table
+        if table is not None and 0 <= leaf < len(table):
+            geometry = table[leaf]
+            if geometry is None:
+                geometry = table[leaf] = self._build_geometry(leaf)
+            return geometry
+        return self._build_geometry(leaf)
+
+    def path(self, leaf: int) -> tuple[int, ...]:
+        """Bucket indices along the path to ``leaf``, root first (the
+        storage's geometry record, cached per leaf)."""
+        return self._geometry(leaf)
 
     @abstractmethod
     def read_bucket(self, bucket_index: int) -> list[Block]:
@@ -199,17 +240,16 @@ class FlatTreeStorage(TreeStorage):
             slots[bucket_index * self._stride] = 0
         self._slots = slots
         self._occupancy = 0
-        # Per-leaf tuple of bucket base offsets (bucket_index * stride),
-        # cached like the path table.
-        self._base_cache: dict[int, tuple[int, ...]] = {}
 
-    def _bases(self, leaf: int) -> tuple[int, ...]:
-        bases = self._base_cache.get(leaf)
-        if bases is None:
-            stride = self._stride
-            bases = tuple(index * stride for index in self.path(leaf))
-            self._base_cache[leaf] = bases
-        return bases
+    def _build_geometry(self, leaf: int) -> tuple[int, ...]:
+        """The path's bucket base offsets (``bucket_index * stride``), root
+        first: this stack's per-leaf record."""
+        stride = self._stride
+        return tuple(index * stride for index in path_indices(leaf, self._config.levels))
+
+    def path(self, leaf: int) -> tuple[int, ...]:
+        """Bucket indices to ``leaf``, recomputed: this stack caches bases."""
+        return tuple(path_indices(leaf, self._config.levels))
 
     def read_bucket(self, bucket_index: int) -> list[Block]:
         base = bucket_index * self._stride
@@ -233,7 +273,7 @@ class FlatTreeStorage(TreeStorage):
         slots = self._slots
         blocks: list[Block] = []
         append = blocks.append
-        for base in self._bases(leaf):
+        for base in self._geometry(leaf):
             count = slots[base]
             if count:
                 if count == 1:
@@ -252,7 +292,7 @@ class FlatTreeStorage(TreeStorage):
         for blocks in level_buckets:
             if blocks and len(blocks) > z:
                 raise ConfigurationError(f"bucket overfilled: {len(blocks)} > Z={z}")
-        for base, blocks in zip(self._bases(leaf), level_buckets):
+        for base, blocks in zip(self._geometry(leaf), level_buckets):
             old = slots[base]
             if blocks:
                 count = len(blocks)

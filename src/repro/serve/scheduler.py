@@ -167,15 +167,19 @@ class BatchScheduler:
         return batch, capped
 
 
+#: Shortest run of consecutive fusable reads worth one fused ``access_many``
+#: call; a lone read executes as an individual access.
+FUSE_MIN_RUN = 2
+
+
 def execute_batch(
     oram: Any,
     batch: list[PendingRequest],
     fuse: bool = True,
-    fuse_min_run: int = 2,
 ) -> tuple[list[tuple[PendingRequest, Any, bool]], int]:
     """Execute one admitted micro-batch against one ORAM.
 
-    Maximal runs of at least ``fuse_min_run`` consecutive fusable reads
+    Maximal runs of at least :data:`FUSE_MIN_RUN` consecutive fusable reads
     (op READ, ``collect=False``) go through one fused ``access_many``
     call; everything else executes as an individual ``access``.  Both
     paths are bit-identical state-wise (the ``access_many`` differential
@@ -203,7 +207,7 @@ def execute_batch(
                 and not batch[end].request.collect
             ):
                 end += 1
-            if end - index >= fuse_min_run:
+            if end - index >= FUSE_MIN_RUN:
                 run = batch[index:end]
                 try:
                     oram.access_many([p.request.address for p in run])

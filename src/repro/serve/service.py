@@ -61,23 +61,17 @@ class ServiceConfig:
         Coalesce runs of consecutive fusable reads into one
         ``access_many`` call.  State-identical either way; off it serves
         every request individually (useful as a reference).
-    fuse_min_run:
-        Minimum run length worth a fused call (shorter runs execute as
-        individual accesses).
     """
 
     max_batch: int = 256
     default_quota: int = 0
     fuse_reads: bool = True
-    fuse_min_run: int = 2
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ConfigurationError("max_batch must be >= 1")
         if self.default_quota < 0:
             raise ConfigurationError("default_quota must be >= 0 (0 = unbounded)")
-        if self.fuse_min_run < 1:
-            raise ConfigurationError("fuse_min_run must be >= 1")
 
 
 def _path_oram_fingerprint(oram: PathORAM) -> tuple:
@@ -327,12 +321,8 @@ class OramService:
                 self._execute(name, batch, capped)
 
     def _execute(self, name: str, batch: list[PendingRequest], capped: list[str]) -> None:
-        config = self._config
         outcomes, fused_runs = execute_batch(
-            self._instances[name],
-            batch,
-            fuse=config.fuse_reads,
-            fuse_min_run=config.fuse_min_run,
+            self._instances[name], batch, fuse=self._config.fuse_reads
         )
         stats = self._stats
         stats.batches += 1

@@ -73,7 +73,7 @@ class TestAccessCorrectness:
         oram = HierarchicalPathORAM(hierarchy, rng=random.Random(6))
         for address in range(1, 31):
             oram.access(address, Operation.READ)
-        assert oram.total_real_accesses() == 30
+        assert oram.stats.real_accesses == 30
         # Every hierarchical access touches every ORAM in the chain once.
         for underlying in oram.orams:
             assert underlying.stats.real_accesses == 30

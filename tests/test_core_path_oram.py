@@ -223,6 +223,9 @@ BAD_CALLS = {
     "access_path(3, -1, 2)": lambda oram: oram.access_path(3, -1, 2),
     "access_path(3, 0, 32)": lambda oram: oram.access_path(3, 0, 32),
     "extract_path(3, 10**9, 2)": lambda oram: oram.extract_path(3, 10**9, 2),
+    "access_position_block(3, 10**9, 2, 0, 1, 4, 8)": (
+        lambda oram: oram.access_position_block(3, 10**9, 2, 0, 1, 4, 8)
+    ),
 }
 
 

@@ -166,11 +166,15 @@ class TestFlatTreeStorage:
         recount = sum(len(storage.read_bucket(i)) for i in range(storage.num_buckets))
         assert storage.occupancy() == recount
 
-    def test_path_is_cached_and_stable(self, small_config):
+    def test_path_bases_are_cached_and_stable(self, small_config):
+        # The flat stack's one per-leaf record is the path's bucket bases;
+        # path() itself is recomputed.
         storage = FlatTreeStorage(small_config)
-        first = storage.path(2)
-        assert storage.path(2) is first
-        assert list(first) == path_indices(2, small_config.levels)
+        first = storage._geometry(2)
+        assert storage._geometry(2) is first
+        path = path_indices(2, small_config.levels)
+        assert first == tuple(index * (small_config.z + 1) for index in path)
+        assert list(storage.path(2)) == path
 
 
 class TestEncryptedTreeStorage:

@@ -344,7 +344,3 @@ class TestServiceConfigValidation:
     def test_negative_quota(self):
         with pytest.raises(ConfigurationError, match="quota"):
             ServiceConfig(default_quota=-1)
-
-    def test_fuse_min_run_floor(self):
-        with pytest.raises(ConfigurationError, match="fuse_min_run"):
-            ServiceConfig(fuse_min_run=0)
