@@ -9,7 +9,9 @@ at ``Z=4``, ``112 + 128 k`` counter-scheme bytes for ``k`` 128-byte blocks.
 
 Payloads may be ``None`` (functional runs), raw ``bytes`` (processor data),
 a signed integer or a sequence of integers (position-map ORAM blocks holding
-leaf labels); each is tagged so decoding restores the original type.
+leaf labels); each is tagged so decoding restores the original type.  A
+``str`` is not a label sequence: like any other payload type it raises
+:class:`EncryptionError`.
 
 Slot layout (little-endian), a 21-byte ``<QQBI`` header then the body::
 
@@ -30,7 +32,7 @@ A field that does not fit its width raises :class:`EncryptionError`.
 from __future__ import annotations
 
 import struct
-from typing import Sequence
+from typing import Any, Sequence
 
 from repro.core.config import ORAMConfig
 from repro.core.types import DUMMY_ADDRESS, Block
@@ -54,7 +56,8 @@ class BucketCodec:
     # ------------------------------------------------------------------
     # Per-block encoding
     # ------------------------------------------------------------------
-    def encode_block(self, block: Block | None) -> bytes:
+    @staticmethod
+    def encode_block(block: Block | None) -> bytes:
         """Serialise one block (``None`` produces a dummy slot)."""
         if block is None or block.is_dummy():
             return _DUMMY_SLOT
@@ -68,13 +71,21 @@ class BucketCodec:
             if isinstance(payload, int) and not isinstance(payload, bool):
                 header = _HEADER.pack(block.address, block.leaf, _PAYLOAD_INT, 16)
                 return header + payload.to_bytes(16, "little", signed=True)
-            if isinstance(payload, Sequence):
+            if isinstance(payload, Sequence) and not isinstance(payload, str):
                 labels = [int(v) for v in payload]
                 header = _HEADER.pack(block.address, block.leaf, _PAYLOAD_LABELS, len(labels))
                 return header + struct.pack(f"<{len(labels)}Q", *labels)
-        except (struct.error, OverflowError) as exc:
+        except (struct.error, OverflowError, TypeError, ValueError) as exc:
             raise EncryptionError(f"block {block.address} does not fit its slot: {exc}") from exc
         raise EncryptionError(f"unsupported block payload type: {type(payload).__name__}")
+
+    @staticmethod
+    def check_payload(payload: Any) -> None:
+        """Raise :class:`EncryptionError` unless a block can carry ``payload``
+        (the write entry points of the encoding stacks call it before any
+        state changes, so a bad payload never reaches a path write-back)."""
+        if payload is not None and type(payload) is not bytes:
+            BucketCodec.encode_block(Block(1, 0, payload))
 
     def decode_block(self, plaintext: bytes) -> Block | None:
         """Deserialise one block; dummies decode to ``None``."""

@@ -303,6 +303,7 @@ class HierarchicalPathORAM:
         the stash, so :meth:`PathORAM.access_path` treats it as advisory.
         """
         self._check_address(address)
+        self._orams[0]._check_write(op, data)  # noqa: SLF001 - before the chain moves
         result = self._chain_access(address, op, data, False)
         self._stats.real_accesses += 1
         result.dummy_accesses = self._run_background_eviction()
@@ -335,6 +336,7 @@ class HierarchicalPathORAM:
         if addresses:
             self._check_address(min(addresses))
             self._check_address(max(addresses))
+        self._orams[0]._check_write(op, data)  # noqa: SLF001 - before the chain moves
         chain_access = self._chain_access
         thresholded = self._thresholded
         run_eviction = self._run_background_eviction

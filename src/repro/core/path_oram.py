@@ -46,7 +46,11 @@ occupy (one lookup per path block, and one capped scan of the stash's leaf
 index that every op shares, :meth:`PathORAM._pool_stash`) and places them
 deepest-first in a single walk over the path; in an eviction storm the
 classified op places the path's own blocks first and then offers the stash
-only the slots left free.  Every op adds, retargets and removes stash
+only the slots left free.  A block the classified op creates on a miss
+while the stash is otherwise empty never enters it: after the path's own
+blocks it takes the deepest free slot at or above its class (the merged
+walk's choice for a one-block stash), or else joins the stash ahead of
+any spilled path blocks.  Every op adds, retargets and removes stash
 blocks through :class:`~repro.core.stash.Stash`'s methods; the ORAM's
 friend views of the stash's dicts are only read.
 """
@@ -68,7 +72,7 @@ from repro.core.super_block import (
     SuperBlockMapper,
 )
 from repro.core.tree import FlatTreeStorage, TreeStorage
-from repro.core.types import AccessResult, Block, Operation, TraceResult
+from repro.core.types import AccessResult, Block, Operation, TraceResult, as_operation
 from repro.errors import ConfigurationError, StashOverflowError
 
 #: ``Operation.WRITE`` as a module constant: an enum attribute lookup costs
@@ -261,6 +265,7 @@ class PathORAM:
         single-leaf trees).  Everything else runs the generic op.
         """
         cls = type(self)
+        self._payload_check = self._storage.check_payload
         # The flat storage's per-leaf bases table, aliased like _slots (the
         # storage rebuilds it on restore, so the alias is re-made here).
         self._leaf_bases = (
@@ -421,6 +426,9 @@ class PathORAM:
             raise ConfigurationError(
                 f"address {address} outside [1, {self._working_set}]"
             )
+        is_write = op is _WRITE
+        if type(op) is not Operation or is_write and self._payload_check is not None:
+            is_write = self._check_write(op, data)
         if self._single_member_groups:
             leaves = self._pm_leaves
             old_leaf = leaves[address - 1]
@@ -431,7 +439,7 @@ class PathORAM:
             old_leaf, new_leaf = self._choose_leaves(address, None, None)
         result_data, found = self._path_op(
             self, address, old_leaf, new_leaf,
-            op is _WRITE, data, self._create_on_miss,
+            is_write, data, self._create_on_miss,
             None, 0, 0, 0,
         )
         result = AccessResult(address, result_data, found)
@@ -488,7 +496,6 @@ class PathORAM:
         path_op = self._path_op
         stash_blocks = self._stash_blocks
         create = self._create_on_miss
-        is_write = op is Operation.WRITE
         gate = self._eviction_gate
         after_access = self._eviction.after_access
         no_eviction = type(self._eviction) is NoEviction
@@ -507,6 +514,7 @@ class PathORAM:
         if addresses and (min(addresses) < 1 or max(addresses) > working_set):
             bad = next(a for a in addresses if not 1 <= a <= working_set)
             raise ConfigurationError(f"address {bad} outside [1, {working_set}]")
+        is_write = self._check_write(op, data)
 
         real = found_count = dummy_total = 0
         try:
@@ -595,13 +603,16 @@ class PathORAM:
         when the plan wants a fresh leaf (see :meth:`_choose_leaves`).
         """
         self._check_path_args(address, current_leaf, new_leaf)
+        is_write = op is _WRITE
+        if type(op) is not Operation or is_write and self._payload_check is not None:
+            is_write = self._check_write(op, data)
         if self._single_member_groups:
             self._position_map.assign(address - 1, new_leaf)
         else:
             current_leaf, new_leaf = self._choose_leaves(address, current_leaf, new_leaf)
         result_data, found = self._path_op(
             self, address, current_leaf, new_leaf,
-            op is _WRITE, data, self._create_on_miss,
+            is_write, data, self._create_on_miss,
             None, 0, 0, 0,
         )
         stats = self._stats
@@ -791,6 +802,8 @@ class PathORAM:
         Returns the number of dummy accesses issued.
         """
         self._check_address(address)
+        if self._payload_check is not None:
+            self._payload_check(data)
         group = self._mapper.group_of(address)
         leaf = self._position_map.lookup(group)
         self._stash.add(Block(address=address, leaf=leaf, data=data))
@@ -806,6 +819,21 @@ class PathORAM:
             raise ConfigurationError(
                 f"address {address} outside [1, {self._working_set}]"
             )
+
+    def _check_write(self, op: Any, data: Any) -> bool:
+        """Validate an entry point's ``op`` and payload before any state
+        changes; returns whether ``op`` writes.  ``op`` goes through
+        :func:`~repro.core.types.as_operation` unless it is an
+        :class:`Operation`, and a written payload through the storage's
+        ``check_payload`` (the stacks that encode payloads raise
+        :class:`~repro.errors.EncryptionError` for one they cannot encode)."""
+        if type(op) is not Operation:
+            op = as_operation(op)
+        if op is not _WRITE:
+            return False
+        if self._payload_check is not None:
+            self._payload_check(data)
+        return True
 
     def _check_path_args(self, address: int, current_leaf: int, new_leaf: int) -> None:
         """Validate a caller's address and leaves before any state changes."""
@@ -973,7 +1001,14 @@ class PathORAM:
         (capped per class); with an empty stash — the dominant steady state
         — or over the eviction threshold (a dummy storm, where
         :meth:`_offer_free_slots` then fills the free slots) the placement
-        walk drops the stash side entirely.
+        walk drops the stash side entirely.  A block created on a miss
+        while the stash is otherwise empty (every fill access, in data or
+        position-map mode) is held out of the stash: once the path's own
+        blocks are placed it goes to the deepest bucket at or above its
+        class with a free slot, after that bucket's blocks, and only with
+        no free slot does it enter the stash, ahead of any spilled path
+        blocks — exactly what the merged walk does with a one-block stash,
+        high-water mark included (:meth:`Stash.count_passage`).
 
         Three modes share the body.  With ``address=None`` (a dummy
         access) nothing is located or remapped and ``(None, False)`` is
@@ -1083,6 +1118,7 @@ class PathORAM:
 
         # ---- locate (or create) the block, retarget to new_leaf ----
         found = True
+        created = None
         if block is not None:
             self._stash.retarget(address, new_leaf)
         elif target is not None:
@@ -1094,7 +1130,12 @@ class PathORAM:
         elif address is not None and (slot is not None or is_write or create):
             found = False
             block = Block(address=address, leaf=new_leaf, data=None)
-            self._stash.add(block)
+            if by_leaf:
+                self._stash.add(block)
+            else:
+                # Held aside: alone in the stash it can only take a slot
+                # the path's own blocks leave free (placed below).
+                created = block
         else:
             found = False
 
@@ -1176,10 +1217,26 @@ class PathORAM:
                             slots[base] = 0
                             occupancy_delta -= old
                     break
-            if occupancy_delta:
-                self._storage._occupancy += occupancy_delta  # noqa: SLF001
             if storm:
                 written += self._offer_free_slots(leaf, bases)
+            if created is not None:
+                # The merged walk's choice for a one-block stash: the
+                # deepest bucket at or above its class with a free slot,
+                # after that bucket's buffer blocks; else the stash, ahead
+                # of any spilled buffer blocks.
+                for base in reversed(bases[: table[new_leaf ^ leaf] + 1]):
+                    count = slots[base]
+                    if count < z:
+                        slots[base + 1 + count] = created
+                        slots[base] = count + 1
+                        occupancy_delta += 1
+                        written += 1
+                        self._stash.count_passage()
+                        break
+                else:
+                    self._stash.add(created)
+            if occupancy_delta:
+                self._storage._occupancy += occupancy_delta  # noqa: SLF001
 
         if spilled:
             # Unplaced buffer blocks now genuinely enter the stash.
@@ -1271,15 +1328,18 @@ class PathORAM:
 
         One lookup per distinct stash leaf (the deepest-level table on trees
         of at most 16 levels, ``bit_length`` on deeper ones), in leaf-index
-        order; a class stops taking leaf groups once it holds its cap
-        (``_class_cap``).  Every write-back drains the pools it fills.
+        order, each counted in ``stats.stash_leaves_examined``; a class stops
+        taking leaf groups once it holds its cap (``_class_cap``).  Every
+        write-back drains the pools it fills.
         """
         pools = self._by_deepest_stash
         caps = self._class_cap
         table = self._deepest_table
         levels = self._levels
+        by_leaf = self._stash_by_leaf
+        self._stats.stash_leaves_examined += len(by_leaf)
         pooled = 0
-        for other_leaf, group in self._stash_by_leaf.items():
+        for other_leaf, group in by_leaf.items():
             diff = other_leaf ^ leaf
             deepest = table[diff] if table else levels - diff.bit_length()
             ready = pools[deepest]

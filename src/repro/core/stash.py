@@ -91,6 +91,13 @@ class Stash:
         if len(blocks) > self._max_occupancy:
             self._max_occupancy = len(blocks)
 
+    def count_passage(self) -> None:
+        """Count one block that passed through the stash without being
+        indexed (a write-back placed it at once) in the high-water mark,
+        as an :meth:`add` then :meth:`remove_placed` would have."""
+        if len(self._blocks) >= self._max_occupancy:
+            self._max_occupancy = len(self._blocks) + 1
+
     def remove_placed(self, blocks: Iterable[Block]) -> None:
         """Batch-remove blocks the write-back placed into the tree.
 

@@ -44,8 +44,20 @@ class AccessStats:
     super_block_merges: int = 0
     super_block_splits: int = 0
     super_block_hits: int = 0
+    #: Distinct stash leaves the write-backs bucketed by deepest level
+    #: (:meth:`~repro.core.path_oram.PathORAM._pool_stash`), summed over
+    #: calls: the stash work a write-back paid.  The path ops pool the stash
+    #: under different rules, so it is left out of equality and
+    #: :meth:`fingerprint`.
+    stash_leaves_examined: int = field(default=0, compare=False)
     stash_occupancy_samples: list[int] = field(default_factory=list)
     record_occupancy: bool = False
+
+    def __setstate__(self, state: tuple) -> None:
+        # Pickles made before ``stash_leaves_examined`` existed lack it.
+        self.stash_leaves_examined = 0
+        for name, value in state[1].items():
+            setattr(self, name, value)
 
     def record_real_access(self) -> None:
         self.real_accesses += 1
@@ -120,4 +132,5 @@ class AccessStats:
         self.super_block_merges = 0
         self.super_block_splits = 0
         self.super_block_hits = 0
+        self.stash_leaves_examined = 0
         self.stash_occupancy_samples.clear()

@@ -31,6 +31,7 @@ storage composes with its authenticator.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Any, Callable
 
 from repro.core.bucket_codec import BucketCodec
 from repro.core.config import ORAMConfig
@@ -101,6 +102,10 @@ class TreeStorage(ABC):
     :meth:`_geometry` caches it under :data:`LEAF_CACHE_LEAVES`.  The cache
     is derived state, so pickles leave it out.
     """
+
+    #: ``None`` when the storage holds any payload; the stacks that encode
+    #: payloads set a check that raises for one they cannot encode.
+    check_payload: Callable[[Any], None] | None = None
 
     def __init__(self, config: ORAMConfig) -> None:
         self._config = config
@@ -319,6 +324,8 @@ class EncryptedTreeStorage(TreeStorage):
     every write — the property Section 2.2 requires.  A path is one cipher
     call (:meth:`open_path` / :meth:`seal_path`), a single bucket another.
     """
+
+    check_payload = staticmethod(BucketCodec.check_payload)
 
     def __init__(self, config: ORAMConfig, cipher: BucketCipher) -> None:
         super().__init__(config)

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
+from repro.errors import ConfigurationError
+
 #: Program address reserved for dummy blocks (Section 2.1 of the paper).
 DUMMY_ADDRESS = 0
 
@@ -15,6 +17,21 @@ class Operation(Enum):
 
     READ = "read"
     WRITE = "write"
+
+
+def as_operation(op: Any) -> Operation:
+    """``op`` as an :class:`Operation`: the strings ``"read"`` and
+    ``"write"`` are normalized, anything else raises
+    :class:`~repro.errors.ConfigurationError` (a typo'd op must not run as
+    a read).  Entry points call it only when ``type(op) is not Operation``,
+    so an :class:`Operation` costs them one identity check."""
+    try:
+        return Operation(op)
+    except (TypeError, ValueError):
+        raise ConfigurationError(
+            f"unknown operation {op!r}; expected Operation.READ, "
+            "Operation.WRITE, 'read' or 'write'"
+        ) from None
 
 
 @dataclass(slots=True)

@@ -39,6 +39,7 @@ import os
 import random
 from dataclasses import dataclass
 
+from repro.core.bucket_codec import BucketCodec
 from repro.core.tree import EncryptedTreeStorage, TreeStorage
 
 __all__ = [
@@ -88,6 +89,8 @@ class FaultInjector(TreeStorage):
     ciphertexts ``seal_path`` returns are the verifier's record of what it
     wrote; a device corrupts *stored* data, so that record is never altered.
     """
+
+    check_payload = staticmethod(BucketCodec.check_payload)
 
     def __init__(
         self,

@@ -14,6 +14,7 @@ exactly those bytes (``open_path``); a write-back hashes the ciphertexts
 
 from __future__ import annotations
 
+from repro.core.bucket_codec import BucketCodec
 from repro.core.config import ORAMConfig
 from repro.core.tree import EncryptedTreeStorage, TreeStorage
 from repro.core.types import Block
@@ -29,6 +30,8 @@ class IntegrityVerifiedStorage(TreeStorage):
     interface last wrote it.  The inherited ``read_path`` / ``write_path``
     adapters run the verified path operations below.
     """
+
+    check_payload = staticmethod(BucketCodec.check_payload)
 
     def __init__(self, config: ORAMConfig, cipher: BucketCipher,
                  authenticator: PathORAMAuthenticator | None = None,

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from repro.core.types import Operation
+from repro.core.types import Operation, as_operation
 from repro.errors import ConfigurationError
 
 
@@ -57,15 +57,8 @@ class Request:
     collect: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.op, Operation):
-            try:
-                normalized = Operation(self.op)
-            except ValueError:
-                raise ConfigurationError(
-                    f"unknown operation {self.op!r}; expected Operation.READ, "
-                    "Operation.WRITE, 'read' or 'write'"
-                ) from None
-            object.__setattr__(self, "op", normalized)
+        if type(self.op) is not Operation:
+            object.__setattr__(self, "op", as_operation(self.op))
 
 
 @dataclass(slots=True)

@@ -212,8 +212,8 @@ class TestExclusiveAPI:
 
 BOUNDARY_STACKS = [name for name in ("flat", "plain", "memmap-flat") if name in STACKS]
 
-#: Public calls with an out-of-range address or leaf on a 64-block ORAM
-#: (leaves 0..31).
+#: Public calls with an out-of-range address, leaf or operation on a
+#: 64-block ORAM (leaves 0..31).
 BAD_CALLS = {
     "contains(65)": lambda oram: oram.contains(65),
     "contains(0)": lambda oram: oram.contains(0),
@@ -226,6 +226,9 @@ BAD_CALLS = {
     "access_position_block(3, 10**9, 2, 0, 1, 4, 8)": (
         lambda oram: oram.access_position_block(3, 10**9, 2, 0, 1, 4, 8)
     ),
+    "access(3, 'wrte')": lambda oram: oram.access(3, "wrte", b"x"),
+    "access_many([3, 4], 'WRITE')": lambda oram: oram.access_many([3, 4], "WRITE", b"x"),
+    "access_path(3, 0, 2, 'update')": lambda oram: oram.access_path(3, 0, 2, "update", b"x"),
 }
 
 
