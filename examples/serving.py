@@ -40,8 +40,8 @@ async def demo_service() -> None:
     async with service:
         await service.submit("alice", "shared", 5, op="write", data=b"alice owns block 5")
         await service.submit("bob", "shared", 6, op="write", data=b"bob owns block 6")
-        alice = await service.submit("alice", "shared", 5, collect=True)
-        bob = await service.submit("bob", "shared", 6, collect=True)
+        alice = await service.submit("alice", "shared", 5)
+        bob = await service.submit("bob", "shared", 6)
     print(f"alice read back: {alice.data!r}  (latency {alice.latency * 1e3:.3f} ms)")
     print(f"bob   read back: {bob.data!r}  (latency {bob.latency * 1e3:.3f} ms)")
     for name, tenant in sorted(service.stats.tenants.items()):
@@ -91,10 +91,7 @@ def demo_loadgen() -> None:
         f"-> {report.throughput_rps:,.0f} req/s"
     )
     print(f"latency p50 {report.p50_ms:.3f} ms, p99 {report.p99_ms:.3f} ms")
-    print(
-        f"scheduler: {report.rounds} rounds, {report.batches} batches, "
-        f"{report.fused_runs} fused access_many runs"
-    )
+    print(f"scheduler: {report.rounds} rounds, {report.batches} batches")
 
 
 def main() -> None:

@@ -118,13 +118,6 @@ class OramSpec:
         position-map block into one fused path op.  It composes with
         ``dynamic_super_blocks`` — the chain's cached labels are kept
         coherent with cohort moves through explicit invalidation hooks.
-    compressed_position_map:
-        Hierarchical protocol only: pack position-map blocks with the
-        Freecursive compressed layout (one base label plus half-width
-        per-child offsets), roughly doubling
-        ``labels_per_position_block`` and shrinking the recursion depth
-        (see :class:`~repro.core.config.HierarchyConfig`).  Applied to the
-        hierarchy configuration at build time.
     dynamic_super_blocks:
         Enable runtime super-block merging on the (data) ORAM: a
         :class:`~repro.core.super_block.DynamicSuperBlockMapper` observes
@@ -160,7 +153,6 @@ class OramSpec:
     record_path_trace: bool = False
     livelock_limit: int = 100_000
     plb_entries_per_level: int = 0
-    compressed_position_map: bool = False
     dynamic_super_blocks: bool = False
     super_block_window: int = 512
     super_block_merge_threshold: int = 2
@@ -208,12 +200,6 @@ class OramSpec:
             raise ConfigurationError(
                 "plb_entries_per_level caches position-map blocks; the flat "
                 "protocol has no position-map chain (use "
-                "protocol='hierarchical')"
-            )
-        if self.protocol == "flat" and self.compressed_position_map:
-            raise ConfigurationError(
-                "compressed_position_map packs position-map blocks; the "
-                "flat protocol has no position-map chain (use "
                 "protocol='hierarchical')"
             )
         if self.storage_path and self.storage != "memmap-flat":
@@ -413,8 +399,6 @@ def build_oram(
             "hierarchical protocol takes a HierarchyConfig; "
             "wrap the data ORAMConfig in one (or use protocol='flat')"
         )
-    if spec.compressed_position_map and not config.compressed_position_map:
-        config = replace(config, compressed_position_map=True)
     return HierarchicalPathORAM(
         config,
         rng=rng,

@@ -8,10 +8,12 @@ bucket's plaintext and ciphertext length shows how many real blocks it holds:
 at ``Z=4``, ``112 + 128 k`` counter-scheme bytes for ``k`` 128-byte blocks.
 
 Payloads may be ``None`` (functional runs), raw ``bytes`` (processor data),
-a signed integer or a sequence of integers (position-map ORAM blocks holding
-leaf labels); each is tagged so decoding restores the original type.  A
-``str`` is not a label sequence: like any other payload type it raises
-:class:`EncryptionError`.
+a signed integer or a ``list`` of ``int`` (position-map ORAM blocks holding
+leaf labels); each is tagged so decoding restores the original type, so a
+read returns what was written.  A ``bytearray`` reads back as the ``bytes``
+it compares equal to.  Any other payload raises :class:`EncryptionError`,
+``bool`` included: a tuple, a ``str``, or a list holding anything but
+``int`` would read back as a different object.
 
 Slot layout (little-endian), a 21-byte ``<QQBI`` header then the body::
 
@@ -32,7 +34,7 @@ A field that does not fit its width raises :class:`EncryptionError`.
 from __future__ import annotations
 
 import struct
-from typing import Any, Sequence
+from typing import Any
 
 from repro.core.config import ORAMConfig
 from repro.core.types import DUMMY_ADDRESS, Block
@@ -71,10 +73,9 @@ class BucketCodec:
             if isinstance(payload, int) and not isinstance(payload, bool):
                 header = _HEADER.pack(block.address, block.leaf, _PAYLOAD_INT, 16)
                 return header + payload.to_bytes(16, "little", signed=True)
-            if isinstance(payload, Sequence) and not isinstance(payload, str):
-                labels = [int(v) for v in payload]
-                header = _HEADER.pack(block.address, block.leaf, _PAYLOAD_LABELS, len(labels))
-                return header + struct.pack(f"<{len(labels)}Q", *labels)
+            if isinstance(payload, list) and all(type(v) is int for v in payload):
+                header = _HEADER.pack(block.address, block.leaf, _PAYLOAD_LABELS, len(payload))
+                return header + struct.pack(f"<{len(payload)}Q", *payload)
         except (struct.error, OverflowError, TypeError, ValueError) as exc:
             raise EncryptionError(f"block {block.address} does not fit its slot: {exc}") from exc
         raise EncryptionError(f"unsupported block payload type: {type(payload).__name__}")

@@ -6,9 +6,8 @@ batch-coalescing server, because an open-loop generator with a fixed
 arrival rate either starves the batcher or overwhelms it, and its latency
 numbers measure the queue, not the system.  With ``K`` concurrent clients
 the scheduler naturally forms micro-batches of up to ``K`` requests per
-round, so aggregate throughput directly exercises the fused
-``access_many`` path while each request's submit-to-completion latency is
-measured at the service boundary (what a user would see).
+round, and each request's submit-to-completion latency is measured at the
+service boundary (what a user would see).
 
 Request *content* (addresses, ops) is derived per client from the load
 seed via :func:`~repro.runner.spec.derive_seed`, so two runs against
@@ -79,7 +78,6 @@ class LoadReport:
     max_ms: float
     rounds: int
     batches: int
-    fused_runs: int
     per_tenant: dict[str, dict[str, float]]
 
     def as_record(self) -> dict:
@@ -94,7 +92,6 @@ class LoadReport:
             "max_ms": round(self.max_ms, 4),
             "rounds": self.rounds,
             "batches": self.batches,
-            "fused_runs": self.fused_runs,
         }
 
 
@@ -174,7 +171,6 @@ async def generate_load(service: OramService, load: LoadGenConfig) -> LoadReport
         max_ms=max(latencies, default=0.0) * 1e3,
         rounds=stats.rounds,
         batches=stats.batches,
-        fused_runs=stats.fused_runs,
         per_tenant=per_tenant,
     )
 

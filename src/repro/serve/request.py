@@ -43,10 +43,7 @@ class Request:
     data:
         Payload for writes; ignored for reads.
     collect:
-        When True the request is executed individually (never fused into an
-        ``access_many`` micro-batch) so its :class:`ServeResult` carries the
-        block payload and found flag.  Fused reads trade per-request results
-        for throughput — their results report ``found=None, data=None``.
+        Accepted and ignored: ``perfbench/serving.py`` passes it positionally.
     """
 
     tenant: str
@@ -65,16 +62,13 @@ class Request:
 class ServeResult:
     """What the service hands back for one completed request.
 
-    ``found``/``data`` are populated for individually executed requests
-    (writes and ``collect=True`` reads); requests served inside a fused
-    ``access_many`` run report ``None`` for both — the fused engine does
-    not materialise per-access results.  ``latency`` is the wall-clock
-    submit-to-completion time in seconds (0.0 in synchronous replays,
-    which have no notion of waiting).
+    ``found`` / ``data`` are what the request's ``access`` returned.
+    ``latency`` is the wall-clock submit-to-completion time in seconds
+    (0.0 in synchronous replays, which have no notion of waiting).
     """
 
     address: int
-    found: bool | None = None
+    found: bool = False
     data: Any = None
     latency: float = 0.0
 
@@ -86,17 +80,16 @@ def synthetic_script(
     length: int,
     working_set: int,
     write_fraction: float = 0.0,
-    collect_fraction: float = 0.0,
     tenant_weights: Mapping[str, float] | None = None,
 ) -> list[Request]:
     """A deterministic multi-tenant request script.
 
     Each entry draws a tenant (optionally weighted), an instance, a uniform
     address in ``[1, working_set]`` and an operation; ``write_fraction`` of
-    the requests are writes carrying a small deterministic payload, and
-    ``collect_fraction`` of the reads ask for per-request results.  The
-    same seed always produces the same script, so a script can serve as a
-    pinned reproducibility artifact the way seeded traces already do.
+    the requests are writes carrying a small deterministic ``bytes``
+    payload, which every storage stack can encode.  The same seed always
+    produces the same script, so a script can serve as a pinned
+    reproducibility artifact the way seeded traces already do.
     """
     if not tenants:
         raise ConfigurationError("synthetic_script needs at least one tenant")
@@ -122,8 +115,8 @@ def synthetic_script(
         instance = instances[rng.randrange(len(instances))]
         address = rng.randrange(1, working_set + 1)
         if rng.random() < write_fraction:
-            script.append(Request(tenant, instance, address, Operation.WRITE, f"payload-{index}"))
+            payload = f"payload-{index}".encode()
+            script.append(Request(tenant, instance, address, Operation.WRITE, payload))
         else:
-            collect = rng.random() < collect_fraction
-            script.append(Request(tenant, instance, address, Operation.READ, None, collect))
+            script.append(Request(tenant, instance, address))
     return script

@@ -22,11 +22,9 @@ Admission policy (one *round* admits one micro-batch per instance):
   the fair-share guarantee: a flooding tenant cannot starve the batch.
 * ``max_batch`` bounds the whole micro-batch.
 
-Execution coalesces maximal runs of consecutive fusable reads (op READ,
-``collect=False``) into one :meth:`access_many` call — the trace-at-once
-engine the protocol layer already pins bit-identical to looped ``access``
-— and executes writes and ``collect`` reads individually so their results
-carry per-request payloads.
+Execution serves each admitted request as one ``access`` (the paper's one
+``accessORAM`` per request), so every result carries its own
+``found`` / ``data``.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Any
 
-from repro.core.types import Operation
 from repro.errors import ConfigurationError, ReproError
 from repro.serve.request import Request, ServeResult
 
@@ -167,70 +164,22 @@ class BatchScheduler:
         return batch, capped
 
 
-#: Shortest run of consecutive fusable reads worth one fused ``access_many``
-#: call; a lone read executes as an individual access.
-FUSE_MIN_RUN = 2
+def execute_batch(oram: Any, batch: list[PendingRequest]) -> list[tuple[PendingRequest, Any]]:
+    """Execute one admitted micro-batch against one ORAM, one ``access`` per
+    request, and return ``(pending, ServeResult-or-ReproError)`` in batch order.
 
-
-def execute_batch(
-    oram: Any,
-    batch: list[PendingRequest],
-    fuse: bool = True,
-) -> tuple[list[tuple[PendingRequest, Any, bool]], int]:
-    """Execute one admitted micro-batch against one ORAM.
-
-    Maximal runs of at least :data:`FUSE_MIN_RUN` consecutive fusable reads
-    (op READ, ``collect=False``) go through one fused ``access_many``
-    call; everything else executes as an individual ``access``.  Both
-    paths are bit-identical state-wise (the ``access_many`` differential
-    suite pins that), so fusing is purely a throughput lever.
-
-    Returns ``(outcomes, fused_runs)`` where each outcome is
-    ``(pending, ServeResult-or-ReproError, was_fused)`` in batch order.
     A :class:`~repro.errors.ReproError` from the engine (e.g. an
-    out-of-range address) becomes that request's outcome — for a fused
-    run, of every request in the run, since the fused loop validates the
-    whole trace before executing any of it.
+    out-of-range address) becomes the outcome of that request only.  A
+    module global, called by name from :mod:`repro.serve.service`, so
+    ``perfbench/tracing.py`` can wrap it there.
     """
-    outcomes: list[tuple[PendingRequest, Any, bool]] = []
-    fused_runs = 0
-    index = 0
-    count = len(batch)
-    while index < count:
-        pending = batch[index]
+    outcomes: list[tuple[PendingRequest, Any]] = []
+    for pending in batch:
         request = pending.request
-        if fuse and request.op is Operation.READ and not request.collect:
-            end = index + 1
-            while (
-                end < count
-                and batch[end].request.op is Operation.READ
-                and not batch[end].request.collect
-            ):
-                end += 1
-            if end - index >= FUSE_MIN_RUN:
-                run = batch[index:end]
-                try:
-                    oram.access_many([p.request.address for p in run])
-                except ReproError as exc:
-                    for p in run:
-                        outcomes.append((p, exc, True))
-                else:
-                    fused_runs += 1
-                    for p in run:
-                        outcomes.append((p, ServeResult(p.request.address), True))
-                index = end
-                continue
         try:
             result = oram.access(request.address, request.op, request.data)
         except ReproError as exc:
-            outcomes.append((pending, exc, False))
+            outcomes.append((pending, exc))
         else:
-            outcomes.append(
-                (
-                    pending,
-                    ServeResult(request.address, result.found, result.data),
-                    False,
-                )
-            )
-        index += 1
-    return outcomes, fused_runs
+            outcomes.append((pending, ServeResult(request.address, result.found, result.data)))
+    return outcomes

@@ -3,10 +3,11 @@
 :class:`OramService` turns the simulation engine into a serving system:
 many logical clients submit reads/writes against *named* ORAM instances
 (each built from an :class:`~repro.backends.OramSpec` through the backend
-registry), a background scheduler task coalesces everything pending into
-fused ``access_many`` micro-batches per instance, and per-tenant
-accounting tracks request counts and fair-share throttling; every result
-carries its own submit-to-completion latency.
+registry), a background scheduler task admits everything pending into
+micro-batches per instance and serves each request as one ``access``, and
+per-tenant accounting tracks request counts and fair-share throttling;
+every result carries its own ``found`` / ``data`` and submit-to-completion
+latency.
 
 Determinism guarantee
 ---------------------
@@ -17,14 +18,10 @@ never of wall-clock time or event-loop interleaving.  Replaying a recorded
 request script (:func:`run_script`) therefore leaves every ORAM — tree,
 stash, position map, RNG stream, statistics — bit-identical to
 :func:`serial_script`, the plain synchronous application of the same
-admission schedule via individual ``access`` calls.  With unbounded
-quotas the admission schedule *is* the script order, so the replay is
-bit-identical to a bare ``for r in script: oram.access(...)`` loop.  The
-suite pins both identities (``tests/test_serve.py``).
-
-The micro-batches themselves lean on the trace-at-once engine:
-``access_many`` is already pinned bit-identical to looped ``access`` on
-every protocol and storage stack, so fusing is purely a throughput lever.
+admission schedule.  With unbounded quotas the admission schedule *is*
+the script order, so the replay is bit-identical to a bare
+``for r in script: oram.access(...)`` loop.  The suite pins both
+identities (``tests/test_serve.py``).
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.backends import Backend, OramSpec, build_oram
@@ -57,15 +54,10 @@ class ServiceConfig:
         Fair-share cap: how many requests of one tenant a single round may
         admit (0 = unbounded).  Per-tenant overrides via
         :meth:`OramService.set_tenant_quota`.
-    fuse_reads:
-        Coalesce runs of consecutive fusable reads into one
-        ``access_many`` call.  State-identical either way; off it serves
-        every request individually (useful as a reference).
     """
 
     max_batch: int = 256
     default_quota: int = 0
-    fuse_reads: bool = True
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -281,12 +273,9 @@ class OramService:
         address: int,
         op: Operation = Operation.READ,
         data: Any = None,
-        collect: bool = False,
     ) -> ServeResult:
         """Submit one request and wait for its result."""
-        return await self.submit_nowait(
-            Request(tenant, instance, address, op, data, collect)
-        )
+        return await self.submit_nowait(Request(tenant, instance, address, op, data))
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -321,15 +310,12 @@ class OramService:
                 self._execute(name, batch, capped)
 
     def _execute(self, name: str, batch: list[PendingRequest], capped: list[str]) -> None:
-        outcomes, fused_runs = execute_batch(
-            self._instances[name], batch, fuse=self._config.fuse_reads
-        )
+        outcomes = execute_batch(self._instances[name], batch)
         stats = self._stats
         stats.batches += 1
-        stats.fused_runs += fused_runs
         now = self._clock()
         tenants_in_batch: set[str] = set()
-        for pending, outcome, fused in outcomes:
+        for pending, outcome in outcomes:
             request = pending.request
             tenant = stats.tenant(request.tenant)
             tenants_in_batch.add(request.tenant)
@@ -338,8 +324,6 @@ class OramService:
                 tenant.writes += 1
             else:
                 tenant.reads += 1
-            if fused:
-                tenant.fused += 1
             self._outstanding -= 1
             if isinstance(outcome, ServeResult):
                 if outcome.found:
@@ -423,13 +407,11 @@ def serial_script(
 
     Drives the very same admission schedule as :func:`run_script` (same
     scheduler object, same quota semantics) but synchronously, with no
-    event loop and every request executed as an individual ``access``
-    call (read fusing forced off).  With unbounded quotas the schedule is
-    exactly the script order, i.e. the plain serial loop
+    event loop.  With unbounded quotas the schedule is exactly the script
+    order, i.e. the plain serial loop
     ``for r in script: oram.access(r.address, r.op, r.data)``.
     """
-    effective = replace(config if config is not None else ServiceConfig(), fuse_reads=False)
-    service = _build_service(instances, effective, quotas)
+    service = _build_service(instances, config, quotas)
     sink: dict[int, Any] = {}
     service._sink = sink
     scheduler = service._scheduler

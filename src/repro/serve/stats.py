@@ -4,8 +4,8 @@ The engine's own counters stay where they always were — every ORAM keeps
 an :class:`~repro.core.stats.AccessStats` reachable through the uniform
 ``stats`` property, and the service exposes those unchanged per instance.
 This module adds the *request-plane* view on top: how many requests each
-tenant submitted, how they were executed (individually or inside a fused
-``access_many`` run), and how often the fair-share quota throttled a tenant.  Latency is not
+tenant submitted, how many of them found their block, and how often the
+fair-share quota throttled a tenant.  Latency is not
 kept here: each :class:`~repro.serve.request.ServeResult` carries its own,
 and the load generator summarises the ones its clients receive, so the
 service's memory does not grow with the number of requests served.
@@ -30,12 +30,9 @@ class TenantStats:
     requests / reads / writes:
         Completed requests, split by operation.
     fused:
-        Requests served inside a fused ``access_many`` micro-batch run
-        (the remainder executed as individual ``access`` calls).
+        Always 0: ``perfbench/serving.py`` sums it for ``serve.fused_fraction``.
     found:
-        Hits among the *individually* executed requests (fused runs do not
-        materialise per-request results; their hits are visible in the
-        instance's own ``stats.blocks_read`` counters).
+        Requests whose block was already in the ORAM.
     batches:
         Admission batches this tenant had at least one request in.
     throttled:
@@ -52,18 +49,13 @@ class TenantStats:
     throttled: int = 0
 
     def fingerprint(self) -> tuple:
-        """Deterministic tuple of the schedule-derived counters.
-
-        Covers exactly the fields that are invariant to the *execution
-        strategy*: ``fused``/``found`` depend on whether reads were
-        coalesced (the serial reference executes everything individually)
-        and are excluded.  What remains must replay bit-identically from a
-        recorded script whether the batches were fused or not.
-        """
+        """Deterministic tuple of the schedule-derived counters; a recorded
+        script replays it bit-identically."""
         return (
             self.requests,
             self.reads,
             self.writes,
+            self.found,
             self.batches,
             self.throttled,
         )
@@ -80,8 +72,6 @@ class ServiceStats:
         #: Micro-batches executed (one per instance with pending work per
         #: round).
         self.batches: int = 0
-        #: Fused ``access_many`` runs across all batches.
-        self.fused_runs: int = 0
 
     def tenant(self, name: str) -> TenantStats:
         """The (created-on-first-use) stats of one tenant."""
@@ -95,12 +85,7 @@ class ServiceStats:
         return sum(stats.requests for stats in self.tenants.values())
 
     def fingerprint(self) -> tuple:
-        """Deterministic tuple over scheduler counters and every tenant.
-
-        ``fused_runs`` is an execution-strategy detail (zero in the serial
-        reference) and excluded, like :meth:`TenantStats.fingerprint`'s
-        fused/found fields.
-        """
+        """Deterministic tuple over scheduler counters and every tenant."""
         return (
             self.rounds,
             self.batches,

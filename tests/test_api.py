@@ -21,10 +21,12 @@ from repro import (
     OramSpec,
     PathORAM,
     ReproError,
+    ServiceConfig,
     open_interface,
     open_oram,
     open_service,
     storage_backends,
+    synthetic_script,
 )
 from repro.serve import oram_fingerprint as fingerprint
 
@@ -132,3 +134,17 @@ class TestRemovedOptions:
         with pytest.raises(TypeError):
             HierarchicalPathORAM(_hierarchy(), rng=random.Random(1), coalesce_position_ops=True)
         assert not hasattr(HierarchicalPathORAM, "coalesce_position_ops")
+
+    def test_spec_compressed_map_flag_is_gone(self):
+        # Removed in 4.0: HierarchyConfig(compressed_position_map=True) is
+        # the one switch for the compressed position-map layout.
+        with pytest.raises(TypeError):
+            OramSpec(protocol="hierarchical", compressed_position_map=True)
+
+    def test_read_fusing_options_are_gone(self):
+        # Removed in 4.0: every served request is one access that returns
+        # its data, so there is no fused path to switch on or opt out of.
+        with pytest.raises(TypeError):
+            ServiceConfig(fuse_reads=False)
+        with pytest.raises(TypeError):
+            synthetic_script(1, ["t"], ["main"], 4, 4, collect_fraction=0.5)

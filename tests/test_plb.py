@@ -21,6 +21,7 @@ level needs touching.  These tests pin the load-bearing invariants:
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -133,10 +134,6 @@ class TestSpecValidation:
     def test_flat_spec_rejects_plb(self):
         with pytest.raises(ConfigurationError):
             OramSpec(protocol="flat", plb_entries_per_level=4)
-
-    def test_flat_spec_rejects_compressed_map(self):
-        with pytest.raises(ConfigurationError):
-            OramSpec(protocol="flat", compressed_position_map=True)
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -429,7 +426,9 @@ class TestCompressedPositionMap:
             onchip_position_map_limit_bytes=64,
         )
         plain = build_oram(_spec(), hierarchy, seed=3)
-        compressed = build_oram(_spec(compressed_position_map=True), hierarchy, seed=3)
+        compressed = build_oram(
+            _spec(), replace(hierarchy, compressed_position_map=True), seed=3
+        )
         assert compressed.num_orams < plain.num_orams
 
     def test_compressed_results_match_uncompressed(self):
@@ -438,8 +437,8 @@ class TestCompressedPositionMap:
         payload = {address: bytes([address % 256]) for address in set(trace)}
         plain = build_oram(_spec(), hierarchy, seed=8)
         compressed = build_oram(
-            _spec(compressed_position_map=True, plb_entries_per_level=4),
-            hierarchy,
+            _spec(plb_entries_per_level=4),
+            replace(hierarchy, compressed_position_map=True),
             seed=8,
         )
         plain_found = sum(
@@ -454,8 +453,6 @@ class TestCompressedPositionMap:
             assert compressed.read(address).data == payload[address]
 
     def test_config_packs_more_labels_per_block(self):
-        from dataclasses import replace
-
         hierarchy = _hierarchy(working_set=4096)
         packed = replace(hierarchy, compressed_position_map=True)
         child = hierarchy.data_oram

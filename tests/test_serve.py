@@ -5,8 +5,9 @@ script replayed through the async batching service must leave the ORAM
 bit-identical — full state fingerprint including the RNG stream — to the
 same requests applied serially.  Around that pin: fair-share quota
 semantics (throttle accounting, starvation freedom), per-request results
-(write→read round-trips through fused batches), typed error propagation
-that doesn't poison neighbouring requests, and the service lifecycle.
+(every read in a batch returns what a bare ``access`` returns), typed error
+propagation that doesn't poison neighbouring requests, and the service
+lifecycle.
 
 No pytest-asyncio in the image: async paths run through ``asyncio.run``
 inside plain sync tests, or through the synchronous ``run_script`` /
@@ -26,6 +27,7 @@ from repro import (
     ServiceConfig,
     open_oram,
 )
+from repro.core.types import Operation
 from repro.serve import (
     Request,
     oram_fingerprint,
@@ -86,16 +88,6 @@ class TestDeterminism:
             oram.access(request.address, op=request.op, data=request.data)
         assert dict(outcome.fingerprint[0])["main"] == oram_fingerprint(oram)
 
-    def test_fusing_does_not_change_state(self):
-        script = _script(write_fraction=0.0)
-        instances = {"main": (FLAT, _config(), 3)}
-        fused = run_script(script, instances, config=ServiceConfig(fuse_reads=True))
-        unfused = run_script(script, instances, config=ServiceConfig(fuse_reads=False))
-        assert fused.fingerprint == unfused.fingerprint
-        assert fused.stats.fingerprint() == unfused.stats.fingerprint()
-        assert fused.stats.fused_runs > 0
-        assert unfused.stats.fused_runs == 0
-
     def test_repeat_runs_are_bit_identical(self):
         script = _script(length=200)
         instances = {"main": (FLAT, _config(), 5)}
@@ -155,35 +147,64 @@ class TestResultsAndErrors:
             service.open_instance("main", FLAT, _config(), seed=1)
             async with service:
                 await service.submit("t", "main", 9, op="write", data=b"payload-9")
-                return await service.submit("t", "main", 9, collect=True)
+                return await service.submit("t", "main", 9)
 
         result = asyncio.run(run())
         assert result.found is True
         assert result.data == b"payload-9"
         assert result.latency > 0.0
 
-    def test_fused_reads_resolve_without_payload(self):
+    @pytest.mark.parametrize(
+        "spec, config",
+        [
+            (FLAT, _config()),
+            (OramSpec(protocol="hierarchical", plb_entries_per_level=8), _hierarchy()),
+            (OramSpec(storage="integrity"), _config()),
+        ],
+        ids=["flat", "hierarchical-plb8", "integrity"],
+    )
+    def test_batched_reads_return_what_an_access_loop_returns(self, spec, config):
+        written = {address: f"block-{address}".encode() for address in range(1, 40, 3)}
+        reads = list(range(1, 41)) + [4, 4, 7]
+        served = open_oram(spec, config, seed=5)
+        reference = open_oram(spec, config, seed=5)
+        for oram in (served, reference):
+            for address, payload in written.items():
+                oram.access(address, "write", payload)
+        service = OramService()
+        service.attach_instance("main", served)
+
         async def run():
-            service = OramService(ServiceConfig(fuse_reads=True))
-            service.open_instance("main", FLAT, _config(), seed=1)
             async with service:
                 futures = [
-                    asyncio.ensure_future(service.submit("t", "main", address))
-                    for address in range(1, 9)
+                    service.submit_nowait(Request("t", "main", address)) for address in reads
                 ]
                 return await asyncio.gather(*futures)
 
         results = asyncio.run(run())
-        assert len(results) == 8
-        assert all(r.found is None and r.data is None for r in results)
-        assert all(r.latency > 0.0 for r in results)
+        assert service.stats.batches == 1
+        expected = [reference.access(address) for address in reads]
+        assert [(r.found, r.data) for r in results] == [(e.found, e.data) for e in expected]
+        assert sum(r.found for r in results) == sum(address in written for address in reads)
+        assert service.stats.tenants["t"].found == sum(r.found for r in results)
+        assert oram_fingerprint(served) == oram_fingerprint(reference)
+
+    @pytest.mark.parametrize("storage", ["integrity", "encrypted"])
+    def test_scripts_with_writes_serve_the_encoding_stacks(self, storage):
+        script = synthetic_script(1, ["a"], ["main"], 64, 50, write_fraction=0.3)
+        assert any(request.op is Operation.WRITE for request in script)
+        config = ORAMConfig(working_set_blocks=64)
+        flat = serial_script(script, {"main": (FLAT, config, 1)})
+        encoded = serial_script(script, {"main": (OramSpec(storage=storage), config, 1)})
+        assert not [r for r in encoded.results if isinstance(r, Exception)]
+        assert encoded.results == flat.results
 
     def test_request_error_does_not_poison_batch(self):
         async def run():
             service = OramService()
             service.open_instance("main", FLAT, _config(), seed=1)
             async with service:
-                bad = asyncio.ensure_future(service.submit("t", "main", 10_000, collect=True))
+                bad = asyncio.ensure_future(service.submit("t", "main", 10_000))
                 good = asyncio.ensure_future(service.submit("t", "main", 3))
                 await asyncio.gather(bad, good, return_exceptions=True)
                 return bad.exception(), good.result()
@@ -256,8 +277,12 @@ class TestQoS:
         latencies = {}
         for request, result in zip(script, outcome.results):
             latencies.setdefault(request.tenant, []).append(result.latency)
+        found = {}
+        for request, result in zip(script, outcome.results):
+            found[request.tenant] = found.get(request.tenant, 0) + result.found
         for name, t in tenants.items():
             assert t.reads + t.writes == t.requests
+            assert t.found == found[name]
             assert len(latencies[name]) == t.requests
             assert sum(latencies[name]) > 0.0
 
@@ -299,7 +324,7 @@ class TestLifecycle:
 
         async def run():
             async with service:
-                return await service.submit("t", "main", 7, collect=True)
+                return await service.submit("t", "main", 7)
 
         assert asyncio.run(run()).data == b"pre-existing"
 

@@ -71,10 +71,6 @@ class TestProtocolConflicts:
         with pytest.raises(ConfigurationError, match="no position-map chain"):
             OramSpec(protocol="flat", plb_entries_per_level=2)
 
-    def test_flat_rejects_compressed_position_map(self):
-        with pytest.raises(ConfigurationError, match="no position-map chain"):
-            OramSpec(protocol="flat", compressed_position_map=True)
-
     def test_negative_plb_capacity(self):
         with pytest.raises(ConfigurationError, match="plb_entries_per_level"):
             OramSpec(protocol="hierarchical", plb_entries_per_level=-1)

@@ -94,9 +94,12 @@ class TestStringOps:
             assert state(oram) == before
 
 
-#: Payloads the bucket codec cannot encode (a ``str`` used to be read as a
-#: label list and fail with an untyped ValueError after entering the stash).
-BAD_PAYLOADS = ["a string", object(), True, 2**200, [-1], ["a"], 1.5]
+#: Payloads the bucket codec refuses: each either cannot be stored or would
+#: read back as another object than was written (``["1", "2"]``,
+#: ``[True, 2]`` and ``(5, 6)`` as lists of ints).
+BAD_PAYLOADS = [
+    "a string", object(), True, 2**200, [-1], ["a"], 1.5, ["1", "2"], [True, 2], (5, 6)
+]
 
 
 def bad_write_calls(protocol):
