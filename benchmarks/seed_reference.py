@@ -27,7 +27,7 @@ Kept under ``benchmarks/`` because only the perf regression tests need it.
 import math
 
 from repro.core.background_eviction import EvictionPolicy, NoEviction
-from repro.core.config import HierarchyConfig, ORAMConfig
+from repro.core.config import HierarchyConfig
 from repro.core.path_oram import PathORAM, leaf_common_path_length
 from repro.core.position_map import PositionMap
 from repro.core.stats import AccessStats
@@ -147,6 +147,9 @@ class SeedReferenceORAM(PathORAM):
         # index stays empty because the seed stash has none.
         self._stash_blocks = self._stash._blocks
         self._stash_by_leaf = {}
+        # The seed read this flag on every miss; the engine has no such
+        # option (every address exists), so the replay keeps its own.
+        self._create_on_miss = True
 
     def _unsupported(self, name):
         # Entry points the replay does not reproduce would otherwise run
@@ -307,7 +310,6 @@ class SeedReferenceHierarchicalORAM:
                 storage=PlainTreeStorage(config),
                 eviction_policy=NoEviction(),
                 rng=self._rng,
-                create_on_miss=True,
             )
             for config in self._configs
         ]

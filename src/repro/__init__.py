@@ -57,6 +57,6 @@ from repro.api import *  # noqa: F403 - the facade is the public surface
 from repro.api import __all__ as _api_all
 from repro.backends import build_interface, build_oram  # legacy aliases
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = list(_api_all) + ["build_oram", "build_interface", "__version__"]

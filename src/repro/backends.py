@@ -106,7 +106,7 @@ class OramSpec:
     key_seed:
         Non-negative seed for the processor key of the encrypted/integrity
         stacks (kept in the spec so pool workers derive identical ciphers).
-    create_on_miss / record_path_trace / livelock_limit:
+    record_path_trace / livelock_limit:
         Forwarded to the protocol object.
     plb_entries_per_level:
         Hierarchical protocol only: capacity (position-map blocks per
@@ -149,7 +149,6 @@ class OramSpec:
     storage: str = "flat"
     eviction: str = "default"
     key_seed: int = 0
-    create_on_miss: bool = True
     record_path_trace: bool = False
     livelock_limit: int = 100_000
     plb_entries_per_level: int = 0
@@ -181,12 +180,6 @@ class OramSpec:
             raise ConfigurationError(
                 "hierarchical ORAMs evict at the hierarchy level; "
                 "use eviction='default'"
-            )
-        if self.protocol == "hierarchical" and not self.create_on_miss:
-            raise ConfigurationError(
-                "the recursive construction materialises missing blocks "
-                "(position-map blocks must exist); create_on_miss=False is "
-                "only meaningful for the flat protocol"
             )
         if self.key_seed < 0:
             # ProcessorKey seeds random.Random, which takes abs(): a
@@ -391,7 +384,6 @@ def build_oram(
             eviction_policy=_eviction_policy(spec, config, rng),
             super_block_mapper=_super_block_mapper(spec, config),
             rng=rng,
-            create_on_miss=spec.create_on_miss,
             record_path_trace=spec.record_path_trace,
         )
     if not isinstance(config, HierarchyConfig):

@@ -103,26 +103,6 @@ class ORAMConfig:
                 f"({self.blocks_per_path}) so the eviction threshold is non-negative"
             )
 
-    # ------------------------------------------------------------------
-    # Alternative constructors
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_total_blocks(
-        cls, total_blocks: int, utilization: float = 0.5, **kwargs
-    ) -> "ORAMConfig":
-        """Build a config from the ORAM's total block capacity instead of
-        the working set size."""
-        working_set = max(1, int(round(total_blocks * utilization)))
-        return cls(working_set_blocks=working_set, utilization=utilization, **kwargs)
-
-    @classmethod
-    def from_working_set_bytes(
-        cls, working_set_bytes: int, block_bytes: int = 128, **kwargs
-    ) -> "ORAMConfig":
-        """Build a config from a working-set size in bytes."""
-        blocks = max(1, math.ceil(working_set_bytes / block_bytes))
-        return cls(working_set_blocks=blocks, block_bytes=block_bytes, **kwargs)
-
     def with_updates(self, **kwargs) -> "ORAMConfig":
         """Return a copy of this config with the given fields replaced."""
         return replace(self, **kwargs)

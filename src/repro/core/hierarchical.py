@@ -114,7 +114,6 @@ class HierarchicalPathORAM:
                     eviction_policy=NoEviction(),
                     super_block_mapper=data_super_block_mapper if index == 0 else None,
                     rng=self._rng,
-                    create_on_miss=True,
                     record_path_trace=record_path_trace,
                 )
             )

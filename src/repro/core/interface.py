@@ -14,7 +14,7 @@ accesses, lines prefetched by super blocks).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Union
 
 from repro.core.hierarchical import HierarchicalPathORAM
@@ -31,8 +31,6 @@ class InterfaceStats:
     writebacks: int = 0
     dummy_accesses: int = 0
     prefetched_lines: int = 0
-    writeback_path_accesses: int = 0
-    extra: dict[str, int] = field(default_factory=dict)
 
 
 class ORAMMemoryInterface:
@@ -78,7 +76,7 @@ class ORAMMemoryInterface:
         extracted = self._oram.extract(address)
         self._stats.fetches += 1
         self._stats.prefetched_lines += max(0, len(extracted) - 1)
-        self._stats.dummy_accesses = self._backend_dummy_count()
+        self._stats.dummy_accesses = self.dummy_accesses()
         return extracted
 
     def writeback(self, address: int, data: Any = None) -> int:
@@ -88,20 +86,13 @@ class ORAMMemoryInterface:
         """
         dummies = self._oram.insert(address, data)
         self._stats.writebacks += 1
-        self._stats.dummy_accesses = self._backend_dummy_count()
+        self._stats.dummy_accesses = self.dummy_accesses()
         return dummies
 
     def real_accesses(self) -> int:
         """ORAM path accesses serving real requests."""
-        if isinstance(self._oram, HierarchicalPathORAM):
-            return self._oram.stats.real_accesses
         return self._oram.stats.real_accesses
 
     def dummy_accesses(self) -> int:
         """ORAM dummy accesses (background eviction)."""
-        return self._backend_dummy_count()
-
-    def _backend_dummy_count(self) -> int:
-        if isinstance(self._oram, HierarchicalPathORAM):
-            return self._oram.stats.dummy_accesses
         return self._oram.stats.dummy_accesses

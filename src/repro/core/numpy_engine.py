@@ -147,7 +147,6 @@ class ColumnEngine:
         new_leaf: int,
         is_write: bool,
         data: Any,
-        create: bool,
         slot: int | None,
         child_new_leaf: int,
         labels_per_block: int,
@@ -161,11 +160,12 @@ class ColumnEngine:
         * ``address is None`` — dummy access: no block is located or
           remapped, the path is just read and greedily written back.
         * ``slot is None`` — data access: returns ``(result_data, found)``.
-        * ``slot`` set — position-map access: the block always
-          materialises, its label vector is updated in place and
-          ``(displaced_child_leaf, labels)`` is returned.
+        * ``slot`` set — position-map access: its label vector is updated
+          in place and ``(displaced_child_leaf, labels)`` is returned.
 
-        A static method of the ORAM and the op's 10 arguments, like the
+        In both access modes a block the ORAM does not hold is created
+        with an empty payload (the whole address space logically exists).
+        A static method of the ORAM and the op's 9 arguments, like the
         list engine's op, so the ORAM can keep it as its ``_path_op``
         without a reference cycle; the engine is ``oram._column_engine``.
         The caller has validated the address and updated the position map.
@@ -244,12 +244,10 @@ class ColumnEngine:
             # shared tie-break order); stays columnar via a virtual chunk.
             virtual_class = engine._class_of(new_leaf ^ leaf)
             virtual_payload = data_g[target_src] if gather_payloads else None
-        elif slot is not None or is_write or create:
+        else:
             found = False
             block = Block(address=address, leaf=new_leaf, data=None)
             stash.add(block)
-        else:
-            found = False
 
         # Mode-specific payload handling.
         if slot is not None:

@@ -15,7 +15,7 @@ pluggable tree storage back-end, with:
 
 Each engine has exactly one path operation (read the path, remap the
 block, greedy write-back): a plain function of the ORAM and one
-10-argument contract.  A :class:`PathORAM` chooses it once, as
+9-argument contract.  A :class:`PathORAM` chooses it once, as
 ``_path_op``, when it is built or restored, and every entry point —
 :meth:`PathORAM.access`, :meth:`PathORAM.access_many`,
 :meth:`PathORAM.access_path`, :meth:`PathORAM.access_position_block` and
@@ -115,10 +115,6 @@ class PathORAM:
         config's ``super_block_size``.
     rng:
         Random source for leaf assignment (seed it for reproducibility).
-    create_on_miss:
-        When True (default), a read of an address that was never written
-        materialises the block with an empty payload, modelling a secure
-        processor whose entire address space logically exists.
     record_path_trace:
         When True, every accessed leaf (real and dummy) is appended to
         :attr:`path_trace` — the adversary's view used by the CPL attack.
@@ -131,7 +127,6 @@ class PathORAM:
         eviction_policy: EvictionPolicy | None = None,
         super_block_mapper: SuperBlockMapper | None = None,
         rng: random.Random | None = None,
-        create_on_miss: bool = True,
         record_path_trace: bool = False,
     ) -> None:
         self._config = config
@@ -230,7 +225,6 @@ class PathORAM:
         else:
             self._eviction = BackgroundEviction()
         self._stats = AccessStats()
-        self._create_on_miss = create_on_miss
         self._record_path_trace = record_path_trace
         self._path_trace: list[int] = []
         # When the policy is threshold-gated, the access fast path can skip
@@ -439,8 +433,7 @@ class PathORAM:
             old_leaf, new_leaf = self._choose_leaves(address, None, None)
         result_data, found = self._path_op(
             self, address, old_leaf, new_leaf,
-            is_write, data, self._create_on_miss,
-            None, 0, 0, 0,
+            is_write, data, None, 0, 0, 0,
         )
         result = AccessResult(address, result_data, found)
         stats = self._stats
@@ -495,7 +488,6 @@ class PathORAM:
         choose = None if self._single_member_groups and bits else self._choose_leaves
         path_op = self._path_op
         stash_blocks = self._stash_blocks
-        create = self._create_on_miss
         gate = self._eviction_gate
         after_access = self._eviction.after_access
         no_eviction = type(self._eviction) is NoEviction
@@ -527,7 +519,7 @@ class PathORAM:
                 else:
                     leaf, new_leaf = choose(address, None, None)
                 if path_op(
-                    self, address, leaf, new_leaf, is_write, data, create, None, 0, 0, 0
+                    self, address, leaf, new_leaf, is_write, data, None, 0, 0, 0
                 )[1]:
                     found_count += 1
 
@@ -612,8 +604,7 @@ class PathORAM:
             current_leaf, new_leaf = self._choose_leaves(address, current_leaf, new_leaf)
         result_data, found = self._path_op(
             self, address, current_leaf, new_leaf,
-            is_write, data, self._create_on_miss,
-            None, 0, 0, 0,
+            is_write, data, None, 0, 0, 0,
         )
         stats = self._stats
         stats.real_accesses += 1
@@ -654,7 +645,7 @@ class PathORAM:
         self._check_path_args(address, current_leaf, new_leaf)
         self._pm_leaves[address - 1] = new_leaf
         result = self._path_op(
-            self, address, current_leaf, new_leaf, True, None, False,
+            self, address, current_leaf, new_leaf, True, None,
             slot, child_new_leaf, labels_per_block, child_num_leaves,
         )
         stats = self._stats
@@ -685,10 +676,10 @@ class PathORAM:
         removed members' position-map entries follow the group to
         ``new_leaf``, so a later :meth:`insert` lands them co-resident.
 
-        Static groups return every member: with ``create_on_miss`` (the
-        secure-processor setting, where the whole address space logically
-        lives in the ORAM) members that have never been written come back
-        with an empty payload, so super-block prefetching moves the entire
+        Static groups return every member: the whole address space
+        logically lives in the ORAM (the secure-processor setting), so
+        members that have never been written come back with an empty
+        payload, and super-block prefetching moves the entire
         group into the cache as Section 3.2 prescribes.  A dynamic group
         returns only the members found here, plus ``address``: members
         still converging elsewhere live on other paths and stay in the ORAM
@@ -717,16 +708,11 @@ class PathORAM:
             # The removed members were re-leafed behind the recursive
             # chain's back (see _retarget_group).
             observer(lo, hi)
-        create = self._create_on_miss
         if self._dynamic:
-            if create and address not in found:
+            if address not in found:
                 found[address] = None
             return found
-        return {
-            member: found.get(member)
-            for member in range(lo, min(hi, self._working_set + 1))
-            if create or member in found
-        }
+        return {member: found.get(member) for member in range(lo, min(hi, self._working_set + 1))}
 
     def dummy_access(self) -> None:
         """A background-eviction dummy access (Section 3.1.1).
@@ -736,7 +722,7 @@ class PathORAM:
         """
         bits = self._draw_bits
         leaf = self._getrandbits(bits) if bits else self._random_leaf()
-        self._path_op(self, None, leaf, leaf, False, None, False, None, 0, 0, 0)
+        self._path_op(self, None, leaf, leaf, False, None, None, 0, 0, 0)
         stats = self._stats
         stats.dummy_accesses += 1
         if stats.record_occupancy:
@@ -857,7 +843,6 @@ class PathORAM:
         new_leaf: int,
         is_write: bool,
         data: Any,
-        create: bool,
         slot: int | None,
         child_new_leaf: int,
         labels_per_block: int,
@@ -891,7 +876,7 @@ class PathORAM:
                     buffer.append(candidate)
                     break
         found = block is not None
-        if block is None and (is_write or create or slot is not None):
+        if block is None:
             block = Block(address=address, leaf=new_leaf, data=None)
             self._stash.add(block)
             in_stash = True
@@ -903,19 +888,16 @@ class PathORAM:
                 block.data = labels
             result = labels[slot]
             labels[slot] = child_new_leaf
-        elif block is not None:
+        else:
             if is_write:
                 block.data = data
             result = block.data
-        else:
-            result = None
         if self._single_member_groups:
             # The accessed block is its whole super-block group.
-            if block is not None:
-                if in_stash:
-                    self._stash.retarget(address, new_leaf)
-                else:
-                    block.leaf = new_leaf  # buffer blocks are unindexed
+            if in_stash:
+                self._stash.retarget(address, new_leaf)
+            else:
+                block.leaf = new_leaf  # buffer blocks are unindexed
         else:
             self._retarget_group(self._group_of(address), leaf, new_leaf)
         self._write_back_path(leaf)
@@ -980,7 +962,6 @@ class PathORAM:
         new_leaf: int,
         is_write: bool,
         data: Any,
-        create: bool,
         slot: int | None,
         child_new_leaf: int,
         labels_per_block: int,
@@ -1012,14 +993,15 @@ class PathORAM:
 
         Three modes share the body.  With ``address=None`` (a dummy
         access) nothing is located or remapped and ``(None, False)`` is
-        returned.  With ``slot`` set (position-map mode, ``is_write`` /
-        ``create`` are ignored and the block always materialises) the
-        block's label vector is updated in place and
-        ``(displaced_child_leaf, labels)`` is returned — the label list
-        rides along so the hierarchical chain's lookaside buffer can serve
-        later accesses through the same position-map block.  With
+        returned.  Otherwise a block the access names but the ORAM does not
+        hold is created with an empty payload (the whole address space
+        logically exists).  With ``slot`` set (position-map mode,
+        ``is_write`` is ignored) the block's label vector is updated in
+        place and ``(displaced_child_leaf, labels)`` is returned — the
+        label list rides along so the hierarchical chain's lookaside buffer
+        can serve later accesses through the same position-map block.  With
         ``slot=None`` (data mode) the payload is read or written per
-        ``is_write``/``create`` and ``(result_data, found)`` is returned.
+        ``is_write`` and ``(result_data, found)`` is returned.
 
         Only valid on the exact flat storage with at most 16 levels and
         single-member groups; the caller has validated ``address`` and
@@ -1127,7 +1109,7 @@ class PathORAM:
             # shared tie-break order).
             block.leaf = new_leaf
             pools[table[new_leaf ^ leaf]].append(block)
-        elif address is not None and (slot is not None or is_write or create):
+        elif address is not None:
             found = False
             block = Block(address=address, leaf=new_leaf, data=None)
             if by_leaf:

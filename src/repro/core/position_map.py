@@ -22,7 +22,7 @@ class PositionMap:
         Number of leaves in the ORAM tree.
     rng:
         Random source used for the initial assignment and for
-        :meth:`remap`.
+        :meth:`random_leaf`.
     """
 
     def __init__(self, num_entries: int, num_leaves: int, rng: random.Random | None = None) -> None:
@@ -66,25 +66,8 @@ class PositionMap:
             raise ConfigurationError(f"leaf {leaf} out of range [0, {self._num_leaves})")
         self._leaves[identifier] = leaf
 
-    def remap(self, identifier: int) -> tuple[int, int]:
-        """Remap ``identifier`` to a fresh uniformly random leaf.
-
-        Returns
-        -------
-        tuple
-            ``(old_leaf, new_leaf)``.
-        """
-        old_leaf = self._leaves[identifier]
-        new_leaf = self._rng.randrange(self._num_leaves)
-        self._leaves[identifier] = new_leaf
-        return old_leaf, new_leaf
-
     def random_leaf(self) -> int:
         """Draw a uniformly random leaf (used for dummy accesses)."""
         if self._leaf_bits:
             return self._rng.getrandbits(self._leaf_bits)
         return self._rng.randrange(self._num_leaves)
-
-    def size_bits(self, leaf_bits: int) -> int:
-        """Storage required by this map at ``leaf_bits`` bits per entry."""
-        return len(self._leaves) * leaf_bits

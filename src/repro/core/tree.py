@@ -78,14 +78,6 @@ def common_path_length(leaf_a: int, leaf_b: int, levels: int) -> int:
     return shared
 
 
-def bucket_level(bucket_index: int) -> int:
-    """Level of a bucket in heap order (root = level 0)."""
-    level = 0
-    while bucket_index >= (1 << (level + 1)) - 1:
-        level += 1
-    return level
-
-
 #: The one per-leaf cache rule: a storage keeps its per-leaf path geometry
 #: in a leaf-indexed list when the tree has at most this many leaves (the
 #: classified path op's cutoff, 16 levels); bigger trees touch too many

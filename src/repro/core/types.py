@@ -97,14 +97,9 @@ class AccessResult:
     dummy_accesses:
         Number of background-eviction dummy accesses triggered after this
         real access.
-    sibling_addresses:
-        Addresses of other blocks returned alongside the requested one
-        because they shared its super block (empty unless super blocks are
-        enabled and the caller used the exclusive interface).
     """
 
     address: int
     data: Any = None
     found: bool = True
     dummy_accesses: int = 0
-    sibling_addresses: tuple[int, ...] = ()

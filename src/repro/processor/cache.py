@@ -168,13 +168,3 @@ class CacheHierarchy:
                 # ORAM), so report them as clean writebacks.
                 writebacks.append(l2_victim)
         return writebacks
-
-    def flush_writebacks(self) -> list[EvictedLine]:
-        """Drain every resident line (used at end-of-simulation accounting)."""
-        lines: list[EvictedLine] = []
-        for cache in (self.l1, self.l2):
-            for cache_set in cache._sets:  # noqa: SLF001 - intentional drain
-                for line_address, dirty in cache_set.items():
-                    lines.append(EvictedLine(line_address=line_address, dirty=dirty))
-                cache_set.clear()
-        return lines

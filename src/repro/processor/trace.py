@@ -9,7 +9,7 @@ non-memory instructions executed since the previous one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.errors import TraceFormatError
 
@@ -41,17 +41,3 @@ class TraceRecord:
 
 
 MemoryTrace = Iterable[TraceRecord]
-
-
-def validate_trace(trace: MemoryTrace) -> Iterator[TraceRecord]:
-    """Yield records from ``trace``, raising on malformed entries."""
-    for index, record in enumerate(trace):
-        if not isinstance(record, TraceRecord):
-            raise TraceFormatError(f"trace entry {index} is not a TraceRecord")
-        yield record
-
-
-def trace_footprint_bytes(trace: list[TraceRecord], line_bytes: int = 128) -> int:
-    """Unique cache-line footprint of a trace (for sizing the ORAM)."""
-    lines = {record.address // line_bytes for record in trace}
-    return len(lines) * line_bytes

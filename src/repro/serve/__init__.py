@@ -2,10 +2,10 @@
 
 Turns the simulation engine into a serving system: logical clients submit
 reads/writes against *named* ORAM instances, a deterministic batch
-scheduler admits pending requests into micro-batches and serves each one
-as a single ``access``, and per-tenant accounting tracks request counts
-and fair-share (quota) throttling; every result carries its own
-``found`` / ``data`` and latency.  See :mod:`repro.serve.service` for
+scheduler admits each instance's pending requests in arrival order into
+micro-batches and serves each one as a single ``access``, and per-tenant
+accounting counts requests; every result carries its own ``found`` /
+``data`` and latency.  See :mod:`repro.serve.service` for
 the determinism guarantee — replaying a recorded request script through
 the async service is bit-identical to applying the same schedule
 serially — and :mod:`repro.serve.loadgen` for the closed-loop load

@@ -6,8 +6,10 @@ batch-coalescing server, because an open-loop generator with a fixed
 arrival rate either starves the batcher or overwhelms it, and its latency
 numbers measure the queue, not the system.  With ``K`` concurrent clients
 the scheduler naturally forms micro-batches of up to ``K`` requests per
-round, and each request's submit-to-completion latency is measured at the
-service boundary (what a user would see).
+round, admitted in arrival order whatever their tenant, and each request's
+submit-to-completion latency is measured at the service boundary (what a
+user would see); the report also breaks requests and latency down per
+tenant.
 
 Request *content* (addresses, ops) is derived per client from the load
 seed via :func:`~repro.runner.spec.derive_seed`, so two runs against
@@ -156,7 +158,6 @@ async def generate_load(service: OramService, load: LoadGenConfig) -> LoadReport
             "mean_ms": _mean(by_tenant.get(name, [])) * 1e3,
             "p50_ms": percentile(by_tenant.get(name, []), 0.50) * 1e3,
             "p99_ms": percentile(by_tenant.get(name, []), 0.99) * 1e3,
-            "throttled": float(tenant.throttled),
         }
         for name, tenant in sorted(stats.tenants.items())
     }
@@ -179,7 +180,6 @@ def run_load(
     instances: Mapping[str, tuple[OramSpec, Any, int]],
     load: LoadGenConfig | None = None,
     config: ServiceConfig | None = None,
-    quotas: Mapping[str, int] | None = None,
 ) -> LoadReport:
     """Build a service, run one closed-loop load, return the report.
 
@@ -195,7 +195,7 @@ def run_load(
         )
 
     async def _go() -> LoadReport:
-        service = _build_service(instances, config, quotas)
+        service = _build_service(instances, config)
         async with service:
             return await generate_load(service, load)
 

@@ -1,25 +1,23 @@
-"""The asyncio ORAM service: named instances, deterministic batching, QoS.
+"""The asyncio ORAM service: named instances and deterministic batching.
 
 :class:`OramService` turns the simulation engine into a serving system:
 many logical clients submit reads/writes against *named* ORAM instances
 (each built from an :class:`~repro.backends.OramSpec` through the backend
 registry), a background scheduler task admits everything pending into
-micro-batches per instance and serves each request as one ``access``, and
-per-tenant accounting tracks request counts and fair-share throttling;
-every result carries its own ``found`` / ``data`` and submit-to-completion
-latency.
+micro-batches per instance, in arrival order, and serves each request as
+one ``access``, and per-tenant accounting counts requests; every result
+carries its own ``found`` / ``data`` and submit-to-completion latency.
 
 Determinism guarantee
 ---------------------
 All scheduling state lives in the synchronous
-:class:`~repro.serve.scheduler.BatchScheduler`, whose admission order is a
-pure function of request *arrival order* and the quota configuration —
-never of wall-clock time or event-loop interleaving.  Replaying a recorded
-request script (:func:`run_script`) therefore leaves every ORAM — tree,
-stash, position map, RNG stream, statistics — bit-identical to
-:func:`serial_script`, the plain synchronous application of the same
-admission schedule.  With unbounded quotas the admission schedule *is*
-the script order, so the replay is bit-identical to a bare
+:class:`~repro.serve.scheduler.BatchScheduler`, whose admission order is
+request *arrival order* — never wall-clock time or event-loop
+interleaving.  Replaying a recorded request script (:func:`run_script`)
+therefore leaves every ORAM — tree, stash, position map, RNG stream,
+statistics — bit-identical to :func:`serial_script`, the plain
+synchronous application of the same admission schedule, and since that
+schedule *is* the script order, to a bare
 ``for r in script: oram.access(...)`` loop.  The suite pins both
 identities (``tests/test_serve.py``).
 """
@@ -50,20 +48,13 @@ class ServiceConfig:
     ----------
     max_batch:
         Upper bound on one admitted micro-batch (per instance per round).
-    default_quota:
-        Fair-share cap: how many requests of one tenant a single round may
-        admit (0 = unbounded).  Per-tenant overrides via
-        :meth:`OramService.set_tenant_quota`.
     """
 
     max_batch: int = 256
-    default_quota: int = 0
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ConfigurationError("max_batch must be >= 1")
-        if self.default_quota < 0:
-            raise ConfigurationError("default_quota must be >= 0 (0 = unbounded)")
 
 
 def _path_oram_fingerprint(oram: PathORAM) -> tuple:
@@ -113,15 +104,15 @@ class OramService:
 
     Typical use::
 
-        service = OramService(ServiceConfig(max_batch=128, default_quota=8))
+        service = OramService(ServiceConfig(max_batch=128))
         service.open_instance("main", OramSpec(), config, seed=7)
 
         async with service:
             result = await service.submit("tenant-a", "main", address=17)
 
     The service must be *started* (``async with`` or :meth:`start`) before
-    requests are submitted; instances and quotas may be registered at any
-    time.  Submission is cheap (one queue put); execution happens in the
+    requests are submitted; instances may be registered at any time.
+    Submission is cheap (one queue put); execution happens in the
     background scheduler task, which resolves each request's future with a
     :class:`~repro.serve.request.ServeResult` carrying its measured
     latency.
@@ -130,10 +121,7 @@ class OramService:
     def __init__(self, config: ServiceConfig | None = None) -> None:
         self._config = config if config is not None else ServiceConfig()
         self._instances: dict[str, Backend] = {}
-        self._scheduler = BatchScheduler(
-            max_batch=self._config.max_batch,
-            default_quota=self._config.default_quota,
-        )
+        self._scheduler = BatchScheduler(self._config.max_batch)
         self._stats = ServiceStats()
         self._seq = itertools.count()
         self._queue: asyncio.Queue[PendingRequest] | None = None
@@ -178,10 +166,6 @@ class OramService:
     def instances(self) -> tuple[str, ...]:
         """Registered instance names, sorted."""
         return tuple(sorted(self._instances))
-
-    def set_tenant_quota(self, tenant: str, quota: int) -> None:
-        """Override the fair-share per-round quota of one tenant."""
-        self._scheduler.set_quota(tenant, quota)
 
     # ------------------------------------------------------------------
     # Observability
@@ -305,11 +289,11 @@ class OramService:
         scheduler = self._scheduler
         self._stats.rounds += 1
         for name in scheduler.pending_instances():
-            batch, capped = scheduler.admit(name)
+            batch = scheduler.admit(name)
             if batch:
-                self._execute(name, batch, capped)
+                self._execute(name, batch)
 
-    def _execute(self, name: str, batch: list[PendingRequest], capped: list[str]) -> None:
+    def _execute(self, name: str, batch: list[PendingRequest]) -> None:
         outcomes = execute_batch(self._instances[name], batch)
         stats = self._stats
         stats.batches += 1
@@ -338,8 +322,6 @@ class OramService:
                 self._sink[pending.seq] = outcome
         for name_ in tenants_in_batch:
             stats.tenant(name_).batches += 1
-        for name_ in capped:
-            stats.tenant(name_).throttled += 1
 
 
 # ----------------------------------------------------------------------
@@ -359,13 +341,10 @@ class ScriptOutcome:
 def _build_service(
     instances: Mapping[str, tuple[OramSpec, Any, int]],
     config: ServiceConfig | None,
-    quotas: Mapping[str, int] | None,
 ) -> OramService:
     service = OramService(config)
     for name, (spec, oram_config, seed) in instances.items():
         service.open_instance(name, spec, oram_config, seed=seed)
-    for tenant, quota in (quotas or {}).items():
-        service.set_tenant_quota(tenant, quota)
     return service
 
 
@@ -373,7 +352,6 @@ def run_script(
     script: list[Request],
     instances: Mapping[str, tuple[OramSpec, Any, int]],
     config: ServiceConfig | None = None,
-    quotas: Mapping[str, int] | None = None,
 ) -> ScriptOutcome:
     """Replay a recorded request script through the async service.
 
@@ -387,7 +365,7 @@ def run_script(
     """
 
     async def _replay() -> ScriptOutcome:
-        service = _build_service(instances, config, quotas)
+        service = _build_service(instances, config)
         async with service:
             futures = [service.submit_nowait(request) for request in script]
             await service.drain()
@@ -401,17 +379,15 @@ def serial_script(
     script: list[Request],
     instances: Mapping[str, tuple[OramSpec, Any, int]],
     config: ServiceConfig | None = None,
-    quotas: Mapping[str, int] | None = None,
 ) -> ScriptOutcome:
     """Apply a recorded script serially — the determinism reference.
 
     Drives the very same admission schedule as :func:`run_script` (same
-    scheduler object, same quota semantics) but synchronously, with no
-    event loop.  With unbounded quotas the schedule is exactly the script
-    order, i.e. the plain serial loop
+    scheduler object) but synchronously, with no event loop.  The
+    schedule is exactly the script order, i.e. the plain serial loop
     ``for r in script: oram.access(r.address, r.op, r.data)``.
     """
-    service = _build_service(instances, config, quotas)
+    service = _build_service(instances, config)
     sink: dict[int, Any] = {}
     service._sink = sink
     scheduler = service._scheduler

@@ -4,11 +4,11 @@ The engine's own counters stay where they always were — every ORAM keeps
 an :class:`~repro.core.stats.AccessStats` reachable through the uniform
 ``stats`` property, and the service exposes those unchanged per instance.
 This module adds the *request-plane* view on top: how many requests each
-tenant submitted, how many of them found their block, and how often the
-fair-share quota throttled a tenant.  Latency is not
-kept here: each :class:`~repro.serve.request.ServeResult` carries its own,
-and the load generator summarises the ones its clients receive, so the
-service's memory does not grow with the number of requests served.
+tenant submitted, how many of them found their block, and how many
+batches each tenant's requests rode in.  Latency is not kept here: each
+:class:`~repro.serve.request.ServeResult` carries its own, and the load
+generator summarises the ones its clients receive, so the service's
+memory does not grow with the number of requests served.
 
 Determinism note: every counter here is a pure function of the admission
 schedule, so replaying a recorded script yields bit-identical counter
@@ -35,9 +35,6 @@ class TenantStats:
         Requests whose block was already in the ORAM.
     batches:
         Admission batches this tenant had at least one request in.
-    throttled:
-        Admission rounds in which the fair-share quota deferred at least
-        one pending request of this tenant to a later round.
     """
 
     requests: int = 0
@@ -46,7 +43,6 @@ class TenantStats:
     fused: int = 0
     found: int = 0
     batches: int = 0
-    throttled: int = 0
 
     def fingerprint(self) -> tuple:
         """Deterministic tuple of the schedule-derived counters; a recorded
@@ -57,7 +53,6 @@ class TenantStats:
             self.writes,
             self.found,
             self.batches,
-            self.throttled,
         )
 
 

@@ -187,33 +187,6 @@ class TestFlatAccessMany:
         assert fingerprint(looped) == fingerprint(fused) == fingerprint(reference)
         assert fused._rng.getstate() == reference._rng.getstate()
 
-    def test_create_on_miss_off_matches_plain_reference(self):
-        # Reads of never-written addresses miss and create nothing
-        # (found=False, no block); only writes materialise blocks.
-        config = ORAMConfig(
-            working_set_blocks=256, z=4, block_bytes=64, stash_capacity=100
-        )
-        spec = OramSpec(protocol="flat", storage="flat", create_on_miss=False)
-        fused = build_oram(spec, config, seed=4)
-        reference = build_oram(dataclasses.replace(spec, storage="plain"), config, seed=4)
-        rng = random.Random(12)
-        fused_found = reference_found = 0
-        for round_index in range(12):
-            # Writes cover the lower half only, so upper-half reads always
-            # miss while lower-half reads hit more and more often.
-            if round_index % 2:
-                op, chunk = Operation.WRITE, random_trace(128, 60, seed=round_index)
-            else:
-                op, chunk = Operation.READ, [rng.randrange(1, 257) for _ in range(80)]
-            fused_found += fused.access_many(chunk, op, b"payload").found
-            for address in chunk:
-                reference_found += reference.access(address, op, b"payload").found
-        assert fused_found == reference_found
-        assert 0 < fused_found < fused.stats.real_accesses
-        assert fused.total_blocks_stored() <= 128
-        assert fingerprint(fused) == fingerprint(reference)
-        assert fused._rng.getstate() == reference._rng.getstate()
-
     @pytest.mark.parametrize("storage", STACKS)
     def test_invalid_address_raises_before_any_access(self, storage, tmp_path):
         config = ORAMConfig(

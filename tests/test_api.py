@@ -18,6 +18,7 @@ from repro import (
     HierarchicalPathORAM,
     HierarchyConfig,
     ORAMConfig,
+    OramService,
     OramSpec,
     PathORAM,
     ReproError,
@@ -25,6 +26,7 @@ from repro import (
     open_interface,
     open_oram,
     open_service,
+    run_script,
     storage_backends,
     synthetic_script,
 )
@@ -148,3 +150,20 @@ class TestRemovedOptions:
             ServiceConfig(fuse_reads=False)
         with pytest.raises(TypeError):
             synthetic_script(1, ["t"], ["main"], 4, 4, collect_fraction=0.5)
+
+    def test_fair_share_quotas_are_gone(self):
+        # Removed in 5.0: each instance admits in arrival order, the
+        # paper's one accessORAM per request, so there is no quota to set.
+        with pytest.raises(TypeError):
+            ServiceConfig(default_quota=1)
+        with pytest.raises(TypeError):
+            run_script([], {"main": (OramSpec(), _flat_config(), 1)}, quotas={})
+        assert not hasattr(OramService, "set_tenant_quota")
+
+    def test_create_on_miss_flag_is_gone(self):
+        # Removed in 5.0: every address exists, so a miss always creates
+        # the block (the processor model of the paper).
+        with pytest.raises(TypeError):
+            OramSpec(create_on_miss=False)
+        with pytest.raises(TypeError):
+            PathORAM(_flat_config(), create_on_miss=False)

@@ -109,15 +109,6 @@ class TestValidation:
 
 
 class TestConstructors:
-    def test_from_total_blocks(self):
-        config = ORAMConfig.from_total_blocks(4096, utilization=0.25, z=2, stash_capacity=None)
-        assert config.working_set_blocks == 1024
-        assert config.total_blocks == 4096
-
-    def test_from_working_set_bytes(self):
-        config = ORAMConfig.from_working_set_bytes(1 << 20, block_bytes=128)
-        assert config.working_set_blocks == (1 << 20) // 128
-
     def test_with_updates_preserves_other_fields(self):
         config = ORAMConfig(working_set_blocks=512, z=3, name="orig")
         updated = config.with_updates(z=4)

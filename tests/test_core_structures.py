@@ -30,13 +30,6 @@ class TestPositionMap:
         pmap = PositionMap(100, 16, rng=rng)
         assert all(0 <= pmap.lookup(i) < 16 for i in range(100))
 
-    def test_remap_returns_old_and_new(self, rng):
-        pmap = PositionMap(10, 8, rng=rng)
-        old = pmap.lookup(3)
-        returned_old, new = pmap.remap(3)
-        assert returned_old == old
-        assert pmap.lookup(3) == new
-
     def test_assign_and_lookup(self, rng):
         pmap = PositionMap(10, 8, rng=rng)
         pmap.assign(2, 5)
@@ -53,10 +46,6 @@ class TestPositionMap:
         for i in range(8000):
             counts[pmap.lookup(i)] += 1
         assert min(counts) > 800 and max(counts) < 1200
-
-    def test_size_bits(self, rng):
-        pmap = PositionMap(100, 16, rng=rng)
-        assert pmap.size_bits(4) == 400
 
     def test_invalid_construction(self, rng):
         with pytest.raises(ConfigurationError):

@@ -9,7 +9,6 @@ from repro.core.tree import (
     EncryptedTreeStorage,
     FlatTreeStorage,
     PlainTreeStorage,
-    bucket_level,
     common_path_length,
     path_indices,
 )
@@ -45,14 +44,6 @@ class TestPathIndices:
             path = path_indices(leaf, 3)
             for parent, child in zip(path, path[1:]):
                 assert child in (2 * parent + 1, 2 * parent + 2)
-
-    def test_bucket_level(self):
-        assert bucket_level(0) == 0
-        assert bucket_level(1) == 1
-        assert bucket_level(2) == 1
-        assert bucket_level(3) == 2
-        assert bucket_level(6) == 2
-        assert bucket_level(7) == 3
 
 
 class TestCommonPathLength:

@@ -142,11 +142,3 @@ class TestCacheHierarchy:
         hierarchy = self._hierarchy()
         hierarchy.access(0, is_write=False)
         assert hierarchy.fill_prefetched(0) == []
-
-    def test_flush_writebacks_drains_everything(self):
-        hierarchy = self._hierarchy()
-        for i in range(6):
-            hierarchy.access(i * 128, is_write=(i % 2 == 0))
-        drained = hierarchy.flush_writebacks()
-        assert len(drained) == 6
-        assert hierarchy.l1.occupancy() == 0 and hierarchy.l2.occupancy() == 0

@@ -12,7 +12,7 @@ from repro.errors import TraceFormatError
 from repro.processor.config import table1_processor
 from repro.processor.memory import DRAMBackend, ORAMBackend
 from repro.processor.simulator import ProcessorSimulator
-from repro.processor.trace import TraceRecord, trace_footprint_bytes, validate_trace
+from repro.processor.trace import TraceRecord
 from repro.workloads.synthetic import random_access_trace, sequential_scan_trace
 
 
@@ -24,18 +24,6 @@ class TestTraceRecords:
     def test_negative_address_rejected(self):
         with pytest.raises(TraceFormatError):
             TraceRecord(gap_instructions=0, address=-4)
-
-    def test_validate_trace_passes_good_records(self):
-        records = [TraceRecord(1, 0), TraceRecord(2, 128)]
-        assert list(validate_trace(records)) == records
-
-    def test_validate_trace_rejects_foreign_objects(self):
-        with pytest.raises(TraceFormatError):
-            list(validate_trace([("not", "a", "record")]))
-
-    def test_footprint(self):
-        records = [TraceRecord(0, 0), TraceRecord(0, 64), TraceRecord(0, 128)]
-        assert trace_footprint_bytes(records, line_bytes=128) == 2 * 128
 
 
 class TestDRAMBackend:

@@ -1,13 +1,12 @@
-"""The ORAM-as-a-service layer: determinism, QoS and lifecycle.
+"""The ORAM-as-a-service layer: determinism, accounting and lifecycle.
 
 The correctness anchor is **scheduler determinism**: a recorded request
 script replayed through the async batching service must leave the ORAM
 bit-identical — full state fingerprint including the RNG stream — to the
-same requests applied serially.  Around that pin: fair-share quota
-semantics (throttle accounting, starvation freedom), per-request results
-(every read in a batch returns what a bare ``access`` returns), typed error
-propagation that doesn't poison neighbouring requests, and the service
-lifecycle.
+same requests applied serially.  Around that pin: arrival-order admission,
+per-tenant accounting, per-request results (every read in a batch returns
+what a bare ``access`` returns), typed error propagation that doesn't
+poison neighbouring requests, and the service lifecycle.
 
 No pytest-asyncio in the image: async paths run through ``asyncio.run``
 inside plain sync tests, or through the synchronous ``run_script`` /
@@ -29,6 +28,8 @@ from repro import (
 )
 from repro.core.types import Operation
 from repro.serve import (
+    BatchScheduler,
+    PendingRequest,
     Request,
     oram_fingerprint,
     run_load,
@@ -67,6 +68,34 @@ def _script(length=400, seed=1, **kwargs):
     return synthetic_script(seed=seed, length=length, **params)
 
 
+class TestBatchScheduler:
+    def test_admits_each_instance_in_arrival_order(self):
+        # Three tenants interleaved over two instances: a round takes the
+        # next max_batch requests of one instance, whatever their tenant.
+        scheduler = BatchScheduler(max_batch=3)
+        tenants = ["alice", "bob", "carol"]
+        queued = {"east": [], "west": []}
+        for seq in range(11):
+            instance = ("west", "east")[seq % 2]
+            pending = PendingRequest(Request(tenants[seq % 3], instance, 1 + seq), seq)
+            scheduler.enqueue(pending)
+            queued[instance].append(pending)
+        remaining = 11
+        assert scheduler.pending == remaining
+        assert scheduler.pending_instances() == ["east", "west"]
+        while scheduler.pending:
+            for name in scheduler.pending_instances():
+                batch = scheduler.admit(name)
+                assert 1 <= len(batch) <= 3
+                assert batch == queued[name][:3]
+                del queued[name][:3]
+                remaining -= len(batch)
+                assert scheduler.pending == remaining
+        assert queued == {"east": [], "west": []}
+        assert scheduler.pending_instances() == []
+        assert scheduler.admit("east") == []
+
+
 class TestDeterminism:
     def test_async_replay_matches_serial(self):
         script = _script()
@@ -78,9 +107,9 @@ class TestDeterminism:
         assert batched.stats.fingerprint() == serial.stats.fingerprint()
 
     def test_async_replay_matches_plain_access_loop(self):
-        # With unbounded quotas the admission order is exactly the arrival
-        # order, so the service is bit-identical to a bare access() loop
-        # over the same ORAM — batching must be invisible to the state.
+        # The admission order is exactly the arrival order, so the service
+        # is bit-identical to a bare access() loop over the same ORAM —
+        # batching must be invisible to the state.
         script = _script()
         outcome = run_script(script, {"main": (FLAT, _config(), 7)})
         oram = open_oram(FLAT, _config(), seed=7)
@@ -95,18 +124,6 @@ class TestDeterminism:
         second = run_script(script, instances)
         assert first.fingerprint == second.fingerprint
         assert first.stats.fingerprint() == second.stats.fingerprint()
-
-    def test_quota_replay_matches_serial(self):
-        # Fair-share throttling reorders admissions; the serial reference
-        # drives the *same* scheduler, so the pin holds under QoS too.
-        script = _script(length=300, seed=9)
-        instances = {"main": (FLAT, _config(), 11)}
-        quotas = {"alice": 2, "bob": 4}
-        config = ServiceConfig(max_batch=32)
-        batched = run_script(script, instances, config=config, quotas=quotas)
-        serial = serial_script(script, instances, config=config, quotas=quotas)
-        assert batched.fingerprint == serial.fingerprint
-        assert batched.stats.fingerprint() == serial.stats.fingerprint()
 
     def test_max_batch_one_degenerates_to_serial(self):
         script = _script(length=120)
@@ -237,34 +254,6 @@ class TestResultsAndErrors:
 
 
 class TestQoS:
-    def test_quota_throttles_heavy_tenant(self):
-        # One tenant floods, one trickles; the flood gets capped per round
-        # and the accounting records every deferral.
-        script = []
-        for i in range(120):
-            script.append(Request(tenant="heavy", instance="main", address=1 + i % 64))
-        for i in range(12):
-            script.append(Request(tenant="light", instance="main", address=1 + i))
-        quotas = {"heavy": 4}
-        outcome = run_script(
-            script,
-            {"main": (FLAT, _config(), 6)},
-            config=ServiceConfig(max_batch=64),
-            quotas=quotas,
-        )
-        heavy = outcome.stats.tenants["heavy"]
-        light = outcome.stats.tenants["light"]
-        assert heavy.requests == 120
-        assert light.requests == 12
-        assert heavy.throttled > 0
-        assert light.throttled == 0
-        # Quota of 4/round over 120 requests needs >= 30 scheduler rounds.
-        assert outcome.stats.rounds >= 30
-
-    def test_unbounded_quota_never_throttles(self):
-        outcome = run_script(_script(), {"main": (FLAT, _config(), 6)})
-        assert all(t.throttled == 0 for t in outcome.stats.tenants.values())
-
     def test_per_tenant_accounting_totals(self):
         script = _script(length=250, seed=17)
         outcome = run_script(script, {"main": (FLAT, _config(), 1)})
@@ -365,7 +354,3 @@ class TestServiceConfigValidation:
     def test_max_batch_floor(self):
         with pytest.raises(ConfigurationError, match="max_batch"):
             ServiceConfig(max_batch=0)
-
-    def test_negative_quota(self):
-        with pytest.raises(ConfigurationError, match="quota"):
-            ServiceConfig(default_quota=-1)

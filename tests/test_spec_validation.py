@@ -63,10 +63,6 @@ class TestProtocolConflicts:
         with pytest.raises(ConfigurationError, match="hierarchy level"):
             OramSpec(protocol="hierarchical", eviction="background")
 
-    def test_hierarchical_rejects_create_on_miss_off(self):
-        with pytest.raises(ConfigurationError, match="create_on_miss"):
-            OramSpec(protocol="hierarchical", create_on_miss=False)
-
     def test_flat_rejects_plb(self):
         with pytest.raises(ConfigurationError, match="no position-map chain"):
             OramSpec(protocol="flat", plb_entries_per_level=2)

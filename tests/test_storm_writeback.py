@@ -31,9 +31,9 @@ def storm_modes(monkeypatch):
     real_op = PathORAM._fused_single_access
     real_offer = PathORAM._offer_free_slots
 
-    def path_op(oram, address, leaf, new_leaf, is_write, data, create, slot, *rest):
+    def path_op(oram, address, leaf, new_leaf, is_write, data, slot, *rest):
         mode[0] = "dummy" if address is None else "data" if slot is None else "slot"
-        return real_op(oram, address, leaf, new_leaf, is_write, data, create, slot, *rest)
+        return real_op(oram, address, leaf, new_leaf, is_write, data, slot, *rest)
 
     def offer(oram, *args):
         placed = real_offer(oram, *args)
@@ -120,7 +120,7 @@ def tiny_twins(path_blocks, stash):
 
 
 def dummy_on_path(oram, leaf=PATH_LEAF):
-    oram._path_op(oram, None, leaf, leaf, False, None, False, None, 0, 0, 0)
+    oram._path_op(oram, None, leaf, leaf, False, None, None, 0, 0, 0)
 
 
 def bucket_addresses(oram, leaf=PATH_LEAF):
