@@ -13,7 +13,8 @@ leaf labels); each is tagged so decoding restores the original type, so a
 read returns what was written.  A ``bytearray`` reads back as the ``bytes``
 it compares equal to.  Any other payload raises :class:`EncryptionError`,
 ``bool`` included: a tuple, a ``str``, or a list holding anything but
-``int`` would read back as a different object.
+``int`` would read back as a different object.  :meth:`BucketCodec.check_payload`
+also refuses ``bytes`` longer than the config's ``block_bytes``.
 
 Slot layout (little-endian), a 21-byte ``<QQBI`` header then the body::
 
@@ -34,7 +35,7 @@ A field that does not fit its width raises :class:`EncryptionError`.
 from __future__ import annotations
 
 import struct
-from typing import Any
+from typing import Any, Sequence
 
 from repro.core.config import ORAMConfig
 from repro.core.types import DUMMY_ADDRESS, Block
@@ -50,7 +51,8 @@ _DUMMY_SLOT = _HEADER.pack(DUMMY_ADDRESS, 0, _PAYLOAD_NONE, 0)
 
 
 class BucketCodec:
-    """Encode / decode the ``Z`` per-block plaintexts of one bucket."""
+    """Encode / decode the ``Z`` per-block plaintexts of a bucket, or of every
+    bucket on a path in one call."""
 
     def __init__(self, config: ORAMConfig) -> None:
         self._config = config
@@ -80,13 +82,20 @@ class BucketCodec:
             raise EncryptionError(f"block {block.address} does not fit its slot: {exc}") from exc
         raise EncryptionError(f"unsupported block payload type: {type(payload).__name__}")
 
-    @staticmethod
-    def check_payload(payload: Any) -> None:
-        """Raise :class:`EncryptionError` unless a block can carry ``payload``
-        (the write entry points of the encoding stacks call it before any
-        state changes, so a bad payload never reaches a path write-back)."""
-        if payload is not None and type(payload) is not bytes:
-            BucketCodec.encode_block(Block(1, 0, payload))
+    def check_payload(self, payload: Any) -> None:
+        """Raise :class:`EncryptionError` unless a block can carry ``payload``:
+        one the codec cannot encode, or ``bytes`` longer than the config's
+        ``block_bytes`` (the write entry points of the encoding stacks call
+        it before any state changes, so a bad payload never reaches a path
+        write-back)."""
+        if isinstance(payload, (bytes, bytearray)):
+            if len(payload) > self._config.block_bytes:
+                raise EncryptionError(
+                    f"payload of {len(payload)} bytes exceeds block_bytes="
+                    f"{self._config.block_bytes}"
+                )
+        elif payload is not None:
+            self.encode_block(Block(1, 0, payload))
 
     def decode_block(self, plaintext: bytes) -> Block | None:
         """Deserialise one block; dummies decode to ``None``."""
@@ -115,26 +124,39 @@ class BucketCodec:
         return Block(address=address, leaf=leaf, data=data)
 
     # ------------------------------------------------------------------
-    # Per-bucket encoding
+    # Path and bucket encoding
     # ------------------------------------------------------------------
-    def encode_blocks(self, blocks: list[Block]) -> list[bytes]:
-        """Serialise a bucket's real blocks, padding with dummies to ``Z``;
-        ``bytes`` payloads (the hot case) are framed inline."""
-        slots: list[bytes] = []
-        append = slots.append
+    def encode_path(self, level_buckets: Sequence[list[Block] | None]) -> list[list[bytes]]:
+        """Serialise a path's buckets in one call: each level's real blocks
+        (``None`` for an empty level), padded with dummies to ``Z``.  ``bytes``
+        payloads (the hot case) are framed inline."""
         pack = _HEADER.pack
-        for block in blocks:
-            payload = block.data
-            if type(payload) is not bytes or block.address == DUMMY_ADDRESS:
-                append(self.encode_block(block))
+        encode_block = self.encode_block
+        dummies = [_DUMMY_SLOT] * self._config.z
+        path_slots: list[list[bytes]] = []
+        for blocks in level_buckets:
+            if not blocks:
+                path_slots.append(dummies[:])
                 continue
-            try:
-                append(pack(block.address, block.leaf, _PAYLOAD_BYTES, len(payload)) + payload)
-            except struct.error as exc:
-                message = f"block {block.address} does not fit its slot: {exc}"
-                raise EncryptionError(message) from exc
-        slots.extend([_DUMMY_SLOT] * (self._config.z - len(slots)))
-        return slots
+            slots: list[bytes] = []
+            for block in blocks:
+                payload = block.data
+                if type(payload) is not bytes or block.address == DUMMY_ADDRESS:
+                    slots.append(encode_block(block))
+                    continue
+                try:
+                    header = pack(block.address, block.leaf, _PAYLOAD_BYTES, len(payload))
+                except struct.error as exc:
+                    message = f"block {block.address} does not fit its slot: {exc}"
+                    raise EncryptionError(message) from exc
+                slots.append(header + payload)
+            slots += dummies[len(slots) :]
+            path_slots.append(slots)
+        return path_slots
+
+    def encode_blocks(self, blocks: list[Block]) -> list[bytes]:
+        """Serialise one bucket: :meth:`encode_path` of a one-level path."""
+        return self.encode_path((blocks,))[0]
 
     def decode_blocks(self, plaintexts: list[bytes]) -> list[Block]:
         """Deserialise a bucket, dropping dummy slots; ``bytes`` payloads are

@@ -317,13 +317,16 @@ class EncryptedTreeStorage(TreeStorage):
     call (:meth:`open_path` / :meth:`seal_path`), a single bucket another.
     """
 
-    check_payload = staticmethod(BucketCodec.check_payload)
-
     def __init__(self, config: ORAMConfig, cipher: BucketCipher) -> None:
         super().__init__(config)
         self._cipher = cipher
         self._codec = BucketCodec(config)
         self._buckets: list[bytes | None] = [None] * config.num_buckets
+
+    def check_payload(self, payload: Any) -> None:
+        """Raise :class:`~repro.errors.EncryptionError` for a payload this
+        storage's codec cannot carry (:meth:`BucketCodec.check_payload`)."""
+        self._codec.check_payload(payload)
 
     def read_bucket(self, bucket_index: int) -> list[Block]:
         ciphertext = self._buckets[bucket_index]
@@ -355,9 +358,8 @@ class EncryptedTreeStorage(TreeStorage):
         for blocks in level_buckets:
             if blocks and len(blocks) > z:
                 raise ConfigurationError(f"bucket overfilled: {len(blocks)} > Z={z}")
-        encode = self._codec.encode_blocks
         path = self.path(leaf)
-        sealed = self._cipher.encrypt_path(path, [encode(blocks or []) for blocks in level_buckets])
+        sealed = self._cipher.encrypt_path(path, self._codec.encode_path(level_buckets))
         for bucket_index, ciphertext in zip(path, sealed):
             self._buckets[bucket_index] = ciphertext
         return sealed

@@ -19,6 +19,12 @@ every shorter pad is a prefix of a longer one.  One C call makes a bucket
 body's pad, whatever its (occupancy-dependent) length; ``joined_keystream``
 makes a path's pads in one loop, and ``keystream`` is its one-span case.
 
+``_xor`` applies every pad.  With NumPy installed (the ``fast`` extra) it
+XORs inputs of at least ``_NUMPY_XOR_BYTES`` as ``uint8`` arrays, so a
+path-sized XOR costs about a microsecond whatever its length; shorter
+inputs, and every input without NumPy, are XORed as one integer op.  Both
+kernels give the same bytes.
+
 The ``"aes"`` backend is the paper-faithful reference: chunk ``i`` of its
 keystream is ``block(*seed, i) = AES_K(SHA-256(seed || i)[:16])``, 16 bytes
 each.  No ``OramSpec`` reaches it; it is pinned by its own known answer.
@@ -34,6 +40,11 @@ import struct
 from typing import Literal, Sequence
 
 from repro.crypto.aes import AES128
+
+try:
+    import numpy as _np
+except ImportError:  # NumPy is the optional ``fast`` extra
+    _np = None
 
 PrfBackend = Literal["shake128", "aes"]
 
@@ -59,9 +70,21 @@ def _seed_bytes(seed: tuple[int, ...]) -> bytes:
         raise OverflowError(f"PRF seed {seed} is not unsigned 64-bit") from exc
 
 
+#: Inputs of at least this many bytes are XORed on NumPy when it is present:
+#: the two kernels cost the same here.  Measured per XOR on a 2-CPU x86-64
+#: box, best of 5 x 20,000 (integer op / NumPy ``uint8``): 16 B 0.73 / 1.91
+#: us, 128 B 0.65 / 0.99 us, 256 B 0.97 / 1.01 us, 512 B 1.65 / 1.05 us,
+#: 2.9 KB (an ``integrity`` path) 7.38 / 1.18 us, 7.4 KB 17.9 / 1.34 us.
+_NUMPY_XOR_BYTES = 256
+
+
 def _xor(data: bytes, pad: bytes) -> bytes:
-    """``data XOR pad`` for equal-length byte strings, as one integer op."""
+    """``data XOR pad`` for equal-length byte strings, as ``bytes``: one NumPy
+    ``uint8`` XOR from ``_NUMPY_XOR_BYTES`` up when NumPy imported, else one
+    integer op (so the strawman's 16-byte key wraps stay on the integer op)."""
     n = len(data)
+    if n >= _NUMPY_XOR_BYTES and _np is not None:
+        return (_np.frombuffer(data, _np.uint8) ^ _np.frombuffer(pad, _np.uint8)).tobytes()
     return (int.from_bytes(data, "little") ^ int.from_bytes(pad, "little")).to_bytes(n, "little")
 
 

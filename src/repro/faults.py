@@ -38,8 +38,8 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
+from typing import Any
 
-from repro.core.bucket_codec import BucketCodec
 from repro.core.tree import EncryptedTreeStorage, TreeStorage
 
 __all__ = [
@@ -89,8 +89,6 @@ class FaultInjector(TreeStorage):
     ciphertexts ``seal_path`` returns are the verifier's record of what it
     wrote; a device corrupts *stored* data, so that record is never altered.
     """
-
-    check_payload = staticmethod(BucketCodec.check_payload)
 
     def __init__(
         self,
@@ -191,6 +189,9 @@ class FaultInjector(TreeStorage):
     # ------------------------------------------------------------------
     # TreeStorage interface (device-facing)
     # ------------------------------------------------------------------
+    def check_payload(self, payload: Any) -> None:
+        self._storage.check_payload(payload)
+
     def raw_path(self, leaf: int) -> list[bytes]:
         op = self.read_ops
         self.read_ops += 1

@@ -14,7 +14,8 @@ exactly those bytes (``open_path``); a write-back hashes the ciphertexts
 
 from __future__ import annotations
 
-from repro.core.bucket_codec import BucketCodec
+from typing import Any
+
 from repro.core.config import ORAMConfig
 from repro.core.tree import EncryptedTreeStorage, TreeStorage
 from repro.core.types import Block
@@ -30,8 +31,6 @@ class IntegrityVerifiedStorage(TreeStorage):
     interface last wrote it.  The inherited ``read_path`` / ``write_path``
     adapters run the verified path operations below.
     """
-
-    check_payload = staticmethod(BucketCodec.check_payload)
 
     def __init__(self, config: ORAMConfig, cipher: BucketCipher,
                  authenticator: PathORAMAuthenticator | None = None,
@@ -54,6 +53,9 @@ class IntegrityVerifiedStorage(TreeStorage):
     # ------------------------------------------------------------------
     # TreeStorage interface
     # ------------------------------------------------------------------
+    def check_payload(self, payload: Any) -> None:
+        self._inner.check_payload(payload)
+
     def read_bucket(self, bucket_index: int) -> list[Block]:
         # Individual bucket reads (used by invariant checks) bypass
         # verification; the ORAM protocol always reads whole paths.

@@ -82,6 +82,48 @@ def test_bucket_pads_with_dummies(codec):
     assert codec.decode_blocks(slots) == blocks
 
 
+#: A path of buckets holding every payload tag, dummies and empty levels.
+PATH_LEVELS = [
+    [SLOT_CASES["bytes"][0], SLOT_CASES["int"][0]],
+    None,
+    [SLOT_CASES[case][0] for case in ("none", "labels", "bytearray", "large_header")],
+    [],
+    [Block(address=0, leaf=3, data=b"dummy"), SLOT_CASES["negative_int"][0]],
+    [SLOT_CASES["empty_labels"][0]],
+]
+
+
+def reference_slots(blocks):
+    """One bucket's slots block by block: each encoded, then dummies to Z=4."""
+    slots = [BucketCodec.encode_block(block) for block in blocks or []]
+    return slots + [bytes.fromhex(DUMMY_SLOT)] * (4 - len(slots))
+
+
+def test_encode_path_is_per_block_encoding_padded_to_z(codec):
+    expected = [reference_slots(blocks) for blocks in PATH_LEVELS]
+    assert codec.encode_path(PATH_LEVELS) == expected
+    assert [codec.encode_blocks(blocks or []) for blocks in PATH_LEVELS] == expected
+    assert codec.encode_path([]) == []
+    assert [codec.decode_blocks(slots) for slots in expected] == [
+        [block for block in blocks or [] if block.address] for blocks in PATH_LEVELS
+    ]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [Block(address=1, leaf=1 << 64, data=b"x"), Block(address=1, leaf=0, data=1 << 127),
+     Block(address=2, leaf=0, data=("a", "tuple"))],
+    ids=["wide_leaf_bytes", "int_too_large", "tuple"],
+)
+def test_encode_path_raises_the_per_block_error_mid_path(codec, bad):
+    with pytest.raises(EncryptionError) as per_block:
+        codec.encode_block(bad)
+    levels = [list(PATH_LEVELS[0]), None, [SLOT_CASES["labels"][0], bad]]
+    with pytest.raises(EncryptionError) as path:
+        codec.encode_path(levels)
+    assert str(path.value) == str(per_block.value)
+
+
 @pytest.mark.parametrize(
     "block",
     [

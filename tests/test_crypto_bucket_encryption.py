@@ -8,6 +8,7 @@ import pytest
 from repro.core.config import ORAMConfig
 from repro.core.tree import EncryptedTreeStorage
 from repro.core.types import Block
+from repro.crypto import prf as prf_module
 from repro.crypto.bucket_encryption import (
     BucketCipher,
     CounterBucketCipher,
@@ -16,7 +17,7 @@ from repro.crypto.bucket_encryption import (
     strawman_bucket_bits,
 )
 from repro.crypto.keys import ProcessorKey
-from repro.crypto.prf import Prf
+from repro.crypto.prf import _NUMPY_XOR_BYTES, Prf
 from repro.errors import EncryptionError
 
 
@@ -173,6 +174,20 @@ class TestPathCipher:
             assert ciphertext == (1).to_bytes(8, "little") + bytes(
                 a ^ b for a, b in zip(plaintext, pad)
             )
+
+    @pytest.mark.parametrize("backend", ["shake128", "aes"])
+    def test_path_bytes_do_not_depend_on_the_xor_kernel(self, key, backend, monkeypatch):
+        # The path is long enough for the NumPy kernel, when NumPy is present.
+        assert sum(map(len, sum(PATH_SLOTS, []))) > _NUMPY_XOR_BYTES
+        flat = [slot for slots in PATH_SLOTS for slot in slots]
+        default = CounterBucketCipher(key, backend=backend)
+        sealed = default.encrypt_path(PATH_IDS, PATH_SLOTS)
+        monkeypatch.setattr(prf_module, "_np", None)
+        integer = CounterBucketCipher(key, backend=backend)
+        assert integer.encrypt_path(PATH_IDS, PATH_SLOTS) == sealed
+        assert integer.decrypt_path(PATH_IDS, sealed) == flat
+        monkeypatch.undo()
+        assert default.decrypt_path(PATH_IDS, sealed) == flat
 
     def test_empty_path(self, key):
         cipher = CounterBucketCipher(key)

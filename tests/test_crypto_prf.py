@@ -1,8 +1,12 @@
 """PRF and keystream tests."""
 
+import os
+from types import SimpleNamespace
+
 import pytest
 
-from repro.crypto.prf import Keystream, Prf
+from repro.crypto import prf as prf_module
+from repro.crypto.prf import _NUMPY_XOR_BYTES, Keystream, Prf, _xor
 
 
 class TestPrf:
@@ -82,3 +86,48 @@ class TestKeystream:
         data = b"secret payload bytes"
         encrypted = stream.apply(data, 1)
         assert stream.apply(encrypted, 2) != data
+
+
+def _bytewise_xor(data: bytes, pad: bytes) -> bytes:
+    return bytes(a ^ b for a, b in zip(data, pad))
+
+
+XOR_LENGTHS = [
+    0, 1, 7, 15, 16, 149,
+    _NUMPY_XOR_BYTES - 1, _NUMPY_XOR_BYTES, _NUMPY_XOR_BYTES + 1, 2 * _NUMPY_XOR_BYTES + 3,
+    2_897, 8_192,
+]
+
+
+class TestXorKernels:
+    """``_xor`` gives the same bytes on the NumPy and the integer kernel."""
+
+    def test_kernel_follows_numpy(self):
+        try:
+            import numpy
+        except ImportError:
+            numpy = None
+        assert prf_module._np is numpy
+
+    @pytest.mark.parametrize("length", XOR_LENGTHS)
+    def test_both_kernels_equal_bytewise_xor(self, length, monkeypatch):
+        data, pad = os.urandom(length), os.urandom(length)
+        expected = _bytewise_xor(data, pad)
+        fast = _xor(data, pad)
+        monkeypatch.setattr(prf_module, "_np", None)
+        assert _xor(data, pad) == fast == expected
+        assert type(fast) is bytes
+
+    @pytest.mark.parametrize("length", [_NUMPY_XOR_BYTES - 1, _NUMPY_XOR_BYTES, 2_897])
+    def test_numpy_kernel_runs_from_the_cutoff(self, length, monkeypatch):
+        numpy = pytest.importorskip("numpy")
+        calls = []
+
+        def spy(buffer, dtype):
+            calls.append(len(buffer))
+            return numpy.frombuffer(buffer, dtype)
+
+        monkeypatch.setattr(prf_module, "_np", SimpleNamespace(frombuffer=spy, uint8=numpy.uint8))
+        data, pad = os.urandom(length), os.urandom(length)
+        assert _xor(data, pad) == _bytewise_xor(data, pad)
+        assert calls == ([length, length] if length >= _NUMPY_XOR_BYTES else [])

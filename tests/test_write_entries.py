@@ -5,18 +5,28 @@ Two checks run where a caller hands the ORAM an operation and a payload:
 * ``op`` goes through :func:`repro.core.types.as_operation`: the strings
   ``"read"`` and ``"write"`` mean what they say on every stack and entry
   point, and anything else raises :class:`ConfigurationError`;
-* on the stacks that encode payloads (``encrypted``, ``integrity``) a
-  payload the bucket codec cannot encode raises :class:`EncryptionError`,
-  and the ORAM afterwards matches a twin that never saw the bad write.
+* on the stacks that encode payloads (``encrypted``, ``integrity`` and a
+  :class:`~repro.faults.FaultInjector` device) a payload the bucket codec
+  cannot encode, or ``bytes`` longer than ``block_bytes``, raises
+  :class:`EncryptionError`, and the ORAM afterwards matches a twin that
+  never saw the bad write.
 """
+
+import random
 
 import pytest
 
-from repro.backends import OramSpec, build_oram
+from repro.backends import OramSpec
 from repro.core.config import HierarchyConfig, ORAMConfig
 from repro.core.hierarchical import HierarchicalPathORAM
+from repro.core.path_oram import PathORAM
+from repro.core.tree import EncryptedTreeStorage
 from repro.core.types import Operation, as_operation
+from repro.crypto.bucket_encryption import CounterBucketCipher
+from repro.crypto.keys import ProcessorKey
 from repro.errors import ConfigurationError, EncryptionError
+from repro.faults import FaultInjector
+from repro.integrity.storage import IntegrityVerifiedStorage
 from repro.serve.request import Request
 from tests.test_access_many import STACKS, build_stack, fingerprint
 
@@ -138,3 +148,50 @@ class TestUnencodablePayloads:
             results = [sub.access(address).data for address in (3, 7, 9, 11)]
             assert results == [b"ok", b"w", b"w", b"w"]
         assert state(oram) == state(twin)
+
+
+#: Both test configs use 32-byte blocks.
+BLOCK_BYTES = 32
+OVERSIZED = [b"x" * (BLOCK_BYTES + 1), bytearray(1000)]
+
+
+def fault_injector_stack(wrap_in_integrity, seed=5):
+    """A flat ORAM on a fault-injecting device, bare or integrity-verified."""
+    cipher = CounterBucketCipher(ProcessorKey(seed=1))
+    storage = FaultInjector(EncryptedTreeStorage(CONFIG, cipher))
+    if wrap_in_integrity:
+        storage = IntegrityVerifiedStorage(CONFIG, cipher, inner=storage)
+    return PathORAM(CONFIG, storage=storage, rng=random.Random(seed))
+
+
+def assert_oversized_writes_leave_no_trace(oram, twin, protocol):
+    for sub in (oram, twin):
+        sub.access_many(list(range(1, 41)), Operation.WRITE, b"w")
+    for name, call in bad_write_calls(protocol).items():
+        for bad in OVERSIZED:
+            with pytest.raises(EncryptionError, match=f"exceeds block_bytes={BLOCK_BYTES}"):
+                call(oram, bad)
+            assert state(oram) == state(twin), (name, len(bad))
+    # A payload of exactly block_bytes is a full block, and is accepted.
+    full = bytes(range(BLOCK_BYTES))
+    for sub in (oram, twin):
+        sub.access(3, Operation.WRITE, full)
+        assert [sub.access(address).data for address in (3, 7)] == [full, b"w"]
+    assert state(oram) == state(twin)
+
+
+class TestOversizedPayloads:
+    @pytest.mark.parametrize("protocol", ["flat", "hierarchical"])
+    @pytest.mark.parametrize("storage", ENCODING_STACKS)
+    def test_oversized_bytes_are_rejected_and_leave_the_oram_as_its_twin(
+        self, protocol, storage, tmp_path
+    ):
+        assert_oversized_writes_leave_no_trace(
+            build(protocol, storage, tmp_path), build(protocol, storage, tmp_path), protocol
+        )
+
+    @pytest.mark.parametrize("wrap_in_integrity", [False, True], ids=["bare", "integrity"])
+    def test_fault_injector_device_rejects_oversized_bytes(self, wrap_in_integrity):
+        assert_oversized_writes_leave_no_trace(
+            fault_injector_stack(wrap_in_integrity), fault_injector_stack(wrap_in_integrity), "flat"
+        )
