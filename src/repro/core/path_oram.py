@@ -359,19 +359,23 @@ class PathORAM:
         # the PLB observer closure (installed by HierarchicalPathORAM,
         # which re-installs it on restore), the column engine (ndarray
         # aliases into the storage; rebuilt from the restored columns,
-        # together with the path op) and the alias of the storage's
-        # per-leaf geometry, which the storage leaves out of its own state.
+        # together with the path op and the payload check) and the alias of
+        # the storage's per-leaf geometry, which the storage leaves out of
+        # its own state.
         state = self.__dict__.copy()
         state["_retarget_observer"] = None
         state["_column_engine"] = None
         state["_path_op"] = None
+        state["_payload_check"] = None
         del state["_leaf_bases"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         # Snapshots written before the Block free-list was removed carry it,
         # and those written before the storage owned its geometry carry the
-        # ORAM's own per-leaf cache.
+        # ORAM's own per-leaf cache.  Older snapshots also pickle the payload
+        # check as BucketCodec.check_payload, which now names an instance
+        # method; _attach_path_op re-derives it from the restored storage.
         state.pop("_block_pool", None)
         state.pop("_path_pairs", None)
         self.__dict__.update(state)

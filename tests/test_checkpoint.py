@@ -8,13 +8,14 @@ from dataclasses import dataclass
 import pytest
 
 from repro.backends import OramSpec, build_oram, restore_oram
+from repro.core.bucket_codec import BucketCodec
 from repro.core.config import ORAMConfig
 from repro.core.hierarchical import HierarchicalPathORAM
 from repro.core.path_oram import PathORAM
 from repro.core.presets import dz3pb32
 from repro.core.snapshot import SNAPSHOT_VERSION, snapshot_kind
 from repro.core.types import Block, Operation
-from repro.errors import CheckpointError, ConfigurationError
+from repro.errors import CheckpointError, ConfigurationError, EncryptionError
 from repro.runner import (
     CheckpointManager,
     ExperimentRunner,
@@ -80,6 +81,23 @@ class TestSnapshotRoundtrip:
         assert not hasattr(resumed, "_block_pool")
         assert log_a[150:] == _drive(resumed, 150, 150)
         assert _flat_fingerprint(resumed) == _flat_fingerprint(straight)
+
+    def test_snapshot_with_a_static_payload_check_restores(self):
+        # Snapshots written while the codec's payload check was a
+        # staticmethod pickle ``_payload_check`` as the plain function
+        # ``BucketCodec.check_payload``, which now names an instance method;
+        # restore re-derives the check from the storage, so writes still run
+        # and an oversized payload is still refused.
+        config = ORAMConfig(working_set_blocks=48, block_bytes=32)
+        oram = build_oram(OramSpec(protocol="flat", storage="integrity"), config, seed=5)
+        oram.access_many(list(range(1, 25)), Operation.WRITE, b"w")
+        oram._payload_check = BucketCodec.check_payload
+        resumed = PathORAM.restore(oram.snapshot())
+        resumed.access(3, Operation.WRITE, b"y" * 32)
+        assert resumed.access(3).data == b"y" * 32
+        with pytest.raises(EncryptionError, match="exceeds block_bytes"):
+            resumed.access(3, Operation.WRITE, b"x" * 33)
+        assert resumed.access(3).data == b"y" * 32
 
     def test_snapshot_does_not_alias_the_original(self):
         first = _flat_oram()
