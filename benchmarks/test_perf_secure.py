@@ -16,6 +16,13 @@ section has no committed floor yet, so ``check_perf_floors.py`` does not
 gate it.  Reads are checked
 against a shadow copy of every write on both stacks, so a fast but wrong
 secure stack fails here.
+
+After the timed pairs, one more window of the same trace runs on the
+integrity stack alone with its five path-level layer calls (``raw_path``,
+``verify_path``, ``open_path``, ``seal_path``, ``update_path``) wrapped by
+``perf_counter``: the section's ``layers`` record holds microseconds per
+access for each, the whole access, and the remainder (the protocol, plus the
+wrappers' own cost).  It is a ledger, not a gate.
 """
 
 import gc
@@ -30,6 +37,16 @@ from repro.core.types import Operation
 
 WORKING_SET = 4096
 WINDOWS = 5
+#: The secure layer's path-level calls, by the attribute of
+#: ``IntegrityVerifiedStorage`` that owns each: its encrypted device
+#: (``inner``) or its authentication tree (``authenticator``).
+LAYERS = (
+    ("inner", "raw_path"),
+    ("authenticator", "verify_path"),
+    ("inner", "open_path"),
+    ("inner", "seal_path"),
+    ("authenticator", "update_path"),
+)
 CONFIG = ORAMConfig(working_set_blocks=WORKING_SET, stash_capacity=200)
 
 
@@ -58,13 +75,42 @@ def run_window(oram, ops, shadow) -> float:
     return len(ops) / (time.perf_counter() - start)
 
 
+def layer_ledger(oram, ops, shadow) -> dict:
+    """Replay ``ops`` on the integrity stack with each of :data:`LAYERS`
+    timed; microseconds per access for each, the access, and the rest."""
+    spent = dict.fromkeys([name for _, name in LAYERS], 0.0)
+    owners = {owner: getattr(oram.storage, owner) for owner, _ in LAYERS}
+
+    def timed(name, method):
+        def call(*args):
+            start = time.perf_counter()
+            try:
+                return method(*args)
+            finally:
+                spent[name] += time.perf_counter() - start
+
+        return call
+
+    for owner, name in LAYERS:
+        setattr(owners[owner], name, timed(name, getattr(owners[owner], name)))
+    try:
+        total = len(ops) / run_window(oram, ops, shadow)
+    finally:
+        for owner, name in LAYERS:
+            delattr(owners[owner], name)
+    per_access = {name: seconds * 1e6 / len(ops) for name, seconds in spent.items()}
+    per_access["access"] = total * 1e6 / len(ops)
+    per_access["remainder"] = per_access["access"] - sum(spent.values()) * 1e6 / len(ops)
+    return {name: round(us, 2) for name, us in per_access.items()}
+
+
 def test_integrity_tax_over_flat(benchmark):
     measured = scaled(1500, minimum=200)
     rng = random.Random(29)
     # (address, version): version 0 is a read, otherwise a write of that version.
     trace = [
         (1 + rng.randrange(WORKING_SET), step + 1 if rng.random() < 0.5 else 0)
-        for step in range(WINDOWS * measured)
+        for step in range((WINDOWS + 1) * measured)
     ]
 
     def _run():
@@ -80,9 +126,10 @@ def test_integrity_tax_over_flat(benchmark):
             )
             pairs.append((flat_rate, secure_rate))
         assert secure.stats.fingerprint() == flat.stats.fingerprint()
-        return pairs
+        ledger = layer_ledger(secure, trace[WINDOWS * measured :], secure_shadow)
+        return pairs, ledger
 
-    pairs = benchmark.pedantic(_run, rounds=1, iterations=1)
+    pairs, ledger = benchmark.pedantic(_run, rounds=1, iterations=1)
     spread = ratio_spread(pairs)
     flat_rate, secure_rate = median_pair(pairs)
 
@@ -102,6 +149,7 @@ def test_integrity_tax_over_flat(benchmark):
         "flat_accesses_per_sec": round(flat_rate, 1),
         "tax": spread,
         "paired_ratios": spread,
+        "layers": {"unit": "us per access, one extra window, wrapped calls", **ledger},
     }
     record_perf(
         "secure",

@@ -259,7 +259,6 @@ class PathORAM:
         single-leaf trees).  Everything else runs the generic op.
         """
         cls = type(self)
-        self._payload_check = self._storage.check_payload
         # The flat storage's per-leaf bases table, aliased like _slots (the
         # storage rebuilds it on restore, so the alias is re-made here).
         self._leaf_bases = (
@@ -359,23 +358,22 @@ class PathORAM:
         # the PLB observer closure (installed by HierarchicalPathORAM,
         # which re-installs it on restore), the column engine (ndarray
         # aliases into the storage; rebuilt from the restored columns,
-        # together with the path op and the payload check) and the alias of
+        # together with the path op) and the alias of
         # the storage's per-leaf geometry, which the storage leaves out of
         # its own state.
         state = self.__dict__.copy()
         state["_retarget_observer"] = None
         state["_column_engine"] = None
         state["_path_op"] = None
-        state["_payload_check"] = None
         del state["_leaf_bases"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         # Snapshots written before the Block free-list was removed carry it,
         # and those written before the storage owned its geometry carry the
-        # ORAM's own per-leaf cache.  Older snapshots also pickle the payload
-        # check as BucketCodec.check_payload, which now names an instance
-        # method; _attach_path_op re-derives it from the restored storage.
+        # ORAM's own per-leaf cache; older ones its copy of the storage's
+        # payload check, which now runs from the storage itself.
+        state.pop("_payload_check", None)
         state.pop("_block_pool", None)
         state.pop("_path_pairs", None)
         self.__dict__.update(state)
@@ -425,7 +423,7 @@ class PathORAM:
                 f"address {address} outside [1, {self._working_set}]"
             )
         is_write = op is _WRITE
-        if type(op) is not Operation or is_write and self._payload_check is not None:
+        if type(op) is not Operation or is_write:
             is_write = self._check_write(op, data)
         if self._single_member_groups:
             leaves = self._pm_leaves
@@ -600,7 +598,7 @@ class PathORAM:
         """
         self._check_path_args(address, current_leaf, new_leaf)
         is_write = op is _WRITE
-        if type(op) is not Operation or is_write and self._payload_check is not None:
+        if type(op) is not Operation or is_write:
             is_write = self._check_write(op, data)
         if self._single_member_groups:
             self._position_map.assign(address - 1, new_leaf)
@@ -792,8 +790,7 @@ class PathORAM:
         Returns the number of dummy accesses issued.
         """
         self._check_address(address)
-        if self._payload_check is not None:
-            self._payload_check(data)
+        self._storage.check_payload(data)
         group = self._mapper.group_of(address)
         leaf = self._position_map.lookup(group)
         self._stash.add(Block(address=address, leaf=leaf, data=data))
@@ -815,14 +812,15 @@ class PathORAM:
         changes; returns whether ``op`` writes.  ``op`` goes through
         :func:`~repro.core.types.as_operation` unless it is an
         :class:`Operation`, and a written payload through the storage's
-        ``check_payload`` (the stacks that encode payloads raise
-        :class:`~repro.errors.EncryptionError` for one they cannot encode)."""
+        ``check_payload``: ``bytes`` over ``block_bytes`` raise
+        :class:`~repro.errors.ConfigurationError`, and the stacks that encode
+        payloads raise :class:`~repro.errors.EncryptionError` instead, also
+        for one they cannot encode."""
         if type(op) is not Operation:
             op = as_operation(op)
         if op is not _WRITE:
             return False
-        if self._payload_check is not None:
-            self._payload_check(data)
+        self._storage.check_payload(data)
         return True
 
     def _check_path_args(self, address: int, current_leaf: int, new_leaf: int) -> None:

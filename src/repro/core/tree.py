@@ -31,9 +31,9 @@ storage composes with its authenticator.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable
+from typing import Any
 
-from repro.core.bucket_codec import BucketCodec
+from repro.core.bucket_codec import BucketCodec, check_payload_size
 from repro.core.config import ORAMConfig
 from repro.core.types import Block
 from repro.crypto.bucket_encryption import BucketCipher
@@ -95,10 +95,6 @@ class TreeStorage(ABC):
     is derived state, so pickles leave it out.
     """
 
-    #: ``None`` when the storage holds any payload; the stacks that encode
-    #: payloads set a check that raises for one they cannot encode.
-    check_payload: Callable[[Any], None] | None = None
-
     def __init__(self, config: ORAMConfig) -> None:
         self._config = config
         self._geometry_table = self._new_geometry_table()
@@ -151,6 +147,11 @@ class TreeStorage(ABC):
         """Bucket indices along the path to ``leaf``, root first (the
         storage's geometry record, cached per leaf)."""
         return self._geometry(leaf)
+
+    def check_payload(self, payload: Any) -> None:
+        """Raise :class:`ConfigurationError` for ``bytes`` over ``block_bytes``
+        (write entry points call it first; encoding stacks check more)."""
+        check_payload_size(payload, self._config.block_bytes, ConfigurationError)
 
     @abstractmethod
     def read_bucket(self, bucket_index: int) -> list[Block]:
@@ -313,8 +314,8 @@ class EncryptedTreeStorage(TreeStorage):
     Each bucket is serialised by :class:`BucketCodec` (real blocks padded
     with dummies up to ``Z``) and encrypted by the supplied cipher, so an
     external observer of this storage sees only ciphertext that changes on
-    every write — the property Section 2.2 requires.  A path is one cipher
-    call (:meth:`open_path` / :meth:`seal_path`), a single bucket another.
+    every write — the property Section 2.2 requires.  A path, or a single
+    bucket, is one pass each way (:meth:`open_path` / :meth:`seal_path`).
     """
 
     def __init__(self, config: ORAMConfig, cipher: BucketCipher) -> None:
@@ -334,21 +335,21 @@ class EncryptedTreeStorage(TreeStorage):
             # Uninitialised DRAM: treated as an empty bucket (the paper's
             # integrity layer handles "never written" buckets explicitly).
             return []
-        return self._codec.decode_blocks(self._cipher.decrypt(bucket_index, ciphertext))
+        return self._codec.parse_path(*self._cipher.decrypt_path((bucket_index,), (ciphertext,)))
 
     def write_bucket(self, bucket_index: int, blocks: list[Block]) -> None:
         if len(blocks) > self._config.z:
             raise ConfigurationError(
                 f"bucket {bucket_index} overfilled: {len(blocks)} > Z={self._config.z}"
             )
-        plaintexts = self._codec.encode_blocks(blocks)
-        self._buckets[bucket_index] = self._cipher.encrypt(bucket_index, plaintexts)
+        sealed = self._cipher.encrypt_path((bucket_index,), *self._codec.frame_path((blocks,)))
+        self._buckets[bucket_index] = sealed[0]
 
     def open_path(self, leaf: int, raw: list[bytes]) -> list[Block]:
         """The real blocks in the path ciphertexts ``raw`` (as :meth:`raw_path`
         returns them, root first); never-written buckets (``b""``) are skipped."""
         written = [index for index, ciphertext in zip(self.path(leaf), raw) if ciphertext]
-        return self._codec.decode_blocks(self._cipher.decrypt_path(written, [c for c in raw if c]))
+        return self._codec.parse_path(*self._cipher.decrypt_path(written, [c for c in raw if c]))
 
     def seal_path(self, leaf: int, level_buckets: list[list[Block] | None]) -> list[bytes]:
         """Encode, encrypt and store the path as :meth:`write_path_levels` does,
@@ -359,7 +360,7 @@ class EncryptedTreeStorage(TreeStorage):
             if blocks and len(blocks) > z:
                 raise ConfigurationError(f"bucket overfilled: {len(blocks)} > Z={z}")
         path = self.path(leaf)
-        sealed = self._cipher.encrypt_path(path, self._codec.encode_path(level_buckets))
+        sealed = self._cipher.encrypt_path(path, *self._codec.frame_path(level_buckets))
         for bucket_index, ciphertext in zip(path, sealed):
             self._buckets[bucket_index] = ciphertext
         return sealed

@@ -16,13 +16,14 @@ path write-back:
   ``M = Z * (L + U + B) + 64`` bits — the scheme the rest of the paper (and
   this reproduction) assumes.
 
-Both classes operate on the per-block plaintext byte strings; bucket
-serialisation itself lives in :mod:`repro.core.bucket_codec`.
+The bucket plaintext format (frame and slots) belongs to
+:mod:`repro.core.bucket_codec`; the ciphers see only seeds and byte extents.
+The counter scheme seals and opens a whole path in one XOR; the strawman
+keeps the base class's per-bucket, per-slot path defaults.
 """
 
 from __future__ import annotations
 
-import functools
 import random
 import struct
 from abc import ABC, abstractmethod
@@ -39,12 +40,6 @@ STRAWMAN_PER_BLOCK_OVERHEAD_BITS = 128
 COUNTER_PER_BUCKET_OVERHEAD_BITS = 64
 
 _COUNTER = struct.Struct("<Q")
-
-
-@functools.cache
-def _frame(count: int) -> struct.Struct:
-    """Block count, then ``count`` lengths (u32); ``_frame(0)`` is the count."""
-    return struct.Struct(f"<{count + 1}I")
 
 
 def strawman_bucket_bits(z: int, l_bits: int, u_bits: int, b_bits: int) -> int:
@@ -73,15 +68,19 @@ class BucketCipher(ABC):
     def decrypt(self, bucket_id: int, ciphertext: bytes) -> list[bytes]:
         """Recover the per-block plaintexts of one bucket."""
 
-    def encrypt_path(self, bucket_ids: Sequence[int],
-                     slot_lists: Sequence[Sequence[bytes]]) -> list[bytes]:
-        """One ciphertext per bucket of a path; by default :meth:`encrypt` each."""
-        return [self.encrypt(bucket_id, slots) for bucket_id, slots in zip(bucket_ids, slot_lists)]
+    def encrypt_path(self, bucket_ids: Sequence[int], pieces: list[bytes],
+                     heads: Sequence[int], sizes: Sequence[int]) -> list[bytes]:
+        """One ciphertext per bucket of a path framed by ``BucketCodec.frame_path``;
+        by default :meth:`encrypt` each bucket's slots."""
+        from repro.core.bucket_codec import extents, split_slots
+        return list(map(self.encrypt, bucket_ids, split_slots(b"".join(pieces), extents(sizes))))
 
-    def decrypt_path(self, bucket_ids: Sequence[int], ciphertexts: Sequence[bytes]) -> list[bytes]:
-        """A path's per-block plaintexts, flat; by default :meth:`decrypt` each."""
-        return [slot for bucket_id, ciphertext in zip(bucket_ids, ciphertexts)
-                for slot in self.decrypt(bucket_id, ciphertext)]
+    def decrypt_path(self, bucket_ids: Sequence[int],
+                     ciphertexts: Sequence[bytes]) -> tuple[bytes, list[tuple[int, int]]]:
+        """A path's bucket plaintexts, joined, and each one's ``(start, end)``
+        (for ``BucketCodec.parse_path``); by default :meth:`decrypt` each."""
+        from repro.core.bucket_codec import join_slots
+        return join_slots(map(self.decrypt, bucket_ids, ciphertexts))
 
     @staticmethod
     @abstractmethod
@@ -179,53 +178,45 @@ class CounterBucketCipher(BucketCipher):
         return self._counters.get(bucket_id, 0)
 
     def encrypt(self, bucket_id: int, block_plaintexts: Sequence[bytes]) -> bytes:
-        return self.encrypt_path((bucket_id,), (block_plaintexts,))[0]
+        from repro.core.bucket_codec import join_slots
+        plaintext, _ = join_slots((block_plaintexts,))
+        return self.encrypt_path((bucket_id,), [b"", plaintext], (0,), (len(plaintext),))[0]
 
     def decrypt(self, bucket_id: int, ciphertext: bytes) -> list[bytes]:
-        return self.decrypt_path((bucket_id,), (ciphertext,))
+        from repro.core.bucket_codec import split_slots
+        return split_slots(*self.decrypt_path((bucket_id,), (ciphertext,)))[0]
 
-    def encrypt_path(self, bucket_ids: Sequence[int],
-                     slot_lists: Sequence[Sequence[bytes]]) -> list[bytes]:
-        """Frame each bucket under its bumped counter; one pad and one XOR per path."""
-        plaintexts, spans = [], []
-        for bucket_id, slots in zip(bucket_ids, slot_lists):
-            counter = self._counters[bucket_id] = self._counters.get(bucket_id, 0) + 1
-            plaintext = b"".join([_frame(len(slots)).pack(len(slots), *map(len, slots)), *slots])
-            plaintexts.append(plaintext)
-            spans.append((len(plaintext), (bucket_id, counter)))
-        body = _xor(b"".join(plaintexts), self._prf.joined_keystream(spans))
-        sealed, start = [], 0
-        for nbytes, (_, counter) in spans:
-            sealed.append(_COUNTER.pack(counter) + body[start : start + nbytes])
-            start += nbytes
+    def encrypt_path(self, bucket_ids: Sequence[int], pieces: list[bytes],
+                     heads: Sequence[int], sizes: Sequence[int]) -> list[bytes]:
+        """Bump each bucket's counter into its head piece, XOR the joined path
+        once with a pad that leaves the counters clear, and cut it per bucket."""
+        counters, pack, gap = self._counters, _COUNTER.pack, self.COUNTER_BYTES
+        spans = []
+        for bucket_id, head, size in zip(bucket_ids, heads, sizes):
+            counter = counters[bucket_id] = counters.get(bucket_id, 0) + 1
+            pieces[head] = pack(counter)
+            spans.append((size, (bucket_id, counter)))
+        path = _xor(b"".join(pieces), self._prf.joined_keystream(spans, gap))
+        sealed, end = [], 0
+        for size in sizes:
+            start, end = end, end + gap + size
+            sealed.append(path[start:end])
         return sealed
 
-    def decrypt_path(self, bucket_ids: Sequence[int], ciphertexts: Sequence[bytes]) -> list[bytes]:
-        """Read each bucket's counter, XOR the whole path with one joined pad,
-        then check and split every bucket's frame."""
-        bodies, spans = [], []
+    def decrypt_path(self, bucket_ids: Sequence[int],
+                     ciphertexts: Sequence[bytes]) -> tuple[bytes, list[tuple[int, int]]]:
+        """XOR the ciphertexts as read, joined, with one pad seeded by each
+        clear counter (which the pad's zero gaps leave in place)."""
+        unpack, gap = _COUNTER.unpack_from, self.COUNTER_BYTES
+        spans, bounds, end = [], [], 0
         for bucket_id, ciphertext in zip(bucket_ids, ciphertexts):
-            if len(ciphertext) < self.COUNTER_BYTES:
+            size = len(ciphertext) - gap
+            if size < 0:
                 raise EncryptionError("counter bucket ciphertext shorter than its counter")
-            bodies.append(ciphertext[self.COUNTER_BYTES :])
-            spans.append((len(bodies[-1]), (bucket_id, _COUNTER.unpack_from(ciphertext)[0])))
-        plaintext = _xor(b"".join(bodies), self._prf.joined_keystream(spans))
-        slots, end = [], 0
-        for nbytes, _ in spans:
-            start, end = end, end + nbytes
-            if nbytes < 4:
-                raise EncryptionError("counter bucket plaintext missing block count")
-            (count,) = _frame(0).unpack_from(plaintext, start)
-            offset = start + 4 + 4 * count
-            if offset > end:
-                raise EncryptionError("counter bucket plaintext missing block length")
-            lengths = _frame(count).unpack_from(plaintext, start)[1:]
-            if offset + sum(lengths) > end:
-                raise EncryptionError("counter bucket plaintext truncated block body")
-            for length in lengths:
-                slots.append(plaintext[offset : offset + length])
-                offset += length
-        return slots
+            spans.append((size, (bucket_id, unpack(ciphertext)[0])))
+            start, end = end + gap, end + gap + size
+            bounds.append((start, end))
+        return _xor(b"".join(ciphertexts), self._prf.joined_keystream(spans, gap)), bounds
 
     @staticmethod
     def bucket_bits(z: int, l_bits: int, u_bits: int, b_bits: int) -> int:

@@ -17,12 +17,12 @@ strawman key wrap three, so two uses never hash the same input.  Because
 SHAKE output is a stream, ``block(*seed)`` is ``keystream(16, *seed)`` and
 every shorter pad is a prefix of a longer one.  One C call makes a bucket
 body's pad, whatever its (occupancy-dependent) length; ``joined_keystream``
-makes a path's pads in one loop, and ``keystream`` is its one-span case.
+makes a path's pads in one loop (each after an optional zero gap), and
+``keystream`` is its one-span case.
 
 ``_xor`` applies every pad.  With NumPy installed (the ``fast`` extra) it
-XORs inputs of at least ``_NUMPY_XOR_BYTES`` as ``uint8`` arrays, so a
-path-sized XOR costs about a microsecond whatever its length; shorter
-inputs, and every input without NumPy, are XORed as one integer op.  Both
+XORs every input as ``uint8`` arrays, so a path-sized XOR costs about a
+microsecond whatever its length; without NumPy it is one integer op.  Both
 kernels give the same bytes.
 
 The ``"aes"`` backend is the paper-faithful reference: chunk ``i`` of its
@@ -70,21 +70,12 @@ def _seed_bytes(seed: tuple[int, ...]) -> bytes:
         raise OverflowError(f"PRF seed {seed} is not unsigned 64-bit") from exc
 
 
-#: Inputs of at least this many bytes are XORed on NumPy when it is present:
-#: the two kernels cost the same here.  Measured per XOR on a 2-CPU x86-64
-#: box, best of 5 x 20,000 (integer op / NumPy ``uint8``): 16 B 0.73 / 1.91
-#: us, 128 B 0.65 / 0.99 us, 256 B 0.97 / 1.01 us, 512 B 1.65 / 1.05 us,
-#: 2.9 KB (an ``integrity`` path) 7.38 / 1.18 us, 7.4 KB 17.9 / 1.34 us.
-_NUMPY_XOR_BYTES = 256
-
-
 def _xor(data: bytes, pad: bytes) -> bytes:
     """``data XOR pad`` for equal-length byte strings, as ``bytes``: one NumPy
-    ``uint8`` XOR from ``_NUMPY_XOR_BYTES`` up when NumPy imported, else one
-    integer op (so the strawman's 16-byte key wraps stay on the integer op)."""
-    n = len(data)
-    if n >= _NUMPY_XOR_BYTES and _np is not None:
+    ``uint8`` XOR when NumPy imported, else one integer op."""
+    if _np is not None:
         return (_np.frombuffer(data, _np.uint8) ^ _np.frombuffer(pad, _np.uint8)).tobytes()
+    n = len(data)
     return (int.from_bytes(data, "little") ^ int.from_bytes(pad, "little")).to_bytes(n, "little")
 
 
@@ -137,17 +128,18 @@ class Prf:
             raise ValueError("nbytes must be non-negative")
         return self.joined_keystream(((nbytes, seed),))
 
-    def joined_keystream(self, spans: Sequence[tuple[int, tuple[int, ...]]]) -> bytes:
+    def joined_keystream(self, spans: Sequence[tuple[int, tuple[int, ...]]], gap: int = 0) -> bytes:
         """The pads of a path's ``(nbytes, seed)`` spans (``nbytes >= 0``) in one
-        call: ``keystream(n0, *seed0) + keystream(n1, *seed1) + ...``."""
+        call, each after ``gap`` zero bytes: ``bytes(gap) + keystream(n0, *seed0)
+        + bytes(gap) + keystream(n1, *seed1) + ...``."""
+        zeros = bytes(gap)
         if self._backend == "aes":
             block, size = self.block, _CHUNK_BYTES
-            return b"".join([
-                b"".join([block(*seed, i) for i in range(-(-n // size))])[:n] for n, seed in spans
-            ])
+            return b"".join([zeros + b"".join([block(*seed, i) for i in range(-(-n // size))])[:n]
+                             for n, seed in spans])
         key, xof = self._key, hashlib.shake_128
         try:
-            return b"".join([xof(key + _SEED_PACK[len(s)](*s)).digest(n) for n, s in spans])
+            return b"".join([zeros + xof(key + _SEED_PACK[len(s)](*s)).digest(n) for n, s in spans])
         except struct.error as exc:
             raise OverflowError(f"a PRF seed in {spans} is not unsigned 64-bit") from exc
 

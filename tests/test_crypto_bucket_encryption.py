@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.core.bucket_codec import join_slots, split_slots
 from repro.core.config import ORAMConfig
 from repro.core.tree import EncryptedTreeStorage
 from repro.core.types import Block
@@ -17,7 +18,7 @@ from repro.crypto.bucket_encryption import (
     strawman_bucket_bits,
 )
 from repro.crypto.keys import ProcessorKey
-from repro.crypto.prf import _NUMPY_XOR_BYTES, Prf
+from repro.crypto.prf import Prf
 from repro.errors import EncryptionError
 
 
@@ -143,17 +144,32 @@ def _ciphers(key, kind: str) -> tuple[BucketCipher, BucketCipher]:
     return tuple(CounterBucketCipher(key, backend=kind) for _ in range(2))
 
 
+def framed(slot_lists):
+    """A path's plaintext pieces, heads and sizes as ``BucketCodec.frame_path``
+    lays them out (one placeholder, then the framed bucket)."""
+    pieces = []
+    for slots in slot_lists:
+        pieces += (b"", join_slots([slots])[0])
+    return pieces, list(range(0, len(pieces), 2)), [len(piece) for piece in pieces[1::2]]
+
+
+def opened(cipher, bucket_ids, sealed):
+    """Every slot of a path, flat, from one ``decrypt_path`` call."""
+    path_slots = split_slots(*cipher.decrypt_path(bucket_ids, sealed))
+    return [slot for slots in path_slots for slot in slots]
+
+
 class TestPathCipher:
     @pytest.mark.parametrize("kind", ["shake128", "aes", "strawman"])
     def test_path_calls_equal_per_bucket_calls(self, key, kind):
         path_cipher, bucket_cipher = _ciphers(key, kind)
         for _ in range(2):
-            sealed = path_cipher.encrypt_path(PATH_IDS, PATH_SLOTS)
+            sealed = path_cipher.encrypt_path(PATH_IDS, *framed(PATH_SLOTS))
             expected = [bucket_cipher.encrypt(i, slots) for i, slots in zip(PATH_IDS, PATH_SLOTS)]
             assert sealed == expected
             flat = [slot for bucket_id, ciphertext in zip(PATH_IDS, sealed)
                     for slot in bucket_cipher.decrypt(bucket_id, ciphertext)]
-            assert path_cipher.decrypt_path(PATH_IDS, sealed) == flat
+            assert opened(path_cipher, PATH_IDS, sealed) == flat
             assert flat == [slot for slots in PATH_SLOTS for slot in slots]
         if kind != "strawman":
             for bucket_id in set(PATH_IDS) | {99}:
@@ -166,7 +182,7 @@ class TestPathCipher:
     def test_path_bodies_are_plaintext_xor_own_pad(self, key, backend):
         cipher = CounterBucketCipher(key, backend=backend)
         prf = Prf(key.key_bytes, backend=backend)
-        sealed = cipher.encrypt_path(PATH_IDS[:5], PATH_SLOTS[:5])
+        sealed = cipher.encrypt_path(PATH_IDS[:5], *framed(PATH_SLOTS[:5]))
         for bucket_id, slots, ciphertext in zip(PATH_IDS, PATH_SLOTS, sealed):
             frame = b"".join(n.to_bytes(4, "little") for n in [len(slots), *map(len, slots)])
             plaintext = frame + b"".join(slots)
@@ -177,22 +193,20 @@ class TestPathCipher:
 
     @pytest.mark.parametrize("backend", ["shake128", "aes"])
     def test_path_bytes_do_not_depend_on_the_xor_kernel(self, key, backend, monkeypatch):
-        # The path is long enough for the NumPy kernel, when NumPy is present.
-        assert sum(map(len, sum(PATH_SLOTS, []))) > _NUMPY_XOR_BYTES
         flat = [slot for slots in PATH_SLOTS for slot in slots]
         default = CounterBucketCipher(key, backend=backend)
-        sealed = default.encrypt_path(PATH_IDS, PATH_SLOTS)
+        sealed = default.encrypt_path(PATH_IDS, *framed(PATH_SLOTS))
         monkeypatch.setattr(prf_module, "_np", None)
         integer = CounterBucketCipher(key, backend=backend)
-        assert integer.encrypt_path(PATH_IDS, PATH_SLOTS) == sealed
-        assert integer.decrypt_path(PATH_IDS, sealed) == flat
+        assert integer.encrypt_path(PATH_IDS, *framed(PATH_SLOTS)) == sealed
+        assert opened(integer, PATH_IDS, sealed) == flat
         monkeypatch.undo()
-        assert default.decrypt_path(PATH_IDS, sealed) == flat
+        assert opened(default, PATH_IDS, sealed) == flat
 
     def test_empty_path(self, key):
         cipher = CounterBucketCipher(key)
-        assert cipher.encrypt_path([], []) == []
-        assert cipher.decrypt_path([], []) == []
+        assert cipher.encrypt_path([], [], [], []) == []
+        assert cipher.decrypt_path([], []) == (b"", [])
 
     @pytest.mark.parametrize(
         ("keep", "message"),
@@ -205,20 +219,20 @@ class TestPathCipher:
     )
     def test_bad_bucket_mid_path_raises(self, key, keep, message):
         cipher = CounterBucketCipher(key)
-        sealed = cipher.encrypt_path(PATH_IDS[:5], PATH_SLOTS[:5])
+        sealed = cipher.encrypt_path(PATH_IDS[:5], *framed(PATH_SLOTS[:5]))
         sealed[2] = sealed[2][:keep]
         with pytest.raises(EncryptionError, match=message):
-            cipher.decrypt_path(PATH_IDS[:5], sealed)
+            opened(cipher, PATH_IDS[:5], sealed)
         with pytest.raises(EncryptionError, match=message):
             cipher.decrypt(PATH_IDS[2], sealed[2])
 
     def test_corrupted_counter_mid_path_raises(self, key):
         # A wrong counter decrypts the frame under the wrong pad.
         cipher = CounterBucketCipher(key)
-        sealed = cipher.encrypt_path(PATH_IDS[:5], PATH_SLOTS[:5])
+        sealed = cipher.encrypt_path(PATH_IDS[:5], *framed(PATH_SLOTS[:5]))
         sealed[3] = (7).to_bytes(8, "little") + sealed[3][8:]
         with pytest.raises(EncryptionError):
-            cipher.decrypt_path(PATH_IDS[:5], sealed)
+            opened(cipher, PATH_IDS[:5], sealed)
 
     def test_open_path_skips_never_written_buckets(self, key):
         config = ORAMConfig(working_set_blocks=16, z=4)

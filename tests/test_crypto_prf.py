@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.crypto import prf as prf_module
-from repro.crypto.prf import _NUMPY_XOR_BYTES, Keystream, Prf, _xor
+from repro.crypto.prf import Keystream, Prf, _xor
 
 
 class TestPrf:
@@ -47,6 +47,9 @@ class TestPrf:
             prf.keystream(nbytes, *seed) for nbytes, seed in spans
         )
         assert prf.joined_keystream([]) == b""
+        assert prf.joined_keystream(spans, 8) == b"".join(
+            bytes(8) + prf.keystream(nbytes, *seed) for nbytes, seed in spans
+        )
 
     @pytest.mark.parametrize("backend", ["shake128", "aes"])
     def test_joined_keystream_rejects_seeds_outside_u64(self, backend):
@@ -92,11 +95,7 @@ def _bytewise_xor(data: bytes, pad: bytes) -> bytes:
     return bytes(a ^ b for a, b in zip(data, pad))
 
 
-XOR_LENGTHS = [
-    0, 1, 7, 15, 16, 149,
-    _NUMPY_XOR_BYTES - 1, _NUMPY_XOR_BYTES, _NUMPY_XOR_BYTES + 1, 2 * _NUMPY_XOR_BYTES + 3,
-    2_897, 8_192,
-]
+XOR_LENGTHS = [0, 1, 7, 15, 16, 149, 255, 256, 257, 515, 2_897, 8_192]
 
 
 class TestXorKernels:
@@ -118,8 +117,8 @@ class TestXorKernels:
         assert _xor(data, pad) == fast == expected
         assert type(fast) is bytes
 
-    @pytest.mark.parametrize("length", [_NUMPY_XOR_BYTES - 1, _NUMPY_XOR_BYTES, 2_897])
-    def test_numpy_kernel_runs_from_the_cutoff(self, length, monkeypatch):
+    @pytest.mark.parametrize("length", XOR_LENGTHS)
+    def test_numpy_kernel_runs_at_every_length(self, length, monkeypatch):
         numpy = pytest.importorskip("numpy")
         calls = []
 
@@ -130,4 +129,4 @@ class TestXorKernels:
         monkeypatch.setattr(prf_module, "_np", SimpleNamespace(frombuffer=spy, uint8=numpy.uint8))
         data, pad = os.urandom(length), os.urandom(length)
         assert _xor(data, pad) == _bytewise_xor(data, pad)
-        assert calls == ([length, length] if length >= _NUMPY_XOR_BYTES else [])
+        assert calls == [length, length]

@@ -8,8 +8,10 @@ Two checks run where a caller hands the ORAM an operation and a payload:
 * on the stacks that encode payloads (``encrypted``, ``integrity`` and a
   :class:`~repro.faults.FaultInjector` device) a payload the bucket codec
   cannot encode, or ``bytes`` longer than ``block_bytes``, raises
-  :class:`EncryptionError`, and the ORAM afterwards matches a twin that
-  never saw the bad write.
+  :class:`EncryptionError`; on the others (``flat``, ``plain``,
+  ``memmap-flat``) ``bytes`` longer than ``block_bytes`` raise
+  :class:`ConfigurationError`.  Either way the ORAM afterwards matches a
+  twin that never saw the bad write.
 """
 
 import random
@@ -38,6 +40,7 @@ HIERARCHY = HierarchyConfig(
 )
 STACK_NAMES = sorted(set(STACKS) | {"integrity"})
 ENCODING_STACKS = ["encrypted", "integrity"]
+PLAIN_PAYLOAD_STACKS = [name for name in STACK_NAMES if name not in ENCODING_STACKS]
 
 
 def build(protocol, storage, tmp_path, seed=5):
@@ -164,13 +167,14 @@ def fault_injector_stack(wrap_in_integrity, seed=5):
     return PathORAM(CONFIG, storage=storage, rng=random.Random(seed))
 
 
-def assert_oversized_writes_leave_no_trace(oram, twin, protocol):
+def assert_oversized_writes_leave_no_trace(oram, twin, protocol, error=EncryptionError):
     for sub in (oram, twin):
         sub.access_many(list(range(1, 41)), Operation.WRITE, b"w")
     for name, call in bad_write_calls(protocol).items():
         for bad in OVERSIZED:
-            with pytest.raises(EncryptionError, match=f"exceeds block_bytes={BLOCK_BYTES}"):
+            with pytest.raises(error, match=f"exceeds block_bytes={BLOCK_BYTES}") as raised:
                 call(oram, bad)
+            assert raised.type is error
             assert state(oram) == state(twin), (name, len(bad))
     # A payload of exactly block_bytes is a full block, and is accepted.
     full = bytes(range(BLOCK_BYTES))
@@ -188,6 +192,18 @@ class TestOversizedPayloads:
     ):
         assert_oversized_writes_leave_no_trace(
             build(protocol, storage, tmp_path), build(protocol, storage, tmp_path), protocol
+        )
+
+    @pytest.mark.parametrize("protocol", ["flat", "hierarchical"])
+    @pytest.mark.parametrize("storage", PLAIN_PAYLOAD_STACKS)
+    def test_stacks_that_do_not_encode_reject_oversized_bytes_too(
+        self, protocol, storage, tmp_path
+    ):
+        assert_oversized_writes_leave_no_trace(
+            build(protocol, storage, tmp_path),
+            build(protocol, storage, tmp_path),
+            protocol,
+            ConfigurationError,
         )
 
     @pytest.mark.parametrize("wrap_in_integrity", [False, True], ids=["bare", "integrity"])
