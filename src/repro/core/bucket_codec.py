@@ -189,9 +189,8 @@ class BucketCodec:
             except struct.error as exc:
                 message = f"block {block.address} does not fit its slot: {exc}"
                 raise EncryptionError(message) from exc
-            if len(lengths) < z:
-                pieces.append(_DUMMY_SLOT * (z - len(lengths)))
-                lengths += [_HEADER_BYTES] * (z - len(lengths))
+            pieces.append(_DUMMY_SLOT * (z - len(lengths)))
+            lengths += [_HEADER_BYTES] * (z - len(lengths))
             pieces[heads[-1] + 1] = _frame(len(lengths)).pack(len(lengths), *lengths)
             sizes.append(4 + 4 * len(lengths) + sum(lengths))
         return pieces, heads, sizes
@@ -203,7 +202,6 @@ class BucketCodec:
         empty = _empty_bucket(self._config.z)
         unpack = _HEADER.unpack_from
         blocks: list[Block] = []
-        append = blocks.append
         for start, end in bounds:
             if end - start == len(empty) and plaintext.startswith(empty, start):
                 continue
@@ -232,7 +230,7 @@ class BucketCodec:
                     data = list(struct.unpack_from(f"<{size}Q", plaintext, body))
                 else:
                     raise EncryptionError(f"unknown payload tag {tag}")
-                append(Block(address, leaf, data))
+                blocks.append(Block(address, leaf, data))
         return blocks
 
     def encode_path(self, level_buckets: Sequence[list[Block] | None]) -> list[list[bytes]]:

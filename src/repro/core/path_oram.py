@@ -423,7 +423,9 @@ class PathORAM:
                 f"address {address} outside [1, {self._working_set}]"
             )
         is_write = op is _WRITE
-        if type(op) is not Operation or is_write:
+        if type(op) is not Operation or is_write and (
+            type(data) is not bytes or len(data) > self._config.block_bytes
+        ):
             is_write = self._check_write(op, data)
         if self._single_member_groups:
             leaves = self._pm_leaves
@@ -598,7 +600,9 @@ class PathORAM:
         """
         self._check_path_args(address, current_leaf, new_leaf)
         is_write = op is _WRITE
-        if type(op) is not Operation or is_write:
+        if type(op) is not Operation or is_write and (
+            type(data) is not bytes or len(data) > self._config.block_bytes
+        ):
             is_write = self._check_write(op, data)
         if self._single_member_groups:
             self._position_map.assign(address - 1, new_leaf)
@@ -808,19 +812,20 @@ class PathORAM:
             )
 
     def _check_write(self, op: Any, data: Any) -> bool:
-        """Validate an entry point's ``op`` and payload before any state
-        changes; returns whether ``op`` writes.  ``op`` goes through
-        :func:`~repro.core.types.as_operation` unless it is an
-        :class:`Operation`, and a written payload through the storage's
-        ``check_payload``: ``bytes`` over ``block_bytes`` raise
-        :class:`~repro.errors.ConfigurationError`, and the stacks that encode
-        payloads raise :class:`~repro.errors.EncryptionError` instead, also
-        for one they cannot encode."""
+        """Validate an entry point's ``op`` (through :func:`~repro.core.types.as_operation`
+        unless an :class:`Operation`) and payload before any state changes;
+        returns whether ``op`` writes.  The storage's ``check_payload`` raises
+        :class:`~repro.errors.ConfigurationError` for ``bytes`` over
+        ``block_bytes`` (the stacks that encode payloads raise
+        :class:`~repro.errors.EncryptionError`, also for one they cannot
+        encode).  ``bytes`` within ``block_bytes`` pass every stack's check, so
+        they skip it, and :meth:`access` / :meth:`access_path` skip this call."""
         if type(op) is not Operation:
             op = as_operation(op)
         if op is not _WRITE:
             return False
-        self._storage.check_payload(data)
+        if type(data) is not bytes or len(data) > self._config.block_bytes:
+            self._storage.check_payload(data)
         return True
 
     def _check_path_args(self, address: int, current_leaf: int, new_leaf: int) -> None:

@@ -149,8 +149,7 @@ class TreeStorage(ABC):
         return self._geometry(leaf)
 
     def check_payload(self, payload: Any) -> None:
-        """Raise :class:`ConfigurationError` for ``bytes`` over ``block_bytes``
-        (write entry points call it first; encoding stacks check more)."""
+        """Raise :class:`ConfigurationError` for ``bytes`` over ``block_bytes``."""
         check_payload_size(payload, self._config.block_bytes, ConfigurationError)
 
     @abstractmethod

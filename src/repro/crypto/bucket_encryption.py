@@ -27,6 +27,7 @@ from __future__ import annotations
 import random
 import struct
 from abc import ABC, abstractmethod
+from itertools import accumulate
 from typing import Sequence
 
 from repro.crypto.keys import ProcessorKey
@@ -197,11 +198,8 @@ class CounterBucketCipher(BucketCipher):
             pieces[head] = pack(counter)
             spans.append((size, (bucket_id, counter)))
         path = _xor(b"".join(pieces), self._prf.joined_keystream(spans, gap))
-        sealed, end = [], 0
-        for size in sizes:
-            start, end = end, end + gap + size
-            sealed.append(path[start:end])
-        return sealed
+        cuts = [0, *accumulate(gap + size for size in sizes)]
+        return [path[start:end] for start, end in zip(cuts, cuts[1:])]
 
     def decrypt_path(self, bucket_ids: Sequence[int],
                      ciphertexts: Sequence[bytes]) -> tuple[bytes, list[tuple[int, int]]]:
